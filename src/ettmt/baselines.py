@@ -23,9 +23,6 @@ class RandomModel:
     tokens: tuple[str, ...]
     probs: np.ndarray = field(repr=False)
 
-    def translate(self, source: list[str], rng: np.random.Generator) -> list[str]:
-        return translate_random(self, source, rng)
-
     def to_dict(self) -> dict:
         return {
             "length_mean": self.length_mean,
@@ -80,9 +77,6 @@ class DictModel:
     """Exact-match, order-preserving token lookup; unknown tokens are dropped."""
 
     table: dict[str, str]
-
-    def translate(self, source: list[str], rng=None) -> list[str]:
-        return translate_dict(self, source)
 
     def to_dict(self) -> dict:
         return {"table": dict(self.table)}

@@ -15,16 +15,28 @@ Two estimators share that alignment:
 * ``NaiveBayesModel`` factors the conditional into a target prior times
   per-slot likelihoods and scores candidates in log space.
 
-``beam_translate`` decodes either model. With a source-only context every
-live hypothesis sees the same distribution, so any beam width reproduces
-greedy search; with English context the hypotheses diverge and the beam
-matters.
+``beam_translate`` decodes either model. Each model's ``costs`` method gives
+-log P(target | context) as one numpy vector over its sorted ``vocab``, and
+the decoder scores every expansion of every live hypothesis as one array
+addition, then keeps the best with a partition and an exact sort. With a
+source-only context every live hypothesis sees the same distribution, so any
+beam width reproduces greedy search; with English context the hypotheses
+diverge and the beam matters.
+
+Every cost value is built with the same ``math.log`` / ``math.exp`` calls,
+in the same order, as ``ngram_distribution`` and ``nb_posterior``. numpy is
+used only for steps that IEEE arithmetic makes exact: add, subtract, max,
+fill, scatter, partition and sort. ``np.log`` and ``np.exp`` may differ from
+``math`` in the last bit and ``np.sum`` adds in another order; any of these
+could reorder two nearly tied hypotheses and change a decoded sentence.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import DataError
 
@@ -67,6 +79,31 @@ def _context_key(src_slots: tuple, eng_slots: tuple, ordered: bool) -> tuple:
     return src_slots + eng_slots
 
 
+def _check_arity(model, src_slots: tuple) -> None:
+    if len(src_slots) != model.n:
+        raise ValueError(f"expected {model.n} source slots, got {len(src_slots)}")
+
+
+def _checked_vocab(vocab, targets) -> tuple[str, ...]:
+    """A loaded model's target vocabulary, checked against what decoding needs.
+
+    The decoder breaks ties by vocabulary index, which equals the token order
+    only when the vocabulary is strictly sorted.
+    """
+    vocab = tuple(vocab)
+    if not all(isinstance(t, str) for t in vocab):
+        raise DataError("model vocabulary must hold only strings")
+    if any(a >= b for a, b in zip(vocab, vocab[1:])):
+        raise DataError("model vocabulary is not strictly sorted")
+    missing = sorted({EOS, PAD}.difference(vocab))
+    if missing:
+        raise DataError(f"model vocabulary lacks {', '.join(missing)}")
+    unknown = sorted(set(targets).difference(vocab))
+    if unknown:
+        raise DataError(f"model counts name targets outside its vocabulary: {', '.join(unknown[:5])}")
+    return vocab
+
+
 @dataclass
 class NgramModel:
     n: int
@@ -76,9 +113,26 @@ class NgramModel:
     counts: dict[tuple, dict[str, int]]
     context_totals: dict[tuple, int]
     vocab: tuple[str, ...]  # sorted; always contains EOS and PAD
+    # token -> position in vocab, built on the first `costs` call
+    _index: dict[str, int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def distribution(self, src_slots: tuple, eng_slots: tuple = ()) -> dict[str, float]:
         return ngram_distribution(self, src_slots, eng_slots)
+
+    def costs(self, src_slots: tuple, eng_slots: tuple = ()) -> np.ndarray:
+        """-log of `distribution` over `vocab`, equal to it bit for bit."""
+        _check_arity(self, src_slots)
+        if self._index is None:
+            self._index = {tok: i for i, tok in enumerate(self.vocab)}
+        key = _context_key(tuple(src_slots), tuple(eng_slots), self.ordered)
+        bucket = self.counts.get(key, {})
+        denom = self.context_totals.get(key, 0) + self.alpha * len(self.vocab)
+        out = np.full(len(self.vocab), -math.log(self.alpha / denom))
+        if bucket:
+            out[[self._index[t] for t in bucket]] = [
+                -math.log((c + self.alpha) / denom) for c in bucket.values()
+            ]
+        return out
 
     def to_dict(self) -> dict:
         return {
@@ -102,7 +156,7 @@ class NgramModel:
             alpha=payload["alpha"],
             counts=counts,
             context_totals={ctx: sum(t.values()) for ctx, t in counts.items()},
-            vocab=tuple(payload["vocab"]),
+            vocab=_checked_vocab(payload["vocab"], (t for tgts in counts.values() for t in tgts)),
         )
 
 
@@ -145,8 +199,7 @@ def train_ngram(
 
 def ngram_distribution(model: NgramModel, src_slots: tuple, eng_slots: tuple = ()) -> dict[str, float]:
     """Additively smoothed P(target | context); unseen contexts are uniform."""
-    if len(src_slots) != model.n:
-        raise ValueError(f"expected {model.n} source slots, got {len(src_slots)}")
+    _check_arity(model, src_slots)
     key = _context_key(tuple(src_slots), tuple(eng_slots), model.ordered)
     bucket = model.counts.get(key, {})
     total = model.context_totals.get(key, 0)
@@ -170,9 +223,59 @@ class NaiveBayesModel:
     vocab: tuple[str, ...] = ()
 
     ordered: bool = True  # the factored model always respects slot order
+    # log-prior vector, per-slot default log-likelihood vectors and per-slot
+    # {value: (target indices, log-likelihoods)} overrides; built on first use
+    _tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def distribution(self, src_slots: tuple, eng_slots: tuple = ()) -> dict[str, float]:
         return nb_posterior(self, src_slots, eng_slots)
+
+    def costs(self, src_slots: tuple, eng_slots: tuple = ()) -> np.ndarray:
+        """-log of `distribution` over `vocab`, equal to it bit for bit.
+
+        Each target's log score adds the same `math.log` terms in the same
+        slot order as `nb_posterior`, one vector addition per slot.
+        """
+        _check_arity(self, src_slots)
+        log_prior, defaults, overrides = self._cost_tables()
+        score = log_prior
+        for slot, value in enumerate(tuple(src_slots) + tuple(eng_slots)):
+            summed = score + defaults[slot]
+            override = overrides[slot].get(value)
+            if override is not None:
+                idx, logs = override
+                summed[idx] = score[idx] + logs
+            score = summed
+        weights = [math.exp(s) for s in (score - score.max()).tolist()]
+        z = sum(weights)
+        return np.array([-math.log(w / z) for w in weights])
+
+    def _cost_tables(self) -> tuple:
+        if self._tables is None:
+            alpha = self.alpha
+            prior_denom = self.total_positions + alpha * len(self.vocab)
+            log_prior = np.array(
+                [math.log((self.target_counts.get(t, 0) + alpha) / prior_denom) for t in self.vocab]
+            )
+            index = {t: i for i, t in enumerate(self.vocab)}
+            defaults, overrides = [], []
+            for slot, by_target in enumerate(self.slot_counts):
+                size = self.slot_vocab_sizes[slot]
+                defaults.append(np.array(
+                    [math.log(alpha / (self.target_counts.get(t, 0) + alpha * size)) for t in self.vocab]
+                ))
+                by_value: dict[str, tuple[list[int], list[float]]] = {}
+                for target, values in by_target.items():
+                    denom = self.target_counts.get(target, 0) + alpha * size
+                    for value, count in values.items():
+                        idx, logs = by_value.setdefault(value, ([], []))
+                        idx.append(index[target])
+                        logs.append(math.log((count + alpha) / denom))
+                overrides.append(
+                    {v: (np.array(idx, dtype=np.intp), np.array(logs)) for v, (idx, logs) in by_value.items()}
+                )
+            self._tables = (log_prior, defaults, overrides)
+        return self._tables
 
     def prior(self) -> dict[str, float]:
         denom = self.total_positions + self.alpha * len(self.vocab)
@@ -212,7 +315,10 @@ class NaiveBayesModel:
             ],
             slot_vocab_sizes=[len(v) for v in slot_vocabs],
             slot_vocabs=slot_vocabs,
-            vocab=tuple(payload["vocab"]),
+            vocab=_checked_vocab(
+                payload["vocab"],
+                list(payload["target_counts"]) + [t for slot in payload["slot_counts"] for t in slot],
+            ),
         )
 
 
@@ -260,8 +366,7 @@ def train_naive_bayes(
 
 def nb_posterior(model: NaiveBayesModel, src_slots: tuple, eng_slots: tuple = ()) -> dict[str, float]:
     """Normalized posterior over the target vocabulary, computed in log space."""
-    if len(src_slots) != model.n:
-        raise ValueError(f"expected {model.n} source slots, got {len(src_slots)}")
+    _check_arity(model, src_slots)
     context = tuple(src_slots) + tuple(eng_slots)
     prior_denom = model.total_positions + model.alpha * len(model.vocab)
     log_scores = []
@@ -290,6 +395,16 @@ def beam_translate(model, source: list[str], beams: int = 8, max_len: int | None
     hypothesis with the highest summed log-probability, ties going to the
     one that stopped earlier and then to the lexicographically smaller token
     sequence. PAD emissions never reach the output.
+
+    At each position the live hypotheses' summed costs plus their contexts'
+    cost vectors (`model.costs`, one per distinct context) form a
+    hypotheses x vocab matrix. The beam keeps its `beams` smallest entries,
+    ordered by (cost, token sequence). All live sequences have the same
+    length, so that order is (cost, the parent's rank among the live
+    sequences, token index); the last key is exact because `vocab` is
+    sorted. The cost vectors are computed with `math.log` / `math.exp`, not
+    numpy's, so each entry equals `-math.log(p)` of `distribution` to the
+    last bit and near-ties resolve exactly as a per-expansion sort would.
     """
     if beams < 1:
         raise ValueError(f"beam count must be >= 1, got {beams}")
@@ -297,31 +412,42 @@ def beam_translate(model, source: list[str], beams: int = 8, max_len: int | None
     n_positions = len(source) if max_len is None else min(len(source), max_len)
     padded = [PAD] * (n - 1) + list(source)
     uses_history = model.context_mode == CONTEXT_ETT_ENG
+    vocab = model.vocab
+    eos = vocab.index(EOS)
 
-    # hypothesis: (summed -log p, emitted tokens)
-    alive: list[tuple[float, tuple[str, ...]]] = [(0.0, ())]
+    # live hypotheses: emitted tokens, summed -log p, lexicographic rank
+    alive: list[tuple[str, ...]] = [()]
+    scores = np.zeros(1)
+    ranks = np.zeros(1, dtype=np.intp)
     done: list[tuple[float, float, tuple[str, ...]]] = []
     for i in range(n_positions):
         src_slots = tuple(padded[i : i + n])
-        expansions: list[tuple[float, tuple[str, ...]]] = []
-        shared = None if uses_history else model.distribution(src_slots)
-        for score, tokens in alive:
-            if uses_history:
-                history = tuple(([PAD] * n + list(tokens))[-n:])
-                dist = model.distribution(src_slots, history)
-            else:
-                dist = shared
-            for tok, p in dist.items():
-                cost = score - math.log(p)
-                if tok == EOS and uses_history:
-                    done.append((cost, float(i), tokens))
-                else:
-                    expansions.append((cost, tokens + (tok,)))
-        expansions.sort(key=lambda h: (h[0], h[1]))
-        alive = expansions[:beams]
-        if not alive:
-            break
-    done.extend((score, math.inf, tokens) for score, tokens in alive)
+        shared: dict[tuple, np.ndarray] = {}
+        rows = []
+        for tokens in alive:
+            history = tuple(([PAD] * n + list(tokens))[-n:]) if uses_history else ()
+            if history not in shared:
+                shared[history] = model.costs(src_slots, history)
+            rows.append(shared[history])
+        cand = scores[:, None] + np.stack(rows)
+        n_open = cand.size
+        if uses_history:
+            done.extend((cost, float(i), tokens) for cost, tokens in zip(cand[:, eos].tolist(), alive))
+            cand[:, eos] = math.inf
+            n_open -= len(alive)
+        flat = cand.ravel()
+        k = min(beams, n_open)
+        # every entry up to the k-th smallest cost, ties at the cut included
+        picked = np.flatnonzero(flat <= np.partition(flat, k - 1)[k - 1])
+        parent, tok = np.divmod(picked, len(vocab))
+        order = np.lexsort((tok, ranks[parent], flat[picked]))[:k]
+        parent, tok = parent[order], tok[order]
+        scores = flat[picked[order]]
+        parent_ranks = ranks[parent]
+        ranks = np.empty(k, dtype=np.intp)
+        ranks[np.lexsort((tok, parent_ranks))] = np.arange(k)
+        alive = [alive[p] + (vocab[t],) for p, t in zip(parent.tolist(), tok.tolist())]
+    done.extend((score, math.inf, tokens) for score, tokens in zip(scores.tolist(), alive))
     done.sort(key=lambda h: (h[0], h[1], h[2]))
     best_tokens = done[0][2]
     return [t for t in best_tokens if t not in (PAD, EOS)]

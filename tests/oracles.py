@@ -11,6 +11,8 @@ import math
 import re
 from collections import Counter, defaultdict
 
+from ettmt.ngram import CONTEXT_ETT_ENG, EOS, PAD
+
 
 # ---------------------------------------------------------------------------
 # BLEU
@@ -317,3 +319,57 @@ def oracle_factored_posterior(prior, conditionals, context):
         scores[target] = score
     z = sum(scores.values())
     return {target: s / z for target, s in scores.items()}
+
+
+# ---------------------------------------------------------------------------
+# Beam decoding
+# ---------------------------------------------------------------------------
+
+def oracle_beam_translate(model, source: list[str], beams: int = 8, max_len: int | None = None) -> list[str]:
+    """The n-gram / naive-Bayes beam decoder as a loop over Python tuples.
+
+    One (cost, tokens) tuple per expansion, sorted in full at every position;
+    the reference that `ettmt.ngram.beam_translate` must match exactly.
+
+    Generation runs for at most len(source) positions (or max_len, if
+    smaller). With English context a hypothesis finishes early when it emits
+    EOS; with source-only context EOS is just another dropped emission, so
+    the output covers every source position. The winner is the completed
+    hypothesis with the highest summed log-probability, ties going to the
+    one that stopped earlier and then to the lexicographically smaller token
+    sequence. PAD emissions never reach the output.
+    """
+    if beams < 1:
+        raise ValueError(f"beam count must be >= 1, got {beams}")
+    n = model.n
+    n_positions = len(source) if max_len is None else min(len(source), max_len)
+    padded = [PAD] * (n - 1) + list(source)
+    uses_history = model.context_mode == CONTEXT_ETT_ENG
+
+    # hypothesis: (summed -log p, emitted tokens)
+    alive: list[tuple[float, tuple[str, ...]]] = [(0.0, ())]
+    done: list[tuple[float, float, tuple[str, ...]]] = []
+    for i in range(n_positions):
+        src_slots = tuple(padded[i : i + n])
+        expansions: list[tuple[float, tuple[str, ...]]] = []
+        shared = None if uses_history else model.distribution(src_slots)
+        for score, tokens in alive:
+            if uses_history:
+                history = tuple(([PAD] * n + list(tokens))[-n:])
+                dist = model.distribution(src_slots, history)
+            else:
+                dist = shared
+            for tok, p in dist.items():
+                cost = score - math.log(p)
+                if tok == EOS and uses_history:
+                    done.append((cost, float(i), tokens))
+                else:
+                    expansions.append((cost, tokens + (tok,)))
+        expansions.sort(key=lambda h: (h[0], h[1]))
+        alive = expansions[:beams]
+        if not alive:
+            break
+    done.extend((score, math.inf, tokens) for score, tokens in alive)
+    done.sort(key=lambda h: (h[0], h[1], h[2]))
+    best_tokens = done[0][2]
+    return [t for t in best_tokens if t not in (PAD, EOS)]

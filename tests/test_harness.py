@@ -273,6 +273,29 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.endswith("\n")
 
+    @pytest.mark.parametrize("family", ["ngram", "naive-bayes"])
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda v: v[::-1], "not strictly sorted"),
+            (lambda v: [t for t in v if t != "<eos>"], "lacks <eos>"),
+        ],
+        ids=["reversed", "no-eos"],
+    )
+    def test_model_with_bad_vocab_exits_2(self, tmp_path, corpus_file, capsys, family, edit, message):
+        model = tmp_path / "model.json"
+        assert cli_dispatch(["train", "--family", family, "--in", str(corpus_file), "--out", str(model)]) == 0
+        doc = json.loads(model.read_text(encoding="utf-8"))
+        doc["payload"]["vocab"] = edit(doc["payload"]["vocab"])
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        src = tmp_path / "src.txt"
+        src.write_text("mi aveles\n", encoding="utf-8")
+        capsys.readouterr()
+        assert cli_dispatch(["translate", "--model", str(model), "--in", str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and message in captured.err
+
     def test_ibm2_model_file_flow(self, tmp_path, corpus_file):
         model = tmp_path / "m2.json"
         code = cli_dispatch(

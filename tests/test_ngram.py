@@ -1,6 +1,9 @@
 import itertools
 import math
+import random
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 import oracles
@@ -181,6 +184,201 @@ class TestNaiveBayes:
         again = NaiveBayesModel.from_dict(model.to_dict())
         ctx = (("a", "b"), (PAD, "x"))
         assert again.distribution(*ctx) == pytest.approx(model.distribution(*ctx))
+
+
+class TestLoadChecks:
+    """`from_dict` rejects models whose vocabulary breaks what decoding needs."""
+
+    @pytest.fixture(params=["ngram", "naive-bayes"])
+    def payload(self, request):
+        pairs = [(["a", "b"], ["x", "q"]), (["b"], ["y", "r"])]
+        if request.param == "ngram":
+            return NgramModel, train_ngram(pairs, n=1).to_dict()
+        return NaiveBayesModel, train_naive_bayes(pairs, n=1).to_dict()
+
+    def test_valid_payload_loads(self, payload):
+        cls, doc = payload
+        assert cls.from_dict(doc).vocab == tuple(doc["vocab"])
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda v: v[::-1], "not strictly sorted"),
+            (lambda v: v + [v[-1]], "not strictly sorted"),
+            (lambda v: [t for t in v if t != EOS], "lacks <eos>"),
+            (lambda v: [t for t in v if t != PAD], "lacks <pad>"),
+            (lambda v: [t for t in v if t != "y"], "outside its vocabulary: y"),
+            (lambda v: v + [3], "only strings"),
+        ],
+        ids=["reversed", "duplicate", "no-eos", "no-pad", "unknown-target", "non-string"],
+    )
+    def test_bad_vocab_rejected(self, payload, edit, message):
+        cls, doc = payload
+        doc["vocab"] = edit(doc["vocab"])
+        with pytest.raises(DataError, match=message):
+            cls.from_dict(doc)
+
+
+def _random_pairs(rng, n_pairs):
+    """A tiny corpus whose vocabularies straddle the sort position of <eos>/<pad>."""
+    src_types = ["a", "b", "c", "Ab", "0s"][: rng.randint(2, 5)]
+    tgt_types = ["x", "y", "z", "Wy", "0t", "~"][: rng.randint(2, 6)]
+    return [
+        (rng.choices(src_types, k=rng.randint(0, 4)), rng.choices(tgt_types, k=rng.randint(0, 4)))
+        for _ in range(n_pairs)
+    ]
+
+
+def _random_models(rng):
+    """Both families, both context modes, n 1-3, (un)ordered keys, float and int alpha."""
+    for n, mode, alpha in itertools.product((1, 2, 3), (CONTEXT_ETT, CONTEXT_ETT_ENG), (1.0, 0.5, 0.01, 1)):
+        pairs = _random_pairs(rng, rng.randint(1, 6))
+        for ordered in (True, False):
+            yield train_ngram(pairs, n=n, context_mode=mode, ordered=ordered, alpha=alpha)
+        yield train_naive_bayes(pairs, n=n, context_mode=mode, alpha=alpha)
+
+
+class TestCostVectors:
+    # `costs` must equal `-math.log` of `distribution` exactly, not
+    # approximately: np.log / np.exp can differ from math.log / math.exp in
+    # the last bit, and np.sum adds in another order than a sequential sum.
+    # One ulp is enough to reorder two nearly tied hypotheses in the beam.
+    # About 0.4% of np.log results differ, so the larger models below supply
+    # thousands of distinct probabilities.
+    def test_costs_equal_distribution_exactly(self):
+        rng = random.Random(11)
+        for model in _random_models(rng):
+            src_values = [PAD, "a", "b", "Ab", "unseen"]
+            eng_values = list(model.vocab) + ["unseen"]
+            for _ in range(20):
+                src = tuple(rng.choices(src_values, k=model.n))
+                eng = tuple(rng.choices(eng_values, k=model.n)) if model.context_mode == CONTEXT_ETT_ENG else ()
+                expected = [-math.log(p) for p in model.distribution(src, eng).values()]
+                assert model.costs(src, eng).tolist() == expected, (model, src, eng)
+
+    def test_costs_equal_distribution_exactly_larger_models(self):
+        rng = random.Random(12)
+        pairs = [
+            ([f"s{rng.randrange(30)}" for _ in range(rng.randint(0, 6))],
+             [f"t{rng.randrange(40)}" for _ in range(rng.randint(0, 6))])
+            for _ in range(80)
+        ]
+        for n, mode, alpha in itertools.product((1, 2), (CONTEXT_ETT, CONTEXT_ETT_ENG), (1.0, 0.01)):
+            contexts = [(s, e) for ett, eng in pairs[:15] for s, e, _ in training_positions(ett, eng, n, mode)]
+            for model in (
+                train_ngram(pairs, n=n, context_mode=mode, alpha=alpha),
+                train_naive_bayes(pairs, n=n, context_mode=mode, alpha=alpha),
+            ):
+                for src, eng in contexts:
+                    expected = [-math.log(p) for p in model.distribution(src, eng).values()]
+                    assert model.costs(src, eng).tolist() == expected, (model, src, eng)
+
+    def test_ngram_costs_equal_distribution_over_many_counts(self):
+        # n-gram probabilities are ratios of small integers, for which np.log
+        # differs far more rarely, so this model spreads counts widely
+        rng = random.Random(13)
+        vocab = tuple(sorted({EOS, PAD} | {f"t{i}" for i in range(50)}))
+        counts = {
+            (f"c{k}",): {t: rng.randint(1, 400) for t in rng.sample(vocab, rng.randint(1, 50))}
+            for k in range(2500)
+        }
+        totals = {key: sum(bucket.values()) for key, bucket in counts.items()}
+        for alpha in (1.0, 0.5, 0.01, 1):
+            model = NgramModel(n=1, context_mode=CONTEXT_ETT, ordered=True, alpha=alpha,
+                               counts=counts, context_totals=totals, vocab=vocab)
+            for key in counts:
+                expected = [-math.log(p) for p in model.distribution(key).values()]
+                assert model.costs(key).tolist() == expected, (alpha, key)
+
+    def test_costs_arity_checked(self):
+        for model in (train_ngram([(["a"], ["x"])], n=2), train_naive_bayes([(["a"], ["x"])], n=2)):
+            with pytest.raises(ValueError):
+                model.costs(("a",))
+
+    def test_tables_stay_out_of_serialization_and_equality(self):
+        pairs = [(["a", "b"], ["x", "y"])]
+        for model in (train_ngram(pairs, n=1), train_naive_bayes(pairs, n=1)):
+            fresh = type(model).from_dict(model.to_dict())
+            model.costs(("a",))
+            assert model == fresh
+            assert model.to_dict() == fresh.to_dict()
+            assert "_index" not in repr(model) and "_tables" not in repr(model)
+
+
+# -math.log(math.exp(-k)) == k exactly for these k, so path costs are small
+# integers and many different paths tie exactly
+_EXACT_PROBS = [math.exp(-k) for k in range(4)]
+
+
+@dataclass
+class _IntegerCostModel:
+    """A stand-in model whose per-token costs are integers from 0 to 3.
+
+    `table` maps (source slots, English slots) to {token: cost}, with 3 for
+    anything it leaves out; without a table each context draws its costs
+    from `seed`.
+    """
+
+    n: int
+    context_mode: str
+    seed: int = 0
+    table: dict | None = None
+    vocab: tuple = ("0t", EOS, PAD, "x", "y", "z")
+
+    def distribution(self, src_slots, eng_slots=()):
+        key = (tuple(src_slots), tuple(eng_slots))
+        if self.table is not None:
+            return {t: _EXACT_PROBS[self.table.get(key, {}).get(t, 3)] for t in self.vocab}
+        rng = random.Random(repr((self.seed,) + key))
+        return {t: rng.choice(_EXACT_PROBS) for t in self.vocab}
+
+    def costs(self, src_slots, eng_slots=()):
+        return np.array([-math.log(p) for p in self.distribution(src_slots, eng_slots).values()])
+
+
+class TestDecoderMatchesOracle:
+    """The array decoder against the tuple-sorting loop it replaced, exactly."""
+
+    def test_tie_at_the_cut_keeps_the_lexicographically_smaller_parent(self):
+        # "y" (cost 0) ranks above "x" (cost 1) at position 0, so the two live
+        # parents are in cost order, not token order. At position 1 "y x" and
+        # "x x" tie at cost 1 for the second beam slot behind "y y"; "x x"
+        # must stay because "x" < "y", and it wins at position 2.
+        table = {
+            (("p0",), (PAD,)): {"y": 0, "x": 1},
+            (("p1",), ("y",)): {"y": 0, "x": 1},
+            (("p1",), ("x",)): {"x": 0},
+            (("p2",), ("x",)): {"x": 0},
+        }
+        model = _IntegerCostModel(n=1, context_mode=CONTEXT_ETT_ENG, table=table)
+        source = ["p0", "p1", "p2"]
+        assert oracles.oracle_beam_translate(model, source, beams=2) == ["x", "x", "x"]
+        assert beam_translate(model, source, beams=2) == ["x", "x", "x"]
+
+    def test_exact_ties_follow_token_order(self):
+        # with integer costs, hypotheses from different parents tie on cost
+        # at the beam's cut, and only the token-sequence order separates them
+        rng = random.Random(3)
+        for seed, mode, n in itertools.product(range(25), (CONTEXT_ETT, CONTEXT_ETT_ENG), (1, 2)):
+            model = _IntegerCostModel(n=n, context_mode=mode, seed=seed)
+            source = rng.choices(["a", "b", "q"], k=rng.randint(0, 6))
+            for beams in (1, 2, 3, 8, 64):
+                got = beam_translate(model, source, beams=beams)
+                assert got == oracles.oracle_beam_translate(model, source, beams=beams), (model, source, beams)
+
+    def test_random_models_sources_and_beams(self):
+        rng = random.Random(5)
+        compared = 0
+        for model in _random_models(rng):
+            sources = [[], ["unseen"], ["a", "unseen", "b"]]
+            sources += [rng.choices(["a", "b", "c", "Ab", "0s", "q"], k=rng.randint(1, 5)) for _ in range(3)]
+            for source, beams in itertools.product(sources, (1, 2, 3, 8, 64)):
+                for max_len in (None, rng.randint(0, 3)):
+                    got = beam_translate(model, source, beams=beams, max_len=max_len)
+                    want = oracles.oracle_beam_translate(model, source, beams=beams, max_len=max_len)
+                    assert got == want, (model, source, beams, max_len)
+                    compared += 1
+        assert compared == 72 * 6 * 5 * 2
 
 
 class TestBeamTranslate:
