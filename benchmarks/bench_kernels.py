@@ -1,9 +1,10 @@
-"""Timing comparison of the numba kernels against their numpy fallbacks.
+"""Timing comparison of the numba edit-distance kernel against its numpy fallback.
 
-Run:  python benchmarks/bench_kernels.py
+Run:  PYTHONPATH=src python benchmarks/bench_kernels.py
 
-The same comparison applies end to end by setting ETTMT_DISABLE_NUMBA=1
-before running any other command.
+Edit distance is the only kernel with a numba version; the same comparison
+applies end to end by setting ETTMT_DISABLE_NUMBA=1 before running any other
+command.
 """
 
 import time
@@ -35,50 +36,16 @@ def bench_levenshtein(rnd, n_pairs=2000, max_len=25, vocab=50):
             total += fn(a, b)
         return total
 
+    t_np = time_call(run, _kernels.levenshtein_np)
+    if not _kernels.HAVE_NUMBA:
+        # levenshtein_jit is then the uncompiled Python loop, not a numba kernel
+        print(f"levenshtein   {n_pairs} pairs: numpy {t_np * 1e3:8.1f} ms   (numba not installed)")
+        return
     # warm up the JIT before timing
     run(_kernels.levenshtein_jit)
     t_jit = time_call(run, _kernels.levenshtein_jit)
-    t_np = time_call(run, _kernels.levenshtein_np)
     assert run(_kernels.levenshtein_jit) == run(_kernels.levenshtein_np)
     print(f"levenshtein   {n_pairs} pairs: numba {t_jit * 1e3:8.1f} ms   numpy {t_np * 1e3:8.1f} ms   "
-          f"speedup {t_np / t_jit:5.1f}x")
-
-
-def bench_ibm1(rnd, n_pairs=3000, src_vocab=2000, tgt_vocab=2500, sent_len=6):
-    src_flat, tgt_flat = [], []
-    src_indptr = np.zeros(n_pairs + 1, dtype=np.int64)
-    tgt_indptr = np.zeros(n_pairs + 1, dtype=np.int64)
-    cooc = [set() for _ in range(src_vocab + 1)]
-    for p in range(n_pairs):
-        f = [0] + list(rnd.integers(1, src_vocab + 1, size=rnd.integers(1, sent_len + 1)))
-        e = list(rnd.integers(0, tgt_vocab, size=rnd.integers(1, sent_len + 1)))
-        src_flat.extend(f)
-        tgt_flat.extend(e)
-        src_indptr[p + 1] = len(src_flat)
-        tgt_indptr[p + 1] = len(tgt_flat)
-        for fi in f:
-            cooc[fi].update(e)
-    indptr = np.zeros(src_vocab + 2, dtype=np.int64)
-    cols = []
-    for fi, row in enumerate(cooc):
-        ordered = sorted(row)
-        indptr[fi + 1] = indptr[fi] + len(ordered)
-        cols.extend(ordered)
-    cols = np.asarray(cols, dtype=np.int32)
-    vals = np.full(len(cols), 1.0 / tgt_vocab)
-    src_flat = np.asarray(src_flat, dtype=np.int32)
-    tgt_flat = np.asarray(tgt_flat, dtype=np.int32)
-
-    def run(fn):
-        counts = np.zeros_like(vals)
-        recv = np.zeros(len(src_flat))
-        return fn(src_flat, src_indptr, tgt_flat, tgt_indptr, indptr, cols, vals, counts, recv)
-
-    run(_kernels.ibm1_estep_jit)
-    t_jit = time_call(run, _kernels.ibm1_estep_jit, repeat=3)
-    t_np = time_call(run, _kernels.ibm1_estep_np, repeat=3)
-    assert abs(run(_kernels.ibm1_estep_jit) - run(_kernels.ibm1_estep_np)) < 1e-6
-    print(f"em step       {n_pairs} pairs: numba {t_jit * 1e3:8.1f} ms   numpy {t_np * 1e3:8.1f} ms   "
           f"speedup {t_np / t_jit:5.1f}x")
 
 
@@ -86,7 +53,6 @@ def main():
     print(f"active backend: {_kernels.backend()}")
     rnd = np.random.default_rng(0)
     bench_levenshtein(rnd)
-    bench_ibm1(rnd)
 
 
 if __name__ == "__main__":

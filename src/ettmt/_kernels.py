@@ -1,16 +1,16 @@
-"""Numeric inner loops with two interchangeable implementations.
+"""Numeric inner loops: word-level edit distance and EM expected counts.
 
-The hot paths of this package are the word-level edit distance (evaluated
-thousands of times per sentence while searching for block shifts) and the
-expected-count steps of the alignment-model EM training. Each kernel exists
-twice:
+The edit distance is evaluated thousands of times per sentence while
+searching for block shifts, and it exists twice:
 
 * a numba ``@njit`` version (default when numba imports), and
 * a pure-numpy version with identical semantics.
 
 Set ``ETTMT_DISABLE_NUMBA=1`` to force the numpy path; it is also selected
 automatically when numba is not installed. ``benchmarks/bench_kernels.py``
-times the two side by side.
+times the two side by side. numba speeds up nothing else: the expected-count
+steps of the alignment-model EM training are numpy array operations over
+link tables built once per training.
 
 Translation tables use a CSR layout over (source type, target type) pairs
 that co-occur in training data: ``t_indptr[f] .. t_indptr[f+1]`` delimits the
@@ -21,8 +21,8 @@ source sentence starts with the virtual empty-source id 0.
 
 from __future__ import annotations
 
-import math
 import os
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -99,174 +99,203 @@ def levenshtein_np(a, b):
 
 
 # ---------------------------------------------------------------------------
-# EM expected counts, lexical model (position-blind)
-# ---------------------------------------------------------------------------
-
-def _ibm1_estep_loop(
-    src_flat, src_indptr, tgt_flat, tgt_indptr, t_indptr, t_cols, t_vals, counts, recv
-):
-    loglik = 0.0
-    n_pairs = src_indptr.shape[0] - 1
-    for p in range(n_pairs):
-        s0 = src_indptr[p]
-        s1 = src_indptr[p + 1]
-        t0 = tgt_indptr[p]
-        t1 = tgt_indptr[p + 1]
-        n_src = s1 - s0
-        for jt in range(t0, t1):
-            e = tgt_flat[jt]
-            denom = 0.0
-            for it in range(s0, s1):
-                f = src_flat[it]
-                lo = t_indptr[f]
-                hi = t_indptr[f + 1]
-                k = lo + np.searchsorted(t_cols[lo:hi], e)
-                denom += t_vals[k]
-            loglik += math.log(denom / n_src)
-            for it in range(s0, s1):
-                f = src_flat[it]
-                lo = t_indptr[f]
-                hi = t_indptr[f + 1]
-                k = lo + np.searchsorted(t_cols[lo:hi], e)
-                delta = t_vals[k] / denom
-                counts[k] += delta
-                recv[it] += delta
-    return loglik
-
-
-ibm1_estep_jit = njit(cache=True)(_ibm1_estep_loop)
-
-
-def ibm1_estep_np(
-    src_flat, src_indptr, tgt_flat, tgt_indptr, t_indptr, t_cols, t_vals, counts, recv
-):
-    loglik = 0.0
-    n_pairs = src_indptr.shape[0] - 1
-    for p in range(n_pairs):
-        f = src_flat[src_indptr[p] : src_indptr[p + 1]]
-        e = tgt_flat[tgt_indptr[p] : tgt_indptr[p + 1]]
-        if e.shape[0] == 0:
-            continue
-        # flat t-table positions for every (source pos, target pos) combination
-        lo = t_indptr[f]
-        pos = np.empty((f.shape[0], e.shape[0]), dtype=np.int64)
-        for i in range(f.shape[0]):
-            row = t_cols[t_indptr[f[i]] : t_indptr[f[i] + 1]]
-            pos[i] = lo[i] + np.searchsorted(row, e)
-        probs = t_vals[pos]
-        denom = probs.sum(axis=0)
-        loglik += float(np.log(denom / f.shape[0]).sum())
-        delta = probs / denom
-        np.add.at(counts, pos, delta)
-        recv[src_indptr[p] : src_indptr[p + 1]] += delta.sum(axis=1)
-    return loglik
-
-
-# ---------------------------------------------------------------------------
-# EM expected counts, lexical + position model
+# EM expected counts on precomputed links
 # ---------------------------------------------------------------------------
 #
-# The position table is flattened: for a pair whose block starts at
-# align_bases[p], entry (target position jt, source position i) lives at
-# base + jt * n_src + i, with n_src counting the virtual empty source slot.
+# A link is one (source occurrence, target occurrence) combination of a
+# sentence pair.  Its t-table position, and for the position model its
+# position-table position, stay fixed through training, so ``build_links``
+# looks them up once and each E-step is a few array operations per chunk of
+# consecutive pairs.  Links run in (pair, source position, target position)
+# order.
+#
+# The E-steps round exactly as evaluating each pair as one (n_src, n_tgt)
+# numpy block does: counts are added in link order, a target's denominator
+# adds its sources in order (numpy sums a block down axis 0 row by row), and
+# every sum numpy forms over one contiguous run goes through ``Segments``: a
+# source's received mass, a pair's log-likelihood, and the denominator of a
+# pair with a single target, whose column numpy sums as a 1-D array.
 
-def _ibm2_estep_loop(
-    src_flat,
-    src_indptr,
-    tgt_flat,
-    tgt_indptr,
-    align_bases,
-    t_indptr,
-    t_cols,
-    t_vals,
-    a_vals,
-    counts,
-    a_counts,
-    recv,
-):
+CHUNK_LINKS = 4096  # links per chunk; bounds the temporaries of building links and of E-steps
+PAIRWISE_MIN = 8  # numpy sums 1-D runs of this many terms or more pairwise
+
+
+class Segments:
+    """Runs ``values[s:s + n]`` of an array, summed as numpy sums each run alone.
+
+    numpy adds fewer than eight terms in order and eight or more pairwise.
+    The runs of one length are gathered into a 2-D array and summed along
+    axis 1, which gives each row that same rounding, so ``sums`` equals
+    ``[values[s:s + n].sum() for s, n in zip(starts, lengths)]`` bit for bit
+    with one reduction per distinct length.
+    """
+
+    def __init__(self, starts: np.ndarray, lengths: np.ndarray):
+        self.size = len(starts)
+        self.groups = []
+        for n in np.flatnonzero(np.bincount(lengths)[1:]) + 1:
+            rows = np.flatnonzero(lengths == n)
+            self.groups.append((rows, starts[rows, None] + np.arange(n)))
+
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.size)
+        for rows, index in self.groups:
+            out[rows] = values[index].sum(axis=1)
+        return out
+
+
+@dataclass
+class LinkChunk:
+    """The links of a run of consecutive sentence pairs; indices are chunk-local."""
+
+    links: np.ndarray  # t-table position per link
+    a_links: np.ndarray | None  # position-table position per link (Model 2)
+    link_tgt: np.ndarray  # target occurrence per link
+    tgt_lo: int  # global target occurrences tgt_lo .. tgt_hi - 1
+    tgt_hi: int
+    src_lo: int  # global source occurrences src_lo .. src_hi - 1
+    src_hi: int
+    n_src: np.ndarray  # per pair: sources, empty slot included
+    n_tgt: np.ndarray  # per pair: targets
+    # pairs with one target and at least PAIRWISE_MIN sources, whose
+    # denominator numpy sums as a 1-D column: their targets and their links
+    lone_tgt: np.ndarray
+    lone: Segments
+
+
+@dataclass
+class Links:
+    """Every link of a training corpus, with what the E-steps need per target."""
+
+    chunks: list[LinkChunk]
+    tgt_n_src: np.ndarray  # source length, empty slot included, per target occurrence
+    pair_targets: Segments  # the target occurrences of each pair that has any
+
+
+def build_links(
+    src_flat, src_indptr, tgt_flat, tgt_indptr, n_src_types, align_bases=None
+) -> tuple[np.ndarray, np.ndarray, Links]:
+    """The t-table layout and every link's table positions, chunk by chunk.
+
+    Pair p has sources ``src_flat[src_indptr[p]:src_indptr[p + 1]]`` (empty
+    slot first) and targets ``tgt_flat[tgt_indptr[p]:tgt_indptr[p + 1]]``.
+    The t-table holds every (source type, target type) that co-occurs in a
+    pair: returns its ``t_indptr`` over ``n_src_types`` rows and its sorted
+    ``t_cols``, then the links in chunks of about ``CHUNK_LINKS``.  With
+    ``align_bases``, link (i, j) of pair p also gets the position-table
+    position ``align_bases[p] + j * n_src + i``.  One chunk's arrays are
+    built at a time, so no temporary spans all links.
+    """
+    n_src = np.diff(src_indptr)
+    n_tgt = np.diff(tgt_indptr)
+    n_links = n_src * n_tgt
+    width = int(tgt_flat.max(initial=0)) + 1
+    bounds = [0]
+    filled = 0
+    for p, k in enumerate(n_links.tolist()):
+        filled += k
+        if filled >= CHUNK_LINKS:
+            bounds.append(p + 1)
+            filled = 0
+    if bounds[-1] < len(n_links):
+        bounds.append(len(n_links))
+    spans = list(zip(bounds, bounds[1:]))
+
+    def chunk_links_of(p0, p1):
+        """(pair - p0, i, j, type key) of every link of pairs p0 .. p1 - 1."""
+        nl = n_links[p0:p1]
+        pair = np.repeat(np.arange(p1 - p0), nl)
+        i, j = np.divmod(np.arange(len(pair)) - (np.cumsum(nl) - nl)[pair], n_tgt[p0:p1][pair])
+        f = src_flat[src_indptr[p0:p1][pair] + i]
+        e = tgt_flat[tgt_indptr[p0:p1][pair] + j]
+        return pair, i, j, f.astype(np.int64) * width + e
+
+    # the distinct (source type, target type) keys, ascending, merged chunk by
+    # chunk; the second pass recomputes each chunk's keys rather than keep all
+    keys = np.zeros(0, dtype=np.int64)
+    for p0, p1 in spans:
+        merged = np.concatenate((keys, chunk_links_of(p0, p1)[3]))
+        merged.sort(kind="stable")  # quicksort's SIMD code adds 0.2 MB to peak RSS
+        keys = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
+    t_indptr = np.zeros(n_src_types + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // width, minlength=n_src_types), out=t_indptr[1:])
+    t_cols = (keys % width).astype(np.int32)
+
+    chunks = []
+    for p0, p1 in spans:
+        pair, i, j, link_keys = chunk_links_of(p0, p1)
+        ns, nt, nl = n_src[p0:p1], n_tgt[p0:p1], n_links[p0:p1]
+        first_link = np.cumsum(nl) - nl
+        first_tgt = tgt_indptr[p0:p1] - tgt_indptr[p0]
+        a_links = None
+        if align_bases is not None:
+            a_links = (align_bases[p0:p1][pair] + j * ns[pair] + i).astype(np.int32)
+        lone = (nt == 1) & (ns >= PAIRWISE_MIN)
+        chunks.append(LinkChunk(
+            links=np.searchsorted(keys, link_keys).astype(np.int32),
+            a_links=a_links,
+            link_tgt=(first_tgt[pair] + j).astype(np.int32),
+            tgt_lo=int(tgt_indptr[p0]),
+            tgt_hi=int(tgt_indptr[p1]),
+            src_lo=int(src_indptr[p0]),
+            src_hi=int(src_indptr[p1]),
+            n_src=ns,
+            n_tgt=nt,
+            lone_tgt=first_tgt[lone],
+            lone=Segments(first_link[lone], ns[lone]),
+        ))
+    links = Links(
+        chunks=chunks,
+        tgt_n_src=np.repeat(n_src, n_tgt),
+        pair_targets=Segments(tgt_indptr[:-1][n_tgt > 0], n_tgt[n_tgt > 0]),
+    )
+    return t_indptr, t_cols, links
+
+
+def _estep(links, t_vals, a_vals, counts, a_counts, recv):
+    denom = np.empty(len(links.tgt_n_src))
+    for c in links.chunks:
+        probs = t_vals[c.links]
+        if a_vals is not None:
+            probs *= a_vals[c.a_links]
+        chunk_denom = np.bincount(c.link_tgt, probs, c.tgt_hi - c.tgt_lo)
+        if len(c.lone_tgt):
+            chunk_denom[c.lone_tgt] = c.lone.sums(probs)
+        delta = probs / chunk_denom[c.link_tgt]
+        np.add.at(counts, c.links, delta)
+        if a_counts is not None:
+            np.add.at(a_counts, c.a_links, delta)
+        if recv is not None:
+            # each source occurrence's links are a run as long as its pair's target count
+            lengths = np.repeat(c.n_tgt, c.n_src)
+            recv[c.src_lo : c.src_hi] += Segments(np.cumsum(lengths) - lengths, lengths).sums(delta)
+        denom[c.tgt_lo : c.tgt_hi] = chunk_denom
+    logs = np.log(denom / links.tgt_n_src) if a_vals is None else np.log(denom)
     loglik = 0.0
-    n_pairs = src_indptr.shape[0] - 1
-    for p in range(n_pairs):
-        s0 = src_indptr[p]
-        s1 = src_indptr[p + 1]
-        t0 = tgt_indptr[p]
-        t1 = tgt_indptr[p + 1]
-        n_src = s1 - s0
-        base = align_bases[p]
-        for jt in range(t1 - t0):
-            e = tgt_flat[t0 + jt]
-            arow = base + jt * n_src
-            denom = 0.0
-            for i in range(n_src):
-                f = src_flat[s0 + i]
-                lo = t_indptr[f]
-                hi = t_indptr[f + 1]
-                k = lo + np.searchsorted(t_cols[lo:hi], e)
-                denom += t_vals[k] * a_vals[arow + i]
-            loglik += math.log(denom)
-            for i in range(n_src):
-                f = src_flat[s0 + i]
-                lo = t_indptr[f]
-                hi = t_indptr[f + 1]
-                k = lo + np.searchsorted(t_cols[lo:hi], e)
-                delta = t_vals[k] * a_vals[arow + i] / denom
-                counts[k] += delta
-                a_counts[arow + i] += delta
-                recv[s0 + i] += delta
+    for pair_loglik in links.pair_targets.sums(logs).tolist():
+        loglik += pair_loglik
     return loglik
 
 
-ibm2_estep_jit = njit(cache=True)(_ibm2_estep_loop)
+def ibm1_estep(links, t_vals, counts, recv=None):
+    """Model-1 expected counts over ``build_links`` output; returns the log-likelihood.
+
+    Adds each t-table entry's expected count into ``counts`` and, when
+    ``recv`` is given, each source occurrence's expected number of aligned
+    target words into ``recv``.  A target word's likelihood averages
+    t(e | f) over the sources of its pair.
+    """
+    return _estep(links, t_vals, None, counts, None, recv)
 
 
-def ibm2_estep_np(
-    src_flat,
-    src_indptr,
-    tgt_flat,
-    tgt_indptr,
-    align_bases,
-    t_indptr,
-    t_cols,
-    t_vals,
-    a_vals,
-    counts,
-    a_counts,
-    recv,
-):
-    loglik = 0.0
-    n_pairs = src_indptr.shape[0] - 1
-    for p in range(n_pairs):
-        f = src_flat[src_indptr[p] : src_indptr[p + 1]]
-        e = tgt_flat[tgt_indptr[p] : tgt_indptr[p + 1]]
-        n_src = f.shape[0]
-        n_tgt = e.shape[0]
-        if n_tgt == 0:
-            continue
-        base = align_bases[p]
-        lo = t_indptr[f]
-        pos = np.empty((n_src, n_tgt), dtype=np.int64)
-        for i in range(n_src):
-            row = t_cols[t_indptr[f[i]] : t_indptr[f[i] + 1]]
-            pos[i] = lo[i] + np.searchsorted(row, e)
-        apos = base + np.arange(n_tgt)[None, :] * n_src + np.arange(n_src)[:, None]
-        probs = t_vals[pos] * a_vals[apos]
-        denom = probs.sum(axis=0)
-        loglik += float(np.log(denom).sum())
-        delta = probs / denom
-        np.add.at(counts, pos, delta)
-        np.add.at(a_counts, apos, delta)
-        recv[src_indptr[p] : src_indptr[p + 1]] += delta.sum(axis=1)
-    return loglik
+def ibm2_estep(links, t_vals, a_vals, counts, a_counts, recv=None):
+    """Model-2 expected counts: as ``ibm1_estep``, with each link weighted by
+    its position probability and position counts added into ``a_counts``.
+    The links must carry position-table positions."""
+    return _estep(links, t_vals, a_vals, counts, a_counts, recv)
 
 
-if USING_NUMBA:
-    levenshtein = levenshtein_jit
-    ibm1_estep = ibm1_estep_jit
-    ibm2_estep = ibm2_estep_jit
-else:
-    levenshtein = levenshtein_np
-    ibm1_estep = ibm1_estep_np
-    ibm2_estep = ibm2_estep_np
+levenshtein = levenshtein_jit if USING_NUMBA else levenshtein_np
 
 
 def backend() -> str:

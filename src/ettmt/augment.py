@@ -63,14 +63,8 @@ def augment_names(
     if cfg.max_name_replacements == 0:
         return []
     ett, eng = pair
-    by_surface = {}
-    for entry in lexicon.entries:
-        if entry.is_name and entry.translatable and entry.etruscan not in by_surface:
-            by_surface[entry.etruscan] = entry
-    by_features: dict[tuple[int, ...], list] = {}
-    for entry in lexicon.entries:
-        if entry.is_name and entry.translatable:
-            by_features.setdefault(entry.features, []).append(entry)
+    by_surface = lexicon.names_by_surface
+    by_features = lexicon.names_by_features
 
     out: list[Pair] = []
     for pos, token in enumerate(ett):

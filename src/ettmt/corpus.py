@@ -13,6 +13,7 @@ import json
 import random
 import unicodedata
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import DataError
 
@@ -238,6 +239,27 @@ class Lexicon:
     def __post_init__(self):
         if len(set(self.suffixes)) != len(self.suffixes) or "" in self.suffixes:
             raise DataError("suffix list must be unique and non-empty")
+
+    # Name indexes for augmentation, built on first use. They are not
+    # dataclass fields, so equality and repr ignore them; do not mutate them.
+
+    @cached_property
+    def names_by_surface(self) -> dict[str, LexiconEntry]:
+        """First translatable proper-noun entry per Etruscan form."""
+        out: dict[str, LexiconEntry] = {}
+        for entry in self.entries:
+            if entry.is_name and entry.translatable and entry.etruscan not in out:
+                out[entry.etruscan] = entry
+        return out
+
+    @cached_property
+    def names_by_features(self) -> dict[tuple[int, ...], list[LexiconEntry]]:
+        """Translatable proper-noun entries per feature vector, in lexicon order."""
+        out: dict[tuple[int, ...], list[LexiconEntry]] = {}
+        for entry in self.entries:
+            if entry.is_name and entry.translatable:
+                out.setdefault(entry.features, []).append(entry)
+        return out
 
 
 @dataclass

@@ -9,7 +9,9 @@ is initialized from a Model-1 run.
 The t-table is stored sparsely over co-occurring (f, e) type pairs: with a
 uniform initialization, EM provably never moves mass onto pairs that do not
 co-occur in some training pair, so the sparse table is exact, not an
-approximation. The hot expected-count loops live in ``_kernels``.
+approximation. Every (source occurrence, target occurrence) link is looked up
+in the tables once per training; the expected-count steps over those links
+live in ``_kernels``.
 
 Decoding is a lexical argmax per source token. A token is skipped when its
 trained drop mass (expected fraction of its occurrences left unaligned in a
@@ -166,14 +168,18 @@ class _Encoded:
     source_vocab: tuple[str, ...]
     target_vocab: tuple[str, ...]
     src_flat: np.ndarray
-    src_indptr: np.ndarray
-    tgt_flat: np.ndarray
-    tgt_indptr: np.ndarray
     indptr: np.ndarray
     cols: np.ndarray
+    rows: _kernels.Segments  # the t-table row of each source type
+    links: _kernels.Links
 
 
-def _encode(pairs: list[Pair]) -> _Encoded:
+def _encode(pairs: list[Pair], align_bases: np.ndarray | None = None) -> _Encoded:
+    """Source ids, the sparse t-table layout and every link's table positions.
+
+    With ``align_bases`` (from ``_align_layout``) the links also carry their
+    position-table positions, so Model 2 and its Model-1 start share them.
+    """
     if not pairs:
         raise DataError("cannot train on an empty pair list")
     source_vocab = (NULL_TOKEN,) + tuple(sorted({t for ett, _ in pairs for t in ett}))
@@ -187,42 +193,32 @@ def _encode(pairs: list[Pair]) -> _Encoded:
     tgt_flat: list[int] = []
     src_indptr = np.zeros(len(pairs) + 1, dtype=np.int64)
     tgt_indptr = np.zeros(len(pairs) + 1, dtype=np.int64)
-    cooc: list[set[int]] = [set() for _ in source_vocab]
     for p, (ett, eng) in enumerate(pairs):
-        fids = [0] + [src_index[t] for t in ett]
-        eids = [tgt_index[t] for t in eng]
-        src_flat.extend(fids)
-        tgt_flat.extend(eids)
+        src_flat.append(0)
+        src_flat.extend(src_index[t] for t in ett)
+        tgt_flat.extend(tgt_index[t] for t in eng)
         src_indptr[p + 1] = len(src_flat)
         tgt_indptr[p + 1] = len(tgt_flat)
-        for fi in fids:
-            cooc[fi].update(eids)
-
-    indptr = np.zeros(len(source_vocab) + 1, dtype=np.int64)
-    cols: list[int] = []
-    for fi, row in enumerate(cooc):
-        ordered = sorted(row)
-        indptr[fi + 1] = indptr[fi] + len(ordered)
-        cols.extend(ordered)
+    src_arr = np.asarray(src_flat, dtype=np.int32)
+    indptr, cols, links = _kernels.build_links(
+        src_arr, src_indptr, np.asarray(tgt_flat, dtype=np.int32), tgt_indptr,
+        len(source_vocab), align_bases,
+    )
     return _Encoded(
         source_vocab=source_vocab,
         target_vocab=target_vocab,
-        src_flat=np.asarray(src_flat, dtype=np.int32),
-        src_indptr=src_indptr,
-        tgt_flat=np.asarray(tgt_flat, dtype=np.int32),
-        tgt_indptr=tgt_indptr,
+        src_flat=src_arr,
         indptr=indptr,
-        cols=np.asarray(cols, dtype=np.int32),
+        cols=cols,
+        rows=_kernels.Segments(indptr[:-1], np.diff(indptr)),
+        links=links,
     )
 
 
-def _normalize_rows(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _normalize_rows(enc: _Encoded, values: np.ndarray) -> np.ndarray:
+    totals = np.repeat(enc.rows.sums(values), np.diff(enc.indptr))
     out = values.copy()
-    for fi in range(len(indptr) - 1):
-        lo, hi = indptr[fi], indptr[fi + 1]
-        total = out[lo:hi].sum()
-        if total > 0.0:
-            out[lo:hi] /= total
+    np.divide(values, totals, out=out, where=totals > 0.0)
     return out
 
 
@@ -237,15 +233,32 @@ def _drop_probs(enc: _Encoded, counts: np.ndarray, recv: np.ndarray) -> np.ndarr
     eps_counts = np.zeros(n_src)
     shortfall = np.maximum(0.0, 1.0 - recv)
     np.add.at(eps_counts, enc.src_flat, shortfall)
-    real = np.zeros(n_src)
-    for fi in range(n_src):
-        real[fi] = counts[enc.indptr[fi] : enc.indptr[fi + 1]].sum()
-    total = eps_counts + real
+    total = eps_counts + enc.rows.sums(counts)
     out = np.zeros(n_src)
     mask = total > 0
     out[mask] = eps_counts[mask] / total[mask]
     out[0] = 0.0  # the virtual empty token is never emitted anyway
     return out
+
+
+def _ibm1_em(
+    enc: _Encoded, iterations: int
+) -> tuple[np.ndarray, list[float], np.ndarray, np.ndarray]:
+    """Model-1 EM from a uniform table as ``train_ibm1`` describes it.
+
+    Returns the trained probs, the log-likelihood history, and the counts
+    and recv of the final expectation pass.
+    """
+    probs = np.full(len(enc.cols), 1.0 / len(enc.target_vocab))
+    history: list[float] = []
+    for _ in range(iterations):
+        counts = np.zeros_like(probs)
+        history.append(float(_kernels.ibm1_estep(enc.links, probs, counts)))
+        probs = _normalize_rows(enc, counts)
+    counts = np.zeros_like(probs)
+    recv = np.zeros(len(enc.src_flat))
+    history.append(float(_kernels.ibm1_estep(enc.links, probs, counts, recv)))
+    return probs, history, counts, recv
 
 
 def train_ibm1(pairs: list[Pair], iterations: int = 10) -> TTable:
@@ -258,23 +271,7 @@ def train_ibm1(pairs: list[Pair], iterations: int = 10) -> TTable:
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     enc = _encode(pairs)
-    probs = np.full(len(enc.cols), 1.0 / len(enc.target_vocab))
-    history: list[float] = []
-    for _ in range(iterations):
-        counts = np.zeros_like(probs)
-        recv = np.zeros(len(enc.src_flat))
-        ll = _kernels.ibm1_estep(
-            enc.src_flat, enc.src_indptr, enc.tgt_flat, enc.tgt_indptr,
-            enc.indptr, enc.cols, probs, counts, recv,
-        )
-        history.append(float(ll))
-        probs = _normalize_rows(enc.indptr, counts)
-    counts = np.zeros_like(probs)
-    recv = np.zeros(len(enc.src_flat))
-    history.append(float(_kernels.ibm1_estep(
-        enc.src_flat, enc.src_indptr, enc.tgt_flat, enc.tgt_indptr,
-        enc.indptr, enc.cols, probs, counts, recv,
-    )))
+    probs, history, counts, recv = _ibm1_em(enc, iterations)
     return TTable(
         source_vocab=enc.source_vocab,
         target_vocab=enc.target_vocab,
@@ -303,28 +300,21 @@ def train_ibm2(pairs: list[Pair], iterations: int = 10) -> tuple[TTable, AlignTa
     """Model-1 initialization, then joint EM over the lexical and position tables."""
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    init = train_ibm1(pairs, iterations)
-    enc = _encode(pairs)
-    probs = init.probs.copy()
     offsets, bases, size = _align_layout(pairs)
+    enc = _encode(pairs, bases)
+    probs, history, _, _ = _ibm1_em(enc, iterations)
     a_vals = np.zeros(size)
     for (l_e, l_f), off in offsets.items():
         a_vals[off : off + l_e * (l_f + 1)] = 1.0 / (l_f + 1)
 
-    history = list(init.loglik_history)
     counts = np.zeros_like(probs)
     a_counts = np.zeros_like(a_vals)
-    recv = np.zeros(len(enc.src_flat))
     for _ in range(iterations):
         counts[:] = 0.0
         a_counts[:] = 0.0
-        recv[:] = 0.0
-        ll = _kernels.ibm2_estep(
-            enc.src_flat, enc.src_indptr, enc.tgt_flat, enc.tgt_indptr, bases,
-            enc.indptr, enc.cols, probs, a_vals, counts, a_counts, recv,
-        )
+        ll = _kernels.ibm2_estep(enc.links, probs, a_vals, counts, a_counts)
         history.append(float(ll))
-        probs = _normalize_rows(enc.indptr, counts)
+        probs = _normalize_rows(enc, counts)
         for (l_e, l_f), off in offsets.items():
             block = a_counts[off : off + l_e * (l_f + 1)].reshape(l_e, l_f + 1)
             totals = block.sum(axis=1, keepdims=True)
@@ -332,11 +322,8 @@ def train_ibm2(pairs: list[Pair], iterations: int = 10) -> tuple[TTable, AlignTa
             a_vals[off : off + l_e * (l_f + 1)] = block.reshape(-1)
     counts[:] = 0.0
     a_counts[:] = 0.0
-    recv[:] = 0.0
-    history.append(float(_kernels.ibm2_estep(
-        enc.src_flat, enc.src_indptr, enc.tgt_flat, enc.tgt_indptr, bases,
-        enc.indptr, enc.cols, probs, a_vals, counts, a_counts, recv,
-    )))
+    recv = np.zeros(len(enc.src_flat))
+    history.append(float(_kernels.ibm2_estep(enc.links, probs, a_vals, counts, a_counts, recv)))
     blocks = {
         shape: a_vals[off : off + shape[0] * (shape[1] + 1)].reshape(shape[0], shape[1] + 1).copy()
         for shape, off in offsets.items()

@@ -104,6 +104,21 @@ def _checked_vocab(vocab, targets) -> tuple[str, ...]:
     return vocab
 
 
+def _checked_settings(payload: dict) -> tuple[int, float]:
+    """A loaded model's context size and smoothing, held to the training checks.
+
+    Smoothing of zero makes unseen targets impossible, so decoding takes
+    the log of zero; a context size below one gives no source slots.
+    """
+    n, alpha = payload["n"], payload["alpha"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise DataError(f"model context size must be an integer >= 1, got {n!r}")
+    valid_alpha = isinstance(alpha, (int, float)) and not isinstance(alpha, bool)
+    if not valid_alpha or not 0 < alpha < math.inf:
+        raise DataError(f"model smoothing parameter must be a finite number > 0, got {alpha!r}")
+    return n, alpha
+
+
 @dataclass
 class NgramModel:
     n: int
@@ -146,14 +161,15 @@ class NgramModel:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "NgramModel":
+        n, alpha = _checked_settings(payload)
         counts = {}
         for ctx, tgts in payload["counts"]:
             counts[tuple(ctx)] = {t: int(c) for t, c in tgts}
         return cls(
-            n=payload["n"],
+            n=n,
             context_mode=payload["context_mode"],
             ordered=payload["ordered"],
-            alpha=payload["alpha"],
+            alpha=alpha,
             counts=counts,
             context_totals={ctx: sum(t.values()) for ctx, t in counts.items()},
             vocab=_checked_vocab(payload["vocab"], (t for tgts in counts.values() for t in tgts)),
@@ -302,11 +318,12 @@ class NaiveBayesModel:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "NaiveBayesModel":
+        n, alpha = _checked_settings(payload)
         slot_vocabs = [tuple(v) for v in payload["slot_vocabs"]]
         return cls(
-            n=payload["n"],
+            n=n,
             context_mode=payload["context_mode"],
-            alpha=payload["alpha"],
+            alpha=alpha,
             target_counts={t: int(c) for t, c in payload["target_counts"].items()},
             total_positions=payload["total_positions"],
             slot_counts=[
@@ -333,6 +350,10 @@ def train_naive_bayes(
         raise DataError("cannot train on an empty pair list")
     if context_mode not in _MODES:
         raise ValueError(f"context_mode must be one of {_MODES}, got {context_mode!r}")
+    if n < 1:
+        raise ValueError(f"context size must be >= 1, got {n}")
+    if alpha <= 0:
+        raise ValueError(f"smoothing parameter must be > 0, got {alpha}")
     n_slots = 2 * n if context_mode == CONTEXT_ETT_ENG else n
     target_counts: dict[str, int] = {}
     slot_counts: list[dict[str, dict[str, int]]] = [{} for _ in range(n_slots)]

@@ -11,6 +11,8 @@ import math
 import re
 from collections import Counter, defaultdict
 
+import numpy as np
+
 from ettmt.ngram import CONTEXT_ETT_ENG, EOS, PAD
 
 
@@ -299,6 +301,294 @@ def oracle_ibm1_loglik(t, pairs):
         for e in eng:
             loglik += math.log(sum(t.get((f, e), 0.0) for f in src) / len(src))
     return loglik
+
+
+# ---------------------------------------------------------------------------
+# Per-pair EM expected counts and the trainer around them
+# ---------------------------------------------------------------------------
+#
+# The E-steps below are the package's former kernels, kept verbatim: a pure
+# loop per kernel (its numba twin compiled the same body) and the per-pair
+# numpy version.  ettmt now runs its E-steps on link arrays built once per
+# training; ``oracle_train_ibm`` is the former trainer around the numpy
+# versions, whose tables the package must reproduce bit for bit.
+
+# ---------------------------------------------------------------------------
+# EM expected counts, lexical model (position-blind)
+# ---------------------------------------------------------------------------
+
+def ibm1_estep_loop(
+    src_flat, src_indptr, tgt_flat, tgt_indptr, t_indptr, t_cols, t_vals, counts, recv
+):
+    loglik = 0.0
+    n_pairs = src_indptr.shape[0] - 1
+    for p in range(n_pairs):
+        s0 = src_indptr[p]
+        s1 = src_indptr[p + 1]
+        t0 = tgt_indptr[p]
+        t1 = tgt_indptr[p + 1]
+        n_src = s1 - s0
+        for jt in range(t0, t1):
+            e = tgt_flat[jt]
+            denom = 0.0
+            for it in range(s0, s1):
+                f = src_flat[it]
+                lo = t_indptr[f]
+                hi = t_indptr[f + 1]
+                k = lo + np.searchsorted(t_cols[lo:hi], e)
+                denom += t_vals[k]
+            loglik += math.log(denom / n_src)
+            for it in range(s0, s1):
+                f = src_flat[it]
+                lo = t_indptr[f]
+                hi = t_indptr[f + 1]
+                k = lo + np.searchsorted(t_cols[lo:hi], e)
+                delta = t_vals[k] / denom
+                counts[k] += delta
+                recv[it] += delta
+    return loglik
+
+
+
+def ibm1_estep_np(
+    src_flat, src_indptr, tgt_flat, tgt_indptr, t_indptr, t_cols, t_vals, counts, recv
+):
+    loglik = 0.0
+    n_pairs = src_indptr.shape[0] - 1
+    for p in range(n_pairs):
+        f = src_flat[src_indptr[p] : src_indptr[p + 1]]
+        e = tgt_flat[tgt_indptr[p] : tgt_indptr[p + 1]]
+        if e.shape[0] == 0:
+            continue
+        # flat t-table positions for every (source pos, target pos) combination
+        lo = t_indptr[f]
+        pos = np.empty((f.shape[0], e.shape[0]), dtype=np.int64)
+        for i in range(f.shape[0]):
+            row = t_cols[t_indptr[f[i]] : t_indptr[f[i] + 1]]
+            pos[i] = lo[i] + np.searchsorted(row, e)
+        probs = t_vals[pos]
+        denom = probs.sum(axis=0)
+        loglik += float(np.log(denom / f.shape[0]).sum())
+        delta = probs / denom
+        np.add.at(counts, pos, delta)
+        recv[src_indptr[p] : src_indptr[p + 1]] += delta.sum(axis=1)
+    return loglik
+
+
+# ---------------------------------------------------------------------------
+# EM expected counts, lexical + position model
+# ---------------------------------------------------------------------------
+#
+# The position table is flattened: for a pair whose block starts at
+# align_bases[p], entry (target position jt, source position i) lives at
+# base + jt * n_src + i, with n_src counting the virtual empty source slot.
+
+def ibm2_estep_loop(
+    src_flat,
+    src_indptr,
+    tgt_flat,
+    tgt_indptr,
+    align_bases,
+    t_indptr,
+    t_cols,
+    t_vals,
+    a_vals,
+    counts,
+    a_counts,
+    recv,
+):
+    loglik = 0.0
+    n_pairs = src_indptr.shape[0] - 1
+    for p in range(n_pairs):
+        s0 = src_indptr[p]
+        s1 = src_indptr[p + 1]
+        t0 = tgt_indptr[p]
+        t1 = tgt_indptr[p + 1]
+        n_src = s1 - s0
+        base = align_bases[p]
+        for jt in range(t1 - t0):
+            e = tgt_flat[t0 + jt]
+            arow = base + jt * n_src
+            denom = 0.0
+            for i in range(n_src):
+                f = src_flat[s0 + i]
+                lo = t_indptr[f]
+                hi = t_indptr[f + 1]
+                k = lo + np.searchsorted(t_cols[lo:hi], e)
+                denom += t_vals[k] * a_vals[arow + i]
+            loglik += math.log(denom)
+            for i in range(n_src):
+                f = src_flat[s0 + i]
+                lo = t_indptr[f]
+                hi = t_indptr[f + 1]
+                k = lo + np.searchsorted(t_cols[lo:hi], e)
+                delta = t_vals[k] * a_vals[arow + i] / denom
+                counts[k] += delta
+                a_counts[arow + i] += delta
+                recv[s0 + i] += delta
+    return loglik
+
+
+
+def ibm2_estep_np(
+    src_flat,
+    src_indptr,
+    tgt_flat,
+    tgt_indptr,
+    align_bases,
+    t_indptr,
+    t_cols,
+    t_vals,
+    a_vals,
+    counts,
+    a_counts,
+    recv,
+):
+    loglik = 0.0
+    n_pairs = src_indptr.shape[0] - 1
+    for p in range(n_pairs):
+        f = src_flat[src_indptr[p] : src_indptr[p + 1]]
+        e = tgt_flat[tgt_indptr[p] : tgt_indptr[p + 1]]
+        n_src = f.shape[0]
+        n_tgt = e.shape[0]
+        if n_tgt == 0:
+            continue
+        base = align_bases[p]
+        lo = t_indptr[f]
+        pos = np.empty((n_src, n_tgt), dtype=np.int64)
+        for i in range(n_src):
+            row = t_cols[t_indptr[f[i]] : t_indptr[f[i] + 1]]
+            pos[i] = lo[i] + np.searchsorted(row, e)
+        apos = base + np.arange(n_tgt)[None, :] * n_src + np.arange(n_src)[:, None]
+        probs = t_vals[pos] * a_vals[apos]
+        denom = probs.sum(axis=0)
+        loglik += float(np.log(denom).sum())
+        delta = probs / denom
+        np.add.at(counts, pos, delta)
+        np.add.at(a_counts, apos, delta)
+        recv[src_indptr[p] : src_indptr[p + 1]] += delta.sum(axis=1)
+    return loglik
+
+
+def _oracle_encode(pairs):
+    source_vocab = (NULL,) + tuple(sorted({t for ett, _ in pairs for t in ett}))
+    target_vocab = tuple(sorted({t for _, eng in pairs for t in eng}))
+    src_index = {t: i for i, t in enumerate(source_vocab)}
+    tgt_index = {t: i for i, t in enumerate(target_vocab)}
+    src_flat, tgt_flat = [], []
+    src_indptr = np.zeros(len(pairs) + 1, dtype=np.int64)
+    tgt_indptr = np.zeros(len(pairs) + 1, dtype=np.int64)
+    cooc = [set() for _ in source_vocab]
+    for p, (ett, eng) in enumerate(pairs):
+        fids = [0] + [src_index[t] for t in ett]
+        eids = [tgt_index[t] for t in eng]
+        src_flat.extend(fids)
+        tgt_flat.extend(eids)
+        src_indptr[p + 1] = len(src_flat)
+        tgt_indptr[p + 1] = len(tgt_flat)
+        for fi in fids:
+            cooc[fi].update(eids)
+    indptr = np.zeros(len(source_vocab) + 1, dtype=np.int64)
+    cols = []
+    for fi, row in enumerate(cooc):
+        ordered = sorted(row)
+        indptr[fi + 1] = indptr[fi] + len(ordered)
+        cols.extend(ordered)
+    return {
+        "source_vocab": source_vocab,
+        "target_vocab": target_vocab,
+        "src_flat": np.asarray(src_flat, dtype=np.int32),
+        "src_indptr": src_indptr,
+        "tgt_flat": np.asarray(tgt_flat, dtype=np.int32),
+        "tgt_indptr": tgt_indptr,
+        "indptr": indptr,
+        "cols": np.asarray(cols, dtype=np.int32),
+    }
+
+
+def _oracle_normalize_rows(indptr, values):
+    out = values.copy()
+    for fi in range(len(indptr) - 1):
+        lo, hi = indptr[fi], indptr[fi + 1]
+        total = out[lo:hi].sum()
+        if total > 0.0:
+            out[lo:hi] /= total
+    return out
+
+
+def _oracle_drop_probs(enc, counts, recv):
+    n_src = len(enc["source_vocab"])
+    eps_counts = np.zeros(n_src)
+    shortfall = np.maximum(0.0, 1.0 - recv)
+    np.add.at(eps_counts, enc["src_flat"], shortfall)
+    real = np.zeros(n_src)
+    for fi in range(n_src):
+        real[fi] = counts[enc["indptr"][fi] : enc["indptr"][fi + 1]].sum()
+    total = eps_counts + real
+    out = np.zeros(n_src)
+    mask = total > 0
+    out[mask] = eps_counts[mask] / total[mask]
+    out[0] = 0.0
+    return out
+
+
+def oracle_train_ibm(pairs, iterations, model=1):
+    """The former Model-1 / Model-2 trainer over ``ibm*_estep_np``.
+
+    Returns a dict with the vocabularies, the t-table layout (``indptr``,
+    ``cols``), ``probs``, ``drop_probs``, ``loglik_history`` and, for
+    Model 2, the position ``blocks`` keyed by (l_e, l_f).
+    """
+    enc = _oracle_encode(pairs)
+    layout = (enc["src_flat"], enc["src_indptr"], enc["tgt_flat"], enc["tgt_indptr"])
+    probs = np.full(len(enc["cols"]), 1.0 / len(enc["target_vocab"]))
+    history = []
+    for _ in range(iterations + 1):
+        counts = np.zeros_like(probs)
+        recv = np.zeros(len(enc["src_flat"]))
+        history.append(float(ibm1_estep_np(*layout, enc["indptr"], enc["cols"], probs, counts, recv)))
+        if len(history) <= iterations:
+            probs = _oracle_normalize_rows(enc["indptr"], counts)
+    out = dict(enc, probs=probs, loglik_history=history)
+    if model == 1:
+        out["drop_probs"] = _oracle_drop_probs(enc, counts, recv)
+        return out
+
+    offsets = {}
+    size = 0
+    for ett, eng in pairs:
+        shape = (len(eng), len(ett))
+        if shape not in offsets:
+            offsets[shape] = size
+            size += shape[0] * (shape[1] + 1)
+    bases = np.array([offsets[(len(eng), len(ett))] for ett, eng in pairs], dtype=np.int64)
+    a_vals = np.zeros(size)
+    for (l_e, l_f), off in offsets.items():
+        a_vals[off : off + l_e * (l_f + 1)] = 1.0 / (l_f + 1)
+    for it in range(iterations + 1):
+        counts = np.zeros_like(probs)
+        a_counts = np.zeros_like(a_vals)
+        recv = np.zeros(len(enc["src_flat"]))
+        history.append(float(ibm2_estep_np(
+            *layout, bases, enc["indptr"], enc["cols"], probs, a_vals, counts, a_counts, recv
+        )))
+        if it == iterations:
+            break
+        probs = _oracle_normalize_rows(enc["indptr"], counts)
+        for (l_e, l_f), off in offsets.items():
+            block = a_counts[off : off + l_e * (l_f + 1)].reshape(l_e, l_f + 1)
+            totals = block.sum(axis=1, keepdims=True)
+            np.divide(block, totals, out=block, where=totals > 0)
+            a_vals[off : off + l_e * (l_f + 1)] = block.reshape(-1)
+    out.update(
+        probs=probs,
+        drop_probs=_oracle_drop_probs(enc, counts, recv),
+        blocks={
+            shape: a_vals[off : off + shape[0] * (shape[1] + 1)].reshape(shape[0], shape[1] + 1)
+            for shape, off in offsets.items()
+        },
+    )
+    return out
 
 
 # ---------------------------------------------------------------------------

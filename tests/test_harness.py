@@ -296,6 +296,27 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and message in captured.err
 
+    @pytest.mark.parametrize("family", ["ngram", "naive-bayes"])
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("alpha", 0, "smoothing parameter"), ("n", 0, "context size")],
+        ids=["alpha-0", "n-0"],
+    )
+    def test_model_with_bad_settings_exits_2(self, tmp_path, corpus_file, capsys, family, key, value, message):
+        model = tmp_path / "model.json"
+        assert cli_dispatch(["train", "--family", family, "--in", str(corpus_file), "--out", str(model)]) == 0
+        doc = json.loads(model.read_text(encoding="utf-8"))
+        doc["payload"][key] = value
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        src = tmp_path / "src.txt"
+        src.write_text("mi aveles\n", encoding="utf-8")
+        capsys.readouterr()
+        assert cli_dispatch(["translate", "--model", str(model), "--in", str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1 and message in captured.err
+
     def test_ibm2_model_file_flow(self, tmp_path, corpus_file):
         model = tmp_path / "m2.json"
         code = cli_dispatch(

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import oracles
+from ettmt import _kernels
 from ettmt.errors import DataError
 from ettmt.ibm import (
     NULL_TOKEN,
+    _encode,
     AlignTable,
     TTable,
     corpus_log_likelihood,
@@ -196,3 +198,107 @@ class TestTranslate:
         full = len(t.to_dict(prune=0.0)["entries"])
         pruned = len(t.to_dict(prune=5e-2)["entries"])
         assert pruned < full
+
+
+# ---------------------------------------------------------------------------
+# Exact agreement with the former per-pair trainer
+# ---------------------------------------------------------------------------
+#
+# Training runs its E-steps on link arrays; `oracles.oracle_train_ibm` is the
+# per-pair numpy trainer those replaced.  Every trained number must be equal
+# bit for bit: no tolerance.  The shapes below are where numpy's rounding
+# changes: a lone target over eight or more sources (its denominator is a
+# pairwise 1-D sum), eight or more targets (a pairwise row sum for each
+# source's received mass and for the pair's log-likelihood), NULL-only
+# sources, pairs without targets, and repeated tokens that hit one t-table
+# entry several times within a pair.
+
+
+def assert_same_training(pairs, iterations, model):
+    ref = oracles.oracle_train_ibm(pairs, iterations, model)
+    if model == 1:
+        ttable, align = train_ibm1(pairs, iterations), None
+    else:
+        ttable, align = train_ibm2(pairs, iterations)
+    assert ttable.source_vocab == ref["source_vocab"]
+    assert ttable.target_vocab == ref["target_vocab"]
+    assert np.array_equal(ttable.indptr, ref["indptr"])
+    assert np.array_equal(ttable.cols, ref["cols"])
+    assert np.array_equal(ttable.probs, ref["probs"])
+    assert np.array_equal(ttable.drop_probs, ref["drop_probs"])
+    assert ttable.loglik_history == ref["loglik_history"]
+    if model == 2:
+        assert align.blocks.keys() == ref["blocks"].keys()
+        for shape, block in ref["blocks"].items():
+            assert np.array_equal(align.blocks[shape], block), shape
+
+
+def random_corpus(rnd, n_pairs, n_types=12, max_len=12):
+    """Pairs over a few skewed vocabularies, so tokens repeat within and across pairs."""
+    weights = 1.0 / np.arange(1, n_types + 1)
+    weights /= weights.sum()
+
+    def sentence(prefix, lo, hi):
+        size = int(rnd.integers(lo, hi + 1))
+        return [f"{prefix}{k}" for k in rnd.choice(n_types, size=size, p=weights)]
+
+    pairs = []
+    for _ in range(n_pairs):
+        shape = rnd.integers(6)
+        if shape == 0:  # one target, many sources
+            pairs.append((sentence("s", 7, 2 * max_len), sentence("t", 1, 1)))
+        elif shape == 1:  # many targets
+            pairs.append((sentence("s", 0, max_len), sentence("t", 8, 2 * max_len)))
+        elif shape == 2:  # no source word, or no target word
+            pairs.append((sentence("s", 0, 0), sentence("t", 0, 3)))
+            pairs.append((sentence("s", 1, 4), sentence("t", 0, 0)))
+        else:
+            pairs.append((sentence("s", 0, max_len), sentence("t", 0, max_len)))
+    pairs.append((["s0"], ["t0"]))  # at least one target word
+    return pairs
+
+
+EDGE_PAIRS = [
+    ([f"w{k % 3}" for k in range(11)], ["one"]),  # lone target, 12 sources with NULL
+    (["w0"] * 9, ["one"]),  # lone target, one source type repeated
+    (["a", "b"], [f"e{k % 5}" for k in range(13)]),  # 13 targets, repeats
+    ([], ["x", "y"]),  # NULL only
+    (["a", "a", "b"], []),  # no targets
+    (["a", "b", "a"], ["x", "x", "one"]),
+    ([f"w{k}" for k in range(8)], [f"e{k}" for k in range(8)]),  # 9 x 8 block
+]
+
+
+class TestMatchesFormerTrainer:
+    @pytest.mark.parametrize("model", [1, 2])
+    def test_edge_shapes(self, model):
+        assert_same_training(EDGE_PAIRS, 6, model)
+
+    @pytest.mark.parametrize("model", [1, 2])
+    @pytest.mark.parametrize(
+        "pair", [p for p in EDGE_PAIRS if p[1]], ids=lambda p: f"{len(p[0])}x{len(p[1])}"
+    )
+    def test_single_pair(self, model, pair):
+        assert_same_training([pair], 4, model)
+
+    @pytest.mark.parametrize("model", [1, 2])
+    def test_random_corpora(self, model, monkeypatch):
+        rnd = np.random.default_rng(1993 + model)
+        for _ in range(60):
+            # small chunks put chunk boundaries inside every kind of pair run
+            monkeypatch.setattr(_kernels, "CHUNK_LINKS", int(rnd.choice([1, 7, 64, 500, 4096])))
+            pairs = random_corpus(rnd, int(rnd.integers(1, 40)))
+            assert_same_training(pairs, int(rnd.integers(1, 6)), model)
+
+    @pytest.mark.parametrize("model", [1, 2])
+    def test_several_default_chunks(self, model):
+        pairs = random_corpus(np.random.default_rng(7), 300, n_types=40)
+        enc = _encode(pairs)
+        assert len(enc.links.chunks) >= 3
+        assert_same_training(pairs, 3, model)
+
+    def test_one_link_per_chunk(self, monkeypatch):
+        monkeypatch.setattr(_kernels, "CHUNK_LINKS", 1)
+        enc = _encode(THREE_PAIRS)
+        assert [len(c.links) for c in enc.links.chunks] == [6, 6, 6]
+        assert_same_training(THREE_PAIRS, 5, 2)

@@ -1,8 +1,10 @@
-"""The two kernel backends must agree on every input."""
+"""Kernel checks: the edit-distance backends agree, and the E-steps match the
+former per-pair kernels kept in tests/oracles.py."""
 
 import numpy as np
 import pytest
 
+import oracles
 from ettmt import _kernels
 
 
@@ -43,15 +45,15 @@ class TestLevenshtein:
             assert _kernels.levenshtein_np(a, b) == _kernels.levenshtein_np(b, a)
 
 
-def _random_em_problem(rnd, n_pairs=6, src_vocab=5, tgt_vocab=7):
+def _random_em_problem(rnd, n_pairs=6, src_vocab=5, tgt_vocab=7, max_src=4, max_tgt=4):
     src_flat, tgt_flat = [], []
     src_indptr = np.zeros(n_pairs + 1, dtype=np.int64)
     tgt_indptr = np.zeros(n_pairs + 1, dtype=np.int64)
     cooc = [set() for _ in range(src_vocab + 1)]
     pairs = []
     for p in range(n_pairs):
-        f = [0] + list(rnd.integers(1, src_vocab + 1, size=rnd.integers(1, 5)))
-        e = list(rnd.integers(0, tgt_vocab, size=rnd.integers(1, 5)))
+        f = [0] + list(rnd.integers(1, src_vocab + 1, size=rnd.integers(1, max_src + 1)))
+        e = list(rnd.integers(0, tgt_vocab, size=rnd.integers(1, max_tgt + 1)))
         pairs.append((f, e))
         src_flat.extend(f)
         tgt_flat.extend(e)
@@ -83,17 +85,46 @@ def _random_em_problem(rnd, n_pairs=6, src_vocab=5, tgt_vocab=7):
     )
 
 
+def _align_bases(rnd, pairs):
+    """Random position-table values laid out one block per (l_e, l_f + 1)."""
+    offsets = {}
+    size = 0
+    for f, e in pairs:
+        shape = (len(e), len(f))
+        if shape not in offsets:
+            offsets[shape] = size
+            size += shape[0] * shape[1]
+    bases = np.array([offsets[(len(e), len(f))] for f, e in pairs], dtype=np.int64)
+    return bases, rnd.uniform(0.1, 1.0, size=size)
+
+
+def _links(problem, bases=None):
+    src_flat, src_indptr, tgt_flat, tgt_indptr, indptr, cols, _, _ = problem
+    t_indptr, t_cols, links = _kernels.build_links(
+        src_flat, src_indptr, tgt_flat, tgt_indptr, len(indptr) - 1, bases
+    )
+    assert np.array_equal(t_indptr, indptr)
+    assert np.array_equal(t_cols, cols)
+    return links
+
+
 class TestEstepBackends:
+    """The link-array E-steps against the former per-pair loops.
+
+    The loops add in another order than numpy does, hence the tolerances.
+    """
+
     def test_ibm1_agreement(self):
         rnd = np.random.default_rng(7)
         for _ in range(20):
-            src_flat, src_indptr, tgt_flat, tgt_indptr, indptr, cols, vals, _ = _random_em_problem(rnd)
+            problem = _random_em_problem(rnd)
+            src_flat, src_indptr, tgt_flat, tgt_indptr, indptr, cols, vals, _ = problem
             c1 = np.zeros_like(vals)
             r1 = np.zeros(len(src_flat))
-            ll1 = _kernels.ibm1_estep_jit(src_flat, src_indptr, tgt_flat, tgt_indptr, indptr, cols, vals, c1, r1)
+            ll1 = _kernels.ibm1_estep(_links(problem), vals, c1, r1)
             c2 = np.zeros_like(vals)
             r2 = np.zeros(len(src_flat))
-            ll2 = _kernels.ibm1_estep_np(src_flat, src_indptr, tgt_flat, tgt_indptr, indptr, cols, vals, c2, r2)
+            ll2 = oracles.ibm1_estep_loop(src_flat, src_indptr, tgt_flat, tgt_indptr, indptr, cols, vals, c2, r2)
             assert ll1 == pytest.approx(ll2, abs=1e-9)
             np.testing.assert_allclose(c1, c2, atol=1e-12)
             np.testing.assert_allclose(r1, r2, atol=1e-12)
@@ -101,29 +132,58 @@ class TestEstepBackends:
     def test_ibm2_agreement(self):
         rnd = np.random.default_rng(11)
         for _ in range(20):
-            src_flat, src_indptr, tgt_flat, tgt_indptr, indptr, cols, vals, pairs = _random_em_problem(rnd)
-            offsets = {}
-            size = 0
-            for f, e in pairs:
-                shape = (len(e), len(f))
-                if shape not in offsets:
-                    offsets[shape] = size
-                    size += shape[0] * shape[1]
-            bases = np.array([offsets[(len(e), len(f))] for f, e in pairs], dtype=np.int64)
-            a_vals = rnd.uniform(0.1, 1.0, size=size)
-            args = (src_flat, src_indptr, tgt_flat, tgt_indptr, bases, indptr, cols, vals, a_vals)
+            problem = _random_em_problem(rnd)
+            src_flat, src_indptr, tgt_flat, tgt_indptr, indptr, cols, vals, pairs = problem
+            bases, a_vals = _align_bases(rnd, pairs)
             c1 = np.zeros_like(vals)
             a1 = np.zeros_like(a_vals)
             r1 = np.zeros(len(src_flat))
-            ll1 = _kernels.ibm2_estep_jit(*args, c1, a1, r1)
+            ll1 = _kernels.ibm2_estep(_links(problem, bases), vals, a_vals, c1, a1, r1)
             c2 = np.zeros_like(vals)
             a2 = np.zeros_like(a_vals)
             r2 = np.zeros(len(src_flat))
-            ll2 = _kernels.ibm2_estep_np(*args, c2, a2, r2)
+            ll2 = oracles.ibm2_estep_loop(
+                src_flat, src_indptr, tgt_flat, tgt_indptr, bases, indptr, cols, vals, a_vals, c2, a2, r2
+            )
             assert ll1 == pytest.approx(ll2, abs=1e-9)
             np.testing.assert_allclose(c1, c2, atol=1e-12)
             np.testing.assert_allclose(a1, a2, atol=1e-12)
             np.testing.assert_allclose(r1, r2, atol=1e-12)
+
+    @pytest.mark.parametrize("chunk_links", [1, 50, 4096])
+    def test_equal_to_numpy_oracle_exactly(self, monkeypatch, chunk_links):
+        """Sentences of up to 20 words reach numpy's pairwise sums; no tolerance."""
+        monkeypatch.setattr(_kernels, "CHUNK_LINKS", chunk_links)
+        rnd = np.random.default_rng(13)
+        for _ in range(10):
+            problem = _random_em_problem(rnd, n_pairs=30, src_vocab=8, tgt_vocab=9, max_src=20, max_tgt=20)
+            src_flat, src_indptr, tgt_flat, tgt_indptr, indptr, cols, vals, pairs = problem
+            bases, a_vals = _align_bases(rnd, pairs)
+            layout = (src_flat, src_indptr, tgt_flat, tgt_indptr)
+            links = _links(problem, bases)
+            got = [np.zeros_like(vals), np.zeros(len(src_flat))]
+            want = [np.zeros_like(vals), np.zeros(len(src_flat))]
+            assert _kernels.ibm1_estep(links, vals, *got) == oracles.ibm1_estep_np(*layout, indptr, cols, vals, *want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            got = [np.zeros_like(vals), np.zeros_like(a_vals), np.zeros(len(src_flat))]
+            want = [np.zeros_like(vals), np.zeros_like(a_vals), np.zeros(len(src_flat))]
+            ll = _kernels.ibm2_estep(links, vals, a_vals, *got)
+            assert ll == oracles.ibm2_estep_np(*layout, bases, indptr, cols, vals, a_vals, *want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+class TestSegments:
+    def test_equal_to_one_dimensional_sums(self):
+        rnd = np.random.default_rng(5)
+        values = rnd.uniform(0.0, 1.0, 5000) * 10.0 ** rnd.integers(-6, 3, 5000)
+        lengths = rnd.choice([0, 1, 2, 7, 8, 9, 15, 16, 17, 128, 129, 300], size=200)
+        starts = rnd.integers(0, len(values) - 300, size=200)
+        want = [values[s : s + n].sum() for s, n in zip(starts, lengths)]
+        assert _kernels.Segments(starts, lengths).sums(values).tolist() == want
+
+    def test_no_segments(self):
+        empty = np.zeros(0, dtype=np.int64)
+        assert len(_kernels.Segments(empty, empty).sums(np.ones(3))) == 0
 
 
 class TestBackendSelection:

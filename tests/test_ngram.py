@@ -218,6 +218,48 @@ class TestLoadChecks:
         with pytest.raises(DataError, match=message):
             cls.from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("alpha", 0, "smoothing"),
+            ("alpha", -0.5, "smoothing"),
+            ("alpha", math.nan, "smoothing"),
+            ("alpha", math.inf, "smoothing"),
+            ("alpha", "1", "smoothing"),
+            ("alpha", True, "smoothing"),
+            ("n", 0, "context size"),
+            ("n", -1, "context size"),
+            ("n", 1.5, "context size"),
+            ("n", "1", "context size"),
+            ("n", True, "context size"),
+        ],
+    )
+    def test_bad_settings_rejected(self, payload, key, value, message):
+        cls, doc = payload
+        doc[key] = value
+        with pytest.raises(DataError, match=message):
+            cls.from_dict(doc)
+
+    def test_int_alpha_loads(self, payload):
+        cls, doc = payload
+        doc["alpha"] = 2
+        assert cls.from_dict(doc).alpha == 2
+
+
+@pytest.mark.parametrize("train", [train_ngram, train_naive_bayes])
+class TestTrainingSettings:
+    PAIRS = [(["a", "b"], ["x", "q"])]
+
+    @pytest.mark.parametrize("alpha", [0, -1.0])
+    def test_non_positive_alpha_rejected(self, train, alpha):
+        with pytest.raises(ValueError, match="smoothing parameter must be > 0"):
+            train(self.PAIRS, n=1, alpha=alpha)
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_context_size_below_one_rejected(self, train, n):
+        with pytest.raises(ValueError, match="context size must be >= 1"):
+            train(self.PAIRS, n=n)
+
 
 def _random_pairs(rng, n_pairs):
     """A tiny corpus whose vocabularies straddle the sort position of <eos>/<pad>."""
