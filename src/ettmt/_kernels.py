@@ -1,16 +1,11 @@
 """Numeric inner loops: word-level edit distance and EM expected counts.
 
 The edit distance is evaluated thousands of times per sentence while
-searching for block shifts, and it exists twice:
-
-* a numba ``@njit`` version (default when numba imports), and
-* a pure-numpy version with identical semantics.
-
-Set ``ETTMT_DISABLE_NUMBA=1`` to force the numpy path; it is also selected
-automatically when numba is not installed. ``benchmarks/bench_kernels.py``
-times the two side by side. numba speeds up nothing else: the expected-count
-steps of the alignment-model EM training are numpy array operations over
-link tables built once per training.
+searching for block shifts.  It runs Myers' bit-parallel algorithm (Myers
+1999, JACM 46(3), in Hyyrö's 2001 formulation) on Python ints, so one
+column of the DP matrix is a pair of integers whatever the sentence length.
+The expected-count steps of the alignment-model EM training are numpy array
+operations over link tables built once per training.
 
 Translation tables use a CSR layout over (source type, target type) pairs
 that co-occur in training data: ``t_indptr[f] .. t_indptr[f+1]`` delimits the
@@ -21,81 +16,48 @@ source sentence starts with the virtual empty-source id 0.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
-
-_DISABLE_FLAG = os.environ.get("ETTMT_DISABLE_NUMBA", "").strip().lower()
-NUMBA_DISABLED = _DISABLE_FLAG in ("1", "true", "yes", "on")
-
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via the env flag instead
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-USING_NUMBA = HAVE_NUMBA and not NUMBA_DISABLED
 
 
 # ---------------------------------------------------------------------------
 # Word-level Levenshtein distance (unit costs)
 # ---------------------------------------------------------------------------
 
-def _levenshtein_loop(a, b):
-    n = a.shape[0]
-    m = b.shape[0]
-    if n == 0:
-        return m
+def levenshtein(a, b) -> int:
+    """Edit distance between two sequences of hashable tokens.
+
+    Bit i of ``pv`` / ``mv`` says whether the DP value in row i + 1 of the
+    current column is one more / one less than in row i; one step of
+    integer arithmetic advances the whole column by one token of ``b``.
+    """
+    m = len(a)
     if m == 0:
-        return n
-    prev = np.arange(m + 1, dtype=np.int64)
-    cur = np.empty(m + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        cur[0] = i
-        ai = a[i - 1]
-        for j in range(1, m + 1):
-            cost = 0 if ai == b[j - 1] else 1
-            best = prev[j - 1] + cost
-            if prev[j] + 1 < best:
-                best = prev[j] + 1
-            if cur[j - 1] + 1 < best:
-                best = cur[j - 1] + 1
-            cur[j] = best
-        prev, cur = cur, prev
-    return prev[m]
-
-
-levenshtein_jit = njit(cache=True)(_levenshtein_loop)
-
-
-def levenshtein_np(a, b):
-    """Row-vectorized edit distance; the cur[j-1]+1 chain folds into one
-    minimum.accumulate over (value - column index)."""
-    n = a.shape[0]
-    m = b.shape[0]
-    if n == 0:
-        return int(m)
-    if m == 0:
-        return int(n)
-    cols = np.arange(m + 1, dtype=np.int64)
-    prev = cols.copy()
-    for i in range(1, n + 1):
-        c0 = np.empty(m + 1, dtype=np.int64)
-        c0[0] = i
-        np.minimum(prev[:-1] + (b != a[i - 1]), prev[1:] + 1, out=c0[1:])
-        prev = np.minimum.accumulate(c0 - cols) + cols
-    return int(prev[m])
+        return len(b)
+    peq: dict = {}
+    for i, token in enumerate(a):
+        peq[token] = peq.get(token, 0) | (1 << i)
+    mask = (1 << m) - 1
+    last = 1 << (m - 1)
+    pv = mask
+    mv = 0
+    dist = m
+    for token in b:
+        eq = peq.get(token, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +255,3 @@ def ibm2_estep(links, t_vals, a_vals, counts, a_counts, recv=None):
     its position probability and position counts added into ``a_counts``.
     The links must carry position-table positions."""
     return _estep(links, t_vals, a_vals, counts, a_counts, recv)
-
-
-levenshtein = levenshtein_jit if USING_NUMBA else levenshtein_np
-
-
-def backend() -> str:
-    """Name of the active kernel backend ("numba" or "numpy")."""
-    return "numba" if USING_NUMBA else "numpy"

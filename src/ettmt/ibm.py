@@ -182,7 +182,10 @@ def _encode(pairs: list[Pair], align_bases: np.ndarray | None = None) -> _Encode
     """
     if not pairs:
         raise DataError("cannot train on an empty pair list")
-    source_vocab = (NULL_TOKEN,) + tuple(sorted({t for ett, _ in pairs for t in ett}))
+    source_types = {t for ett, _ in pairs for t in ett}
+    if NULL_TOKEN in source_types:
+        raise DataError(f"source token {NULL_TOKEN!r} is reserved for the empty source word")
+    source_vocab = (NULL_TOKEN,) + tuple(sorted(source_types))
     target_vocab = tuple(sorted({t for _, eng in pairs for t in eng}))
     if not target_vocab:
         raise DataError("training pairs have no target tokens")

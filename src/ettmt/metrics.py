@@ -40,28 +40,38 @@ def _check_corpus(hypotheses, references):
 # BLEU
 # ---------------------------------------------------------------------------
 
-def _ngram_counts(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _ngram_counts(seq: tuple[str, ...] | str, order: int) -> Counter:
+    """Every slice of ``seq`` of length 1 to ``order``, counted.
+
+    Slices of different lengths are different keys, so one count holds every
+    order: a word tuple gives BLEU's n-grams, a string chr-F's.
+    """
+    return Counter(seq[i : i + n] for n in range(1, order + 1) for i in range(len(seq) - n + 1))
+
+
+def _clipped_matches(hyp_grams: Counter, ref_grams: Counter, matches: list[int]):
+    """Add each shared n-gram's clipped count into ``matches[len(gram) - 1]``."""
+    for gram in hyp_grams.keys() & ref_grams.keys():
+        matches[len(gram) - 1] += min(hyp_grams[gram], ref_grams[gram])
 
 
 def bleu(hypotheses: list[str], references: list[str]) -> float:
     """Corpus BLEU-4 in [0, 100] with exponential smoothing of zero counts."""
     _check_corpus(hypotheses, references)
-    correct = np.zeros(BLEU_ORDER, dtype=np.int64)
-    total = np.zeros(BLEU_ORDER, dtype=np.int64)
+    correct = [0] * BLEU_ORDER
+    total = [0] * BLEU_ORDER
     sys_len = 0
     ref_len = 0
     for hyp, ref in zip(hypotheses, references):
-        htoks = hyp.split()
-        rtoks = ref.split()
+        htoks = tuple(hyp.split())
+        rtoks = tuple(ref.split())
         sys_len += len(htoks)
         ref_len += len(rtoks)
         for n in range(1, BLEU_ORDER + 1):
-            hgrams = _ngram_counts(htoks, n)
-            if not hgrams:
-                break
-            total[n - 1] += sum(hgrams.values())
-            correct[n - 1] += sum((hgrams & _ngram_counts(rtoks, n)).values())
+            total[n - 1] += max(len(htoks) - n + 1, 0)
+        _clipped_matches(_ngram_counts(htoks, BLEU_ORDER), _ngram_counts(rtoks, BLEU_ORDER), correct)
+    correct = np.asarray(correct, dtype=np.int64)
+    total = np.asarray(total, dtype=np.int64)
 
     precisions = np.zeros(BLEU_ORDER)
     smooth = 1.0
@@ -88,25 +98,22 @@ def bleu(hypotheses: list[str], references: list[str]) -> float:
 # Character F-score
 # ---------------------------------------------------------------------------
 
-def _char_ngrams(text: str, n: int) -> Counter:
-    return Counter(text[i : i + n] for i in range(len(text) - n + 1))
-
-
 def chrf(hypotheses: list[str], references: list[str]) -> float:
     """Corpus character F-score in [0, 100], order 6, beta 2, spaces removed."""
     _check_corpus(hypotheses, references)
-    hyp_totals = np.zeros(CHRF_ORDER, dtype=np.int64)
-    ref_totals = np.zeros(CHRF_ORDER, dtype=np.int64)
-    matches = np.zeros(CHRF_ORDER, dtype=np.int64)
+    hyp_totals = [0] * CHRF_ORDER
+    ref_totals = [0] * CHRF_ORDER
+    matches = [0] * CHRF_ORDER
     for hyp, ref in zip(hypotheses, references):
         h = "".join(hyp.split())
         r = "".join(ref.split())
         for n in range(1, CHRF_ORDER + 1):
-            hgrams = _char_ngrams(h, n)
-            rgrams = _char_ngrams(r, n)
-            hyp_totals[n - 1] += sum(hgrams.values())
-            ref_totals[n - 1] += sum(rgrams.values())
-            matches[n - 1] += sum((hgrams & rgrams).values())
+            hyp_totals[n - 1] += max(len(h) - n + 1, 0)
+            ref_totals[n - 1] += max(len(r) - n + 1, 0)
+        _clipped_matches(_ngram_counts(h, CHRF_ORDER), _ngram_counts(r, CHRF_ORDER), matches)
+    hyp_totals = np.asarray(hyp_totals, dtype=np.int64)
+    ref_totals = np.asarray(ref_totals, dtype=np.int64)
+    matches = np.asarray(matches, dtype=np.int64)
 
     effective = (hyp_totals > 0) & (ref_totals > 0)
     if not effective.any():
@@ -136,38 +143,36 @@ def _edit_ops(hyp: list[int], ref: list[int]) -> tuple[int, list[int]]:
     Tie order is diagonal first, then reference insertion, then hypothesis
     deletion, which pins down a unique alignment for the shift search.
     """
-    n, m = len(hyp), len(ref)
-    dist = np.zeros((n + 1, m + 1), dtype=np.int64)
-    op = np.zeros((n + 1, m + 1), dtype=np.int8)
-    dist[0, :] = np.arange(m + 1)
-    op[0, 1:] = _INS
-    dist[1:, 0] = np.arange(1, n + 1)
-    op[1:, 0] = _DEL
-    for i in range(1, n + 1):
-        hi = hyp[i - 1]
-        row = dist[i]
-        above = dist[i - 1]
-        for j in range(1, m + 1):
-            if hi == ref[j - 1]:
-                best = above[j - 1]
+    above = list(range(len(ref) + 1))
+    ops = [[_INS] * len(above)]
+    for i, hi in enumerate(hyp, start=1):
+        row = [i]
+        op = [_DEL]
+        left = i
+        for rj, diag, up in zip(ref, above, above[1:]):
+            if hi == rj:
+                best = diag
                 which = _MATCH
             else:
-                best = above[j - 1] + 1
+                best = diag + 1
                 which = _SUB
-            if row[j - 1] + 1 < best:
-                best = row[j - 1] + 1
+            if left + 1 < best:
+                best = left + 1
                 which = _INS
-            if above[j] + 1 < best:
-                best = above[j] + 1
+            if up + 1 < best:
+                best = up + 1
                 which = _DEL
-            row[j] = best
-            op[i, j] = which
+            row.append(best)
+            op.append(which)
+            left = best
+        ops.append(op)
+        above = row
     path = []
-    i, j = n, m
+    i, j = len(hyp), len(ref)
     while i > 0 or j > 0:
-        o = op[i, j]
-        path.append(int(o))
-        if o in (_MATCH, _SUB):
+        o = ops[i][j]
+        path.append(o)
+        if o == _MATCH or o == _SUB:
             i -= 1
             j -= 1
         elif o == _INS:
@@ -175,7 +180,7 @@ def _edit_ops(hyp: list[int], ref: list[int]) -> tuple[int, list[int]]:
         else:
             i -= 1
     path.reverse()
-    return int(dist[n, m]), path
+    return above[-1], path
 
 
 def _path_alignment(path: list[int]):
@@ -204,8 +209,11 @@ def _path_alignment(path: list[int]):
 def _shift_candidates(hyp: list[int], ref: list[int]):
     """All (hyp start, ref start, length) with equal word spans, tercom bounds."""
     n, m = len(hyp), len(ref)
+    starts: dict[int, list[int]] = {}
+    for sr, word in enumerate(ref):
+        starts.setdefault(word, []).append(sr)
     for sh in range(n):
-        for sr in range(m):
+        for sr in starts.get(hyp[sh], ()):
             if abs(sr - sh) > MAX_SHIFT_DIST:
                 continue
             k = 0
@@ -231,7 +239,6 @@ def _pair_edits(hyp_words: list[str], ref_words: list[str]) -> int:
     vocab: dict[str, int] = {}
     hyp = [vocab.setdefault(w, len(vocab)) for w in hyp_words]
     ref = [vocab.setdefault(w, len(vocab)) for w in ref_words]
-    ref_arr = np.asarray(ref, dtype=np.int32)
 
     shifts = 0
     checked = 0
@@ -259,9 +266,7 @@ def _pair_edits(hyp_words: list[str], ref_words: list[str]) -> int:
                     continue
                 prev_target = target
                 moved = _shifted(hyp, sh, length, target)
-                gain = pre - int(
-                    _kernels.levenshtein(np.asarray(moved, dtype=np.int32), ref_arr)
-                )
+                gain = pre - _kernels.levenshtein(moved, ref)
                 checked += 1
                 candidate = (gain, length, -sh, -target, moved)
                 if best is None or candidate > best:

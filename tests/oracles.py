@@ -255,6 +255,283 @@ def oracle_ter(hypotheses, references):
 
 
 # ---------------------------------------------------------------------------
+# The package's former metric implementations
+# ---------------------------------------------------------------------------
+#
+# BLEU, chr-F and TER as ettmt computed them before counting all n-gram
+# orders at once and running the edit distance bit-parallel, kept verbatim
+# apart from names: ``former_*`` for the functions the tests call, the pure
+# edit-distance loop (its numba and numpy twins computed the same) in place
+# of the kernel, and ``_apply_shift`` above for the identical block move.
+# The package must return exactly what these return.
+
+_BLEU_ORDER = 4
+_CHRF_ORDER = 6
+_CHRF_BETA = 2.0
+_MATCH, _SUB, _INS, _DEL = 0, 1, 2, 3
+
+
+def levenshtein_loop(a, b):
+    n = a.shape[0]
+    m = b.shape[0]
+    if n == 0:
+        return m
+    if m == 0:
+        return n
+    prev = np.arange(m + 1, dtype=np.int64)
+    cur = np.empty(m + 1, dtype=np.int64)
+    for i in range(1, n + 1):
+        cur[0] = i
+        ai = a[i - 1]
+        for j in range(1, m + 1):
+            cost = 0 if ai == b[j - 1] else 1
+            best = prev[j - 1] + cost
+            if prev[j] + 1 < best:
+                best = prev[j] + 1
+            if cur[j - 1] + 1 < best:
+                best = cur[j - 1] + 1
+            cur[j] = best
+        prev, cur = cur, prev
+    return prev[m]
+
+
+def _former_check_corpus(hypotheses, references):
+    if len(hypotheses) != len(references):
+        raise ValueError(
+            f"hypothesis/reference length mismatch: {len(hypotheses)} vs {len(references)}"
+        )
+    if not hypotheses:
+        raise ValueError("cannot score an empty corpus")
+
+
+def _former_ngram_counts(tokens: list[str], n: int) -> Counter:
+    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+
+
+def former_bleu(hypotheses: list[str], references: list[str]) -> float:
+    """Corpus BLEU-4 in [0, 100] with exponential smoothing of zero counts."""
+    _former_check_corpus(hypotheses, references)
+    correct = np.zeros(_BLEU_ORDER, dtype=np.int64)
+    total = np.zeros(_BLEU_ORDER, dtype=np.int64)
+    sys_len = 0
+    ref_len = 0
+    for hyp, ref in zip(hypotheses, references):
+        htoks = hyp.split()
+        rtoks = ref.split()
+        sys_len += len(htoks)
+        ref_len += len(rtoks)
+        for n in range(1, _BLEU_ORDER + 1):
+            hgrams = _former_ngram_counts(htoks, n)
+            if not hgrams:
+                break
+            total[n - 1] += sum(hgrams.values())
+            correct[n - 1] += sum((hgrams & _former_ngram_counts(rtoks, n)).values())
+
+    precisions = np.zeros(_BLEU_ORDER)
+    smooth = 1.0
+    for n in range(_BLEU_ORDER):
+        if total[n] == 0:
+            break
+        if correct[n] == 0:
+            smooth *= 2.0
+            precisions[n] = 100.0 / (smooth * total[n])
+        else:
+            precisions[n] = 100.0 * correct[n] / total[n]
+
+    if sys_len == 0:
+        return 0.0
+    penalty = math.exp(1.0 - ref_len / sys_len) if sys_len < ref_len else 1.0
+    if np.any(precisions == 0.0):
+        return 0.0
+    score = penalty * math.exp(float(np.log(precisions).mean()))
+    # the geometric mean can drift a few ulp past the mathematical bound
+    return min(score, 100.0)
+
+
+def _former_char_ngrams(text: str, n: int) -> Counter:
+    return Counter(text[i : i + n] for i in range(len(text) - n + 1))
+
+
+def former_chrf(hypotheses: list[str], references: list[str]) -> float:
+    """Corpus character F-score in [0, 100], order 6, beta 2, spaces removed."""
+    _former_check_corpus(hypotheses, references)
+    hyp_totals = np.zeros(_CHRF_ORDER, dtype=np.int64)
+    ref_totals = np.zeros(_CHRF_ORDER, dtype=np.int64)
+    matches = np.zeros(_CHRF_ORDER, dtype=np.int64)
+    for hyp, ref in zip(hypotheses, references):
+        h = "".join(hyp.split())
+        r = "".join(ref.split())
+        for n in range(1, _CHRF_ORDER + 1):
+            hgrams = _former_char_ngrams(h, n)
+            rgrams = _former_char_ngrams(r, n)
+            hyp_totals[n - 1] += sum(hgrams.values())
+            ref_totals[n - 1] += sum(rgrams.values())
+            matches[n - 1] += sum((hgrams & rgrams).values())
+
+    effective = (hyp_totals > 0) & (ref_totals > 0)
+    if not effective.any():
+        return 0.0
+    precision = float((matches[effective] / hyp_totals[effective]).mean())
+    recall = float((matches[effective] / ref_totals[effective]).mean())
+    if precision + recall == 0.0:
+        return 0.0
+    b2 = _CHRF_BETA * _CHRF_BETA
+    return 100.0 * (1.0 + b2) * precision * recall / (b2 * precision + recall)
+
+
+def former_edit_ops(hyp: list[int], ref: list[int]) -> tuple[int, list[int]]:
+    """Edit distance with the operation path transforming hyp into ref.
+
+    Tie order is diagonal first, then reference insertion, then hypothesis
+    deletion, which pins down a unique alignment for the shift search.
+    """
+    n, m = len(hyp), len(ref)
+    dist = np.zeros((n + 1, m + 1), dtype=np.int64)
+    op = np.zeros((n + 1, m + 1), dtype=np.int8)
+    dist[0, :] = np.arange(m + 1)
+    op[0, 1:] = _INS
+    dist[1:, 0] = np.arange(1, n + 1)
+    op[1:, 0] = _DEL
+    for i in range(1, n + 1):
+        hi = hyp[i - 1]
+        row = dist[i]
+        above = dist[i - 1]
+        for j in range(1, m + 1):
+            if hi == ref[j - 1]:
+                best = above[j - 1]
+                which = _MATCH
+            else:
+                best = above[j - 1] + 1
+                which = _SUB
+            if row[j - 1] + 1 < best:
+                best = row[j - 1] + 1
+                which = _INS
+            if above[j] + 1 < best:
+                best = above[j] + 1
+                which = _DEL
+            row[j] = best
+            op[i, j] = which
+    path = []
+    i, j = n, m
+    while i > 0 or j > 0:
+        o = op[i, j]
+        path.append(int(o))
+        if o in (_MATCH, _SUB):
+            i -= 1
+            j -= 1
+        elif o == _INS:
+            j -= 1
+        else:
+            i -= 1
+    path.reverse()
+    return int(dist[n, m]), path
+
+
+def _former_path_alignment(path: list[int]):
+    """Per-word error flags and the ref-position -> hyp-position map."""
+    align: dict[int, int] = {}
+    hyp_err: list[int] = []
+    ref_err: list[int] = []
+    hpos = rpos = -1
+    for o in path:
+        if o == _MATCH or o == _SUB:
+            hpos += 1
+            rpos += 1
+            align[rpos] = hpos
+            hyp_err.append(0 if o == _MATCH else 1)
+            ref_err.append(0 if o == _MATCH else 1)
+        elif o == _INS:
+            rpos += 1
+            align[rpos] = hpos
+            ref_err.append(1)
+        else:
+            hpos += 1
+            hyp_err.append(1)
+    return align, hyp_err, ref_err
+
+
+def former_shift_candidates(hyp: list[int], ref: list[int]):
+    """All (hyp start, ref start, length) with equal word spans, tercom bounds."""
+    n, m = len(hyp), len(ref)
+    for sh in range(n):
+        for sr in range(m):
+            if abs(sr - sh) > _MAX_SHIFT_DIST:
+                continue
+            k = 0
+            while sh + k < n and sr + k < m and k < _MAX_SHIFT_SIZE and hyp[sh + k] == ref[sr + k]:
+                k += 1
+                yield sh, sr, k
+
+
+def former_pair_edits(hyp_words: list[str], ref_words: list[str]) -> int:
+    """Edits for one segment pair: greedy block shifts + final edit distance."""
+    if not ref_words:
+        return len(hyp_words)
+    if not hyp_words:
+        return len(ref_words)
+    vocab: dict[str, int] = {}
+    hyp = [vocab.setdefault(w, len(vocab)) for w in hyp_words]
+    ref = [vocab.setdefault(w, len(vocab)) for w in ref_words]
+    ref_arr = np.asarray(ref, dtype=np.int32)
+
+    shifts = 0
+    checked = 0
+    while True:
+        pre, path = former_edit_ops(hyp, ref)
+        align, hyp_err, ref_err = _former_path_alignment(path)
+        best = None
+        for sh, sr, length in former_shift_candidates(hyp, ref):
+            if not any(hyp_err[sh : sh + length]):
+                continue
+            if not any(ref_err[sr : sr + length]):
+                continue
+            if sh <= align[sr] < sh + length:
+                continue
+            prev_target = -1
+            for offset in range(-1, length):
+                anchor = sr + offset
+                if anchor == -1:
+                    target = 0
+                elif anchor in align:
+                    target = align[anchor] + 1
+                else:
+                    break
+                if target == prev_target:
+                    continue
+                prev_target = target
+                moved = _apply_shift(hyp, sh, length, target)
+                gain = pre - int(
+                    levenshtein_loop(np.asarray(moved, dtype=np.int32), ref_arr)
+                )
+                checked += 1
+                candidate = (gain, length, -sh, -target, moved)
+                if best is None or candidate > best:
+                    best = candidate
+                if checked >= _MAX_SHIFT_CANDIDATES:
+                    break
+            if checked >= _MAX_SHIFT_CANDIDATES:
+                break
+        if best is None or checked >= _MAX_SHIFT_CANDIDATES or best[0] <= 0:
+            return shifts + pre
+        hyp = best[4]
+        shifts += 1
+
+
+def former_ter(hypotheses: list[str], references: list[str]) -> float:
+    """Corpus translation edit rate: 100 * edits / reference words."""
+    _former_check_corpus(hypotheses, references)
+    total_edits = 0
+    total_ref_words = 0
+    for hyp, ref in zip(hypotheses, references):
+        rtoks = ref.split()
+        total_edits += former_pair_edits(hyp.split(), rtoks)
+        total_ref_words += len(rtoks)
+    if total_ref_words == 0:
+        raise ValueError("references contain zero words in total")
+    return 100.0 * total_edits / total_ref_words
+
+
+# ---------------------------------------------------------------------------
 # Lexical-alignment EM, textbook dict formulation
 # ---------------------------------------------------------------------------
 
@@ -308,8 +585,7 @@ def oracle_ibm1_loglik(t, pairs):
 # ---------------------------------------------------------------------------
 #
 # The E-steps below are the package's former kernels, kept verbatim: a pure
-# loop per kernel (its numba twin compiled the same body) and the per-pair
-# numpy version.  ettmt now runs its E-steps on link arrays built once per
+# loop per kernel and the per-pair numpy version.  ettmt now runs its E-steps on link arrays built once per
 # training; ``oracle_train_ibm`` is the former trainer around the numpy
 # versions, whose tables the package must reproduce bit for bit.
 

@@ -47,7 +47,8 @@ def copy_corpus(n_pairs=50, vocab=30, seed=4):
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # trigger JIT compilation outside the timed sections
+    # run each kernel once, so first-call costs (imports, numpy set-up) stay
+    # outside the timed sections
     from ettmt import _kernels
 
     a = np.array([1, 2], dtype=np.int32)

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from ettmt.cli import cli_dispatch
-from ettmt.errors import BenchmarkError
+from ettmt.errors import BenchmarkError, DataError
 from ettmt.harness import BenchmarkConfig, format_table, run_benchmark
 
 from conftest import NAME_ENTRIES, SUFFIXES, WORD_ENTRIES
@@ -148,6 +148,16 @@ class TestRunBenchmark:
         assert "BLEU" in table and "chr-F" in table and "TER" in table
         assert "dict" in table and "random" in table
         assert "(" in table  # std rows
+
+    @pytest.mark.parametrize("family", ["ibm1", "ibm2"])
+    def test_null_lexicon_entry_rejected(self, family):
+        from ettmt.corpus import N_FEATURES, Lexicon, LexiconEntry
+        from ettmt.harness import _train_model
+
+        lexicon = Lexicon((LexiconEntry("<null>", "nothing", (0,) * N_FEATURES),))
+        pairs = [(["mi"], ["i", "am"])]
+        with pytest.raises(DataError, match="reserved"):
+            _train_model({"family": family, "use_lexicon": True}, pairs, lexicon, str.split)
 
     def test_config_file_roundtrip(self, tmp_path, corpus_file):
         doc = {"corpus": str(corpus_file), "model": {"family": "random"}, "repeats": 2, "seed": 3}
@@ -316,6 +326,22 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert captured.err.count("\n") == 1 and message in captured.err
+
+    def test_null_in_corpus_cannot_reach_training(self, tmp_path):
+        # normalization keeps only a-z, space and '-', so no corpus token can
+        # be the reserved "<null>" and training succeeds with one such row
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text(
+            "id\tsource\tetruscan\tenglish\tdate\tlocation\n"
+            "e0\tETP\t<null> mi\ti am\t\t\n",
+            encoding="utf-8",
+        )
+        model = tmp_path / "m1.json"
+        assert cli_dispatch(["train", "--family", "ibm1", "--in", str(corpus), "--out", str(model)]) == 0
+        from ettmt.modelio import load_model
+
+        _, loaded = load_model(model)
+        assert loaded.source_vocab == ("<null>", "mi", "null")
 
     def test_ibm2_model_file_flow(self, tmp_path, corpus_file):
         model = tmp_path / "m2.json"

@@ -75,6 +75,14 @@ class TestModel1:
         with pytest.raises(DataError):
             train_ibm1([], iterations=3)
 
+    @pytest.mark.parametrize("train", [train_ibm1, train_ibm2])
+    def test_null_source_token_rejected(self, train):
+        # a real "<null>" would share the empty source word's name, and a
+        # reloaded table would fold the two rows into one
+        pairs = [([NULL_TOKEN, "a"], ["x", "y"]), (["a"], ["y"]), (["b"], ["z"])]
+        with pytest.raises(DataError, match="reserved"):
+            train(pairs, iterations=2)
+
     def test_deterministic(self):
         a = train_ibm1(THREE_PAIRS, iterations=6)
         b = train_ibm1(THREE_PAIRS, iterations=6)

@@ -1,5 +1,6 @@
-"""Kernel checks: the edit-distance backends agree, and the E-steps match the
-former per-pair kernels kept in tests/oracles.py."""
+"""Kernel checks: the bit-parallel edit distance equals the former loop and a
+full-matrix DP, and the E-steps match the former per-pair kernels kept in
+tests/oracles.py."""
 
 import numpy as np
 import pytest
@@ -7,11 +8,18 @@ import pytest
 import oracles
 from ettmt import _kernels
 
+# pattern lengths on both sides of the 64- and 128-bit word sizes
+WORD_EDGES = [1, 2, 63, 64, 65, 127, 128, 129, 150]
 
-def random_id_arrays(rnd, max_len=40, vocab=6):
-    a = rnd.integers(0, vocab, size=rnd.integers(0, max_len)).astype(np.int32)
-    b = rnd.integers(0, vocab, size=rnd.integers(0, max_len)).astype(np.int32)
+
+def random_id_lists(rnd, max_len=40, vocab=6):
+    a = rnd.integers(0, vocab, size=rnd.integers(0, max_len + 1)).tolist()
+    b = rnd.integers(0, vocab, size=rnd.integers(0, max_len + 1)).tolist()
     return a, b
+
+
+def as_int32(seq):
+    return np.asarray(seq, dtype=np.int32)
 
 
 class TestLevenshtein:
@@ -24,25 +32,42 @@ class TestLevenshtein:
             ([1, 2, 3], [1, 9, 3], 1),
             ([1, 2], [2, 1], 2),
             ([1, 2, 3, 4], [3, 4, 1, 2], 4),
+            ([7] * 70, [], 70),
+            (list(range(130)), list(range(1, 131)), 2),
+            (list(range(129)), list(range(129))[::-1], 128),
+            ([1] * 65, [1] * 64 + [2], 1),
         ]
         for a, b, want in cases:
-            a = np.asarray(a, dtype=np.int32)
-            b = np.asarray(b, dtype=np.int32)
-            assert _kernels.levenshtein_np(a, b) == want
-            assert _kernels._levenshtein_loop(a, b) == want
-            assert _kernels.levenshtein_jit(a, b) == want
+            got = _kernels.levenshtein(a, b)
+            assert got == want and type(got) is int
+            assert _kernels.levenshtein(as_int32(a), as_int32(b)) == want
+            assert _kernels.levenshtein(tuple(map(str, a)), tuple(map(str, b))) == want
+            assert oracles.levenshtein_loop(as_int32(a), as_int32(b)) == want
+            assert oracles._edit_trace(a, b)[0] == want
 
     def test_backends_agree_randomized(self):
+        """Lists and int32 arrays give the distance of the former loop and
+        of the full-matrix DP, also past 64 and 128 reference words."""
         rnd = np.random.default_rng(0)
+        for _ in range(300):
+            a, b = random_id_lists(rnd, max_len=30, vocab=int(rnd.integers(1, 12)))
+            want = oracles.levenshtein_loop(as_int32(a), as_int32(b))
+            assert _kernels.levenshtein(a, b) == want
+            assert _kernels.levenshtein(as_int32(a), as_int32(b)) == want
         for _ in range(200):
-            a, b = random_id_arrays(rnd)
-            assert _kernels.levenshtein_np(a, b) == _kernels.levenshtein_jit(a, b)
+            n, m = (int(rnd.choice(WORD_EDGES)) + int(rnd.integers(-1, 2)) for _ in range(2))
+            vocab = int(rnd.integers(1, 40))
+            a = rnd.integers(0, vocab, size=max(n, 0)).tolist()
+            b = rnd.integers(0, vocab, size=max(m, 0)).tolist()
+            want = oracles._edit_trace(a, b)[0]
+            assert _kernels.levenshtein(a, b) == want
+            assert _kernels.levenshtein(as_int32(a), as_int32(b)) == want
 
     def test_symmetry(self):
         rnd = np.random.default_rng(1)
-        for _ in range(50):
-            a, b = random_id_arrays(rnd)
-            assert _kernels.levenshtein_np(a, b) == _kernels.levenshtein_np(b, a)
+        for _ in range(100):
+            a, b = random_id_lists(rnd, max_len=int(rnd.choice(WORD_EDGES)))
+            assert _kernels.levenshtein(a, b) == _kernels.levenshtein(b, a)
 
 
 def _random_em_problem(rnd, n_pairs=6, src_vocab=5, tgt_vocab=7, max_src=4, max_tgt=4):
@@ -184,30 +209,3 @@ class TestSegments:
     def test_no_segments(self):
         empty = np.zeros(0, dtype=np.int64)
         assert len(_kernels.Segments(empty, empty).sums(np.ones(3))) == 0
-
-
-class TestBackendSelection:
-    def test_backend_reports_a_known_name(self):
-        assert _kernels.backend() in ("numba", "numpy")
-
-    def test_flag_selects_numpy(self):
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        # The child does not inherit pytest's sys.path, so give it this
-        # checkout's src directory ahead of any PYTHONPATH already set.
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        inherited = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, ETTMT_DISABLE_NUMBA="1")
-        env["PYTHONPATH"] = src + os.pathsep + inherited if inherited else src
-
-        out = subprocess.run(
-            [sys.executable, "-c", "from ettmt import _kernels; print(_kernels.backend())"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "numpy"

@@ -7,7 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ettmt.metrics import MetricReport, bleu, chrf, score_corpus, ter
+from ettmt import _kernels
+from ettmt.metrics import (
+    MAX_SHIFT_CANDIDATES,
+    MetricReport,
+    _edit_ops,
+    _pair_edits,
+    _shift_candidates,
+    bleu,
+    chrf,
+    score_corpus,
+    ter,
+)
 
 FIXTURE = json.loads((Path(__file__).parent / "data" / "metric_fixture.json").read_text())
 HYPS = [p["hyp"] for p in FIXTURE["pairs"]]
@@ -200,3 +211,82 @@ class TestReport:
         assert oracles.oracle_bleu(HYPS, REFS) == pytest.approx(FIXTURE["bleu"], abs=1e-6)
         assert oracles.oracle_chrf(HYPS, REFS) == pytest.approx(FIXTURE["chrf"], abs=1e-6)
         assert oracles.oracle_ter(HYPS, REFS) == pytest.approx(FIXTURE["ter"], abs=1e-6)
+
+
+# one-character, multi-character and non-ASCII words; few enough that
+# n-grams repeat within and across segments
+WORDS = ["a", "b", "ab", "ba", "c", "θ", "śa", "über", "χi"]
+
+
+def _block_permuted(rnd, words):
+    blocks = []
+    i = 0
+    while i < len(words):
+        j = min(len(words), i + rnd.randint(1, 4))
+        blocks.append(words[i:j])
+        i = j
+    rnd.shuffle(blocks)
+    return [w for b in blocks for w in b]
+
+
+def _random_pair(rnd):
+    ref = rnd.choices(WORDS, k=rnd.randint(0, 14))
+    kind = rnd.random()
+    if kind < 0.15:
+        hyp = []
+    elif kind < 0.25:
+        hyp = rnd.choices(WORDS[:1] + WORDS[5:6], k=1)
+    elif kind < 0.55:
+        hyp = _block_permuted(rnd, ref)
+        if hyp and rnd.random() < 0.5:
+            hyp[rnd.randrange(len(hyp))] = rnd.choice(WORDS)
+    else:
+        hyp = rnd.choices(WORDS, k=rnd.randint(0, 14))
+    return " ".join(hyp), " ".join(ref)
+
+
+class TestMatchesFormerImplementation:
+    """The metrics against the package's former code in tests/oracles.py:
+    every count is an integer, so the values must be equal, not close."""
+
+    def test_corpus_scores_equal(self):
+        rnd = random.Random(11)
+        for _ in range(150):
+            pairs = [_random_pair(rnd) for _ in range(rnd.randint(1, 8))]
+            if not any(ref for _, ref in pairs):
+                pairs.append(("a", "a b"))
+            hyps = [h for h, _ in pairs]
+            refs = [r for _, r in pairs]
+            assert bleu(hyps, refs) == oracles.former_bleu(hyps, refs)
+            assert chrf(hyps, refs) == oracles.former_chrf(hyps, refs)
+            assert ter(hyps, refs) == oracles.former_ter(hyps, refs)
+            for h, r in pairs:
+                assert _pair_edits(h.split(), r.split()) == oracles.former_pair_edits(h.split(), r.split())
+
+    def test_edit_ops_equal(self):
+        rnd = random.Random(12)
+        for k in range(420):
+            vocab = rnd.randint(1, 6)
+            max_len = 25 if k < 400 else 70
+            hyp = [rnd.randrange(vocab) for _ in range(rnd.randint(0, max_len))]
+            ref = [rnd.randrange(vocab) for _ in range(rnd.randint(0, max_len))]
+            assert _edit_ops(hyp, ref) == oracles.former_edit_ops(hyp, ref)
+
+    def test_shift_candidates_equal(self):
+        # lengths past MAX_SHIFT_DIST exercise the distance bound
+        rnd = random.Random(13)
+        for _ in range(60):
+            vocab = rnd.randint(1, 5)
+            hyp = [rnd.randrange(vocab) for _ in range(rnd.randint(0, 70))]
+            ref = [rnd.randrange(vocab) for _ in range(rnd.randint(0, 70))]
+            assert list(_shift_candidates(hyp, ref)) == list(oracles.former_shift_candidates(hyp, ref))
+
+    def test_candidate_cap_equal(self, monkeypatch):
+        rnd = random.Random(3)
+        hyp = [rnd.choice("ab") for _ in range(30)]
+        ref = [rnd.choice("ab") for _ in range(30)]
+        calls = []
+        distance = _kernels.levenshtein
+        monkeypatch.setattr(_kernels, "levenshtein", lambda a, b: calls.append(1) or distance(a, b))
+        assert _pair_edits(hyp, ref) == oracles.former_pair_edits(hyp, ref)
+        assert len(calls) == MAX_SHIFT_CANDIDATES
