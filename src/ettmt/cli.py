@@ -32,8 +32,19 @@ def _corpus_format(path: str, explicit: str | None) -> str:
 
 
 def _read_lines(path: str) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return [line.rstrip("\n") for line in fh]
+    except UnicodeDecodeError:
+        # the text reader decodes in blocks, so find the line again byte-wise;
+        # a newline byte never occurs inside a multi-byte UTF-8 character
+        with open(path, "rb") as fh:
+            for number, line in enumerate(fh, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DataError(f"{path}, line {number}: not valid UTF-8 ({exc.reason})") from exc
+        raise
 
 
 def _tokenizer(args):

@@ -22,7 +22,7 @@ from .corpus import Lexicon, load_corpus, load_lexicon, split_corpus
 from .errors import BenchmarkError, DataError
 from .ibm import train_ibm1, train_ibm2
 from .metrics import score_corpus
-from .modelio import translate
+from .modelio import FAMILIES, translate
 from .ngram import train_naive_bayes, train_ngram
 from .tokenize import tokenize_suffix, tokenize_whitespace
 
@@ -45,6 +45,17 @@ class BenchmarkConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.models, list) or not self.models:
+            raise DataError("models must be a non-empty list of model configs")
+        for k, model_cfg in enumerate(self.models):
+            if not isinstance(model_cfg, dict):
+                raise DataError(f"model {k}: a model config must be an object, not {type(model_cfg).__name__}")
+            if "family" not in model_cfg:
+                raise DataError(f"model {k}: no 'family' (one of {', '.join(FAMILIES)})")
+            if model_cfg["family"] not in FAMILIES:
+                raise DataError(
+                    f"model {k}: unknown family {model_cfg['family']!r} (one of {', '.join(FAMILIES)})"
+                )
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         if not 0.0 < self.train_size < 1.0:
@@ -55,13 +66,23 @@ class BenchmarkConfig:
     @classmethod
     def from_json(cls, path) -> "BenchmarkConfig":
         with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except ValueError as exc:  # invalid JSON or invalid UTF-8
+                raise DataError(f"{path}: not a benchmark config ({exc})") from exc
+        if not isinstance(raw, dict):
+            raise DataError(f"{path}: not a benchmark config (top level is {type(raw).__name__}, not an object)")
+        if "corpus" not in raw:
+            raise DataError(f"{path}: no 'corpus' key")
         if "model" in raw and "models" not in raw:
             raw["models"] = [raw.pop("model")]
         unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise DataError(f"{path}: unknown config keys {sorted(unknown)}")
-        return cls(**raw)
+        try:
+            return cls(**raw)
+        except (DataError, ValueError) as exc:
+            raise DataError(f"{path}: {exc}") from exc
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -10,13 +10,20 @@ single-reference corpora:
   beta = 2, scale 0-100.
 * ``ter`` - word edits (insert/delete/substitute) plus greedy block shifts,
   per 100 reference words; lower is better and values above 100 are legal.
+
+BLEU and chr-F are computed from integer sufficient statistics: per order,
+the n-gram totals of each side and the clipped matches.  These are counted
+with numpy over chunks of whole segments (sort-based n-gram ids, one
+``np.bincount`` per side), and since integer counts add up exactly over
+segments, the scores equal those of counting segment by segment, bit for
+bit; the float formulas after the counts are the standard scorer's.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -37,39 +44,111 @@ def _check_corpus(hypotheses, references):
 
 
 # ---------------------------------------------------------------------------
+# n-gram statistics
+# ---------------------------------------------------------------------------
+#
+# BLEU and chr-F need, per order n, the n-gram totals of each side and the
+# clipped matches: per segment and distinct n-gram, the smaller of its
+# hypothesis and reference counts.  These are integers that add up over
+# segments, so the corpus is counted in chunks of whole segments.  Inside a
+# chunk each segment's hypothesis and reference items lie end to end; the
+# 1-gram id of a position is (segment, item), and its n-gram id is the dense
+# rank of (its (n-1)-gram id, the item n - 1 places on), so equal ids mean
+# the same segment and the same n-gram.
+
+CHUNK_ITEMS = 2048  # hypothesis plus reference items per chunk; bounds the temporaries
+
+
+def _dense_rank(keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each key's rank among the distinct keys, and how many distinct keys there are."""
+    # a stable sort, not np.unique or quicksort: their code pages alone add
+    # to peak RSS more than the arrays of a chunk do
+    order = np.argsort(keys, kind="stable")
+    step = np.zeros(len(keys), dtype=np.int64)
+    np.minimum(np.diff(keys[order]), 1, out=step[1:])  # 1 where a new key starts
+    np.cumsum(step, out=step)
+    ranks = np.empty_like(step)
+    ranks[order] = step
+    return ranks, int(step[-1]) + 1
+
+
+def _chunks(pairs):
+    """Lists hyp 0, ref 0, hyp 1, ref 1, ... of about ``CHUNK_ITEMS`` items."""
+    runs = []
+    filled = 0
+    for hyp, ref in pairs:
+        runs += (hyp, ref)
+        filled += len(hyp) + len(ref)
+        if filled >= CHUNK_ITEMS:
+            yield runs
+            runs = []
+            filled = 0
+    if runs:
+        yield runs
+
+
+def _encode_chars(runs: list[str]) -> tuple[np.ndarray, int]:
+    """The code points of ``runs`` end to end, and a bound above them."""
+    codes = np.frombuffer("".join(runs).encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    return codes.astype(np.int64), int(codes.max(initial=0)) + 1
+
+
+def _ngram_stats(pairs, order: int, encode):
+    """Per order 1..``order``: clipped matches, hypothesis and reference n-gram totals.
+
+    ``pairs`` yields each segment's (hypothesis, reference) item sequences;
+    ``encode`` maps a list of sequences to their items' integer codes, end
+    to end, and a bound above the codes.
+    """
+    matches = [0] * order
+    hyp_totals = [0] * order
+    ref_totals = [0] * order
+    for runs in _chunks(pairs):
+        codes, width = encode(runs)
+        if not len(codes):
+            continue
+        lengths = np.array([len(seq) for seq in runs])
+        run = np.repeat(np.arange(len(runs)), lengths)
+        pos = np.arange(len(codes))
+        left = np.cumsum(lengths)[run] - pos  # items from a position to its run's end
+        ids, kinds = _dense_rank((run >> 1) * width + codes)  # run >> 1: the segment
+        for n in range(1, order + 1):
+            if n > 1:
+                keep = left[pos] >= n
+                pos = pos[keep]
+                if not len(pos):
+                    break
+                ids, kinds = _dense_rank(ids[keep] * width + codes[pos + n - 1])
+            from_hyp = run[pos] % 2 == 0
+            hyp_counts = np.bincount(ids[from_hyp], minlength=kinds)
+            ref_counts = np.bincount(ids[~from_hyp], minlength=kinds)
+            matches[n - 1] += int(np.minimum(hyp_counts, ref_counts).sum())
+            n_hyp = int(np.count_nonzero(from_hyp))
+            hyp_totals[n - 1] += n_hyp
+            ref_totals[n - 1] += len(pos) - n_hyp
+    return matches, hyp_totals, ref_totals
+
+
+# ---------------------------------------------------------------------------
 # BLEU
 # ---------------------------------------------------------------------------
-
-def _ngram_counts(seq: tuple[str, ...] | str, order: int) -> Counter:
-    """Every slice of ``seq`` of length 1 to ``order``, counted.
-
-    Slices of different lengths are different keys, so one count holds every
-    order: a word tuple gives BLEU's n-grams, a string chr-F's.
-    """
-    return Counter(seq[i : i + n] for n in range(1, order + 1) for i in range(len(seq) - n + 1))
-
-
-def _clipped_matches(hyp_grams: Counter, ref_grams: Counter, matches: list[int]):
-    """Add each shared n-gram's clipped count into ``matches[len(gram) - 1]``."""
-    for gram in hyp_grams.keys() & ref_grams.keys():
-        matches[len(gram) - 1] += min(hyp_grams[gram], ref_grams[gram])
-
 
 def bleu(hypotheses: list[str], references: list[str]) -> float:
     """Corpus BLEU-4 in [0, 100] with exponential smoothing of zero counts."""
     _check_corpus(hypotheses, references)
-    correct = [0] * BLEU_ORDER
-    total = [0] * BLEU_ORDER
-    sys_len = 0
-    ref_len = 0
-    for hyp, ref in zip(hypotheses, references):
-        htoks = tuple(hyp.split())
-        rtoks = tuple(ref.split())
-        sys_len += len(htoks)
-        ref_len += len(rtoks)
-        for n in range(1, BLEU_ORDER + 1):
-            total[n - 1] += max(len(htoks) - n + 1, 0)
-        _clipped_matches(_ngram_counts(htoks, BLEU_ORDER), _ngram_counts(rtoks, BLEU_ORDER), correct)
+    # words become ids segment by segment, so a chunk holds ints, not strings
+    vocab: dict[str, int] = {}
+
+    def word_ids(text: str) -> list[int]:
+        return [vocab.setdefault(w, len(vocab)) for w in text.split()]
+
+    correct, total, ref_total = _ngram_stats(
+        ((word_ids(hyp), word_ids(ref)) for hyp, ref in zip(hypotheses, references)),
+        BLEU_ORDER,
+        lambda runs: (np.fromiter(chain.from_iterable(runs), dtype=np.int64), len(vocab)),
+    )
+    sys_len = total[0]
+    ref_len = ref_total[0]
     correct = np.asarray(correct, dtype=np.int64)
     total = np.asarray(total, dtype=np.int64)
 
@@ -101,16 +180,11 @@ def bleu(hypotheses: list[str], references: list[str]) -> float:
 def chrf(hypotheses: list[str], references: list[str]) -> float:
     """Corpus character F-score in [0, 100], order 6, beta 2, spaces removed."""
     _check_corpus(hypotheses, references)
-    hyp_totals = [0] * CHRF_ORDER
-    ref_totals = [0] * CHRF_ORDER
-    matches = [0] * CHRF_ORDER
-    for hyp, ref in zip(hypotheses, references):
-        h = "".join(hyp.split())
-        r = "".join(ref.split())
-        for n in range(1, CHRF_ORDER + 1):
-            hyp_totals[n - 1] += max(len(h) - n + 1, 0)
-            ref_totals[n - 1] += max(len(r) - n + 1, 0)
-        _clipped_matches(_ngram_counts(h, CHRF_ORDER), _ngram_counts(r, CHRF_ORDER), matches)
+    matches, hyp_totals, ref_totals = _ngram_stats(
+        (("".join(hyp.split()), "".join(ref.split())) for hyp, ref in zip(hypotheses, references)),
+        CHRF_ORDER,
+        _encode_chars,
+    )
     hyp_totals = np.asarray(hyp_totals, dtype=np.int64)
     ref_totals = np.asarray(ref_totals, dtype=np.int64)
     matches = np.asarray(matches, dtype=np.int64)

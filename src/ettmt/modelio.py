@@ -46,13 +46,20 @@ def load_model(path):
     if str(path).endswith(".tsv"):
         return "dict", load_dict_tsv(path)
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # invalid JSON or invalid UTF-8
+            raise DataError(f"{path}: not a model file ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: not a model file (top level is {type(doc).__name__}, not an object)")
     if doc.get("format") != FORMAT:
         raise DataError(f"{path}: not a model file (format {doc.get('format')!r})")
     if doc.get("version") != VERSION:
         raise DataError(f"{path}: unsupported model version {doc.get('version')!r}")
     family = doc.get("family")
-    payload = doc["payload"]
+    payload = doc.get("payload")
+    if not isinstance(payload, dict):
+        raise DataError(f"{path}: model payload is missing or not an object")
     if family == "random":
         return family, RandomModel.from_dict(payload)
     if family == "dict":

@@ -176,6 +176,28 @@ class TestRunBenchmark:
             BenchmarkConfig.from_json(cfg_path)
 
 
+class TestConfigChecks:
+    @pytest.mark.parametrize(
+        "models, message",
+        [
+            ({"family": "dict"}, "non-empty list"),
+            ([], "non-empty list"),
+            ([{"family": "dict"}, "ibm1"], "model 1: a model config must be an object"),
+            ([{"iterations": 3}], "model 0: no 'family'"),
+            ([{"family": "Dict"}], "unknown family 'Dict'"),
+        ],
+    )
+    def test_bad_models_rejected(self, corpus_file, models, message):
+        with pytest.raises(DataError, match=message):
+            BenchmarkConfig(corpus=str(corpus_file), models=models)
+
+    def test_every_family_accepted(self, corpus_file):
+        from ettmt.modelio import FAMILIES
+
+        cfg = BenchmarkConfig(corpus=str(corpus_file), models=[{"family": f} for f in FAMILIES])
+        assert [m["family"] for m in cfg.models] == list(FAMILIES)
+
+
 class TestCli:
     def test_help_exits_zero(self, capsys):
         assert cli_dispatch(["--help"]) == 0
@@ -357,6 +379,74 @@ class TestCli:
         ttable, align = loaded
         assert ttable.prob("mi", "i") >= 0.0
         assert align.blocks
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"format": "ettmt-model", "version": 1, "family": "dict", "payload": {', "not a model file"),
+            ('["ettmt-model", 1]', "top level is list"),
+            ('{"format": "ettmt-model", "version": 1, "family": "dict"}', "payload is missing"),
+            ('{"format": "ettmt-model", "version": 1, "family": "dict", "payload": [1]}', "payload is missing or not an object"),
+        ],
+        ids=["invalid-json", "top-level-list", "no-payload", "payload-list"],
+    )
+    def test_malformed_model_file_exits_2(self, tmp_path, capsys, text, message):
+        model = tmp_path / "bad.json"
+        model.write_text(text, encoding="utf-8")
+        src = tmp_path / "src.txt"
+        src.write_text("mi aveles\n", encoding="utf-8")
+        assert cli_dispatch(["translate", "--model", str(model), "--in", str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert str(model) in captured.err and message in captured.err
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda cfg: "{" + json.dumps(cfg), "not a benchmark config"),
+            (lambda cfg: json.dumps([cfg]), "top level is list"),
+            (lambda cfg: json.dumps({**cfg, "models": {"family": "dict"}}), "non-empty list"),
+            (lambda cfg: json.dumps({**cfg, "models": []}), "non-empty list"),
+            (lambda cfg: json.dumps({**cfg, "models": ["dict"]}), "must be an object"),
+            (lambda cfg: json.dumps({**cfg, "models": [{"family": "dict"}, {"n": 2}]}), "model 1: no 'family'"),
+            (lambda cfg: json.dumps({**cfg, "models": [{"family": "ibm3"}]}), "unknown family 'ibm3'"),
+            (lambda cfg: json.dumps({k: v for k, v in cfg.items() if k != "corpus"}), "no 'corpus'"),
+            (lambda cfg: json.dumps({**cfg, "repeats": 0}), "repeats must be >= 1"),
+        ],
+        ids=["invalid-json", "top-level-list", "models-object", "models-empty", "model-string",
+             "no-family", "unknown-family", "no-corpus", "repeats-0"],
+    )
+    def test_malformed_benchmark_config_exits_2(self, tmp_path, corpus_file, lexicon_file, capsys, edit, message):
+        cfg = {"corpus": str(corpus_file), "lexicon": str(lexicon_file), "repeats": 1, "full_eval": True}
+        cfg_path = tmp_path / "bench.json"
+        cfg_path.write_text(edit(cfg), encoding="utf-8")
+        out_dir = tmp_path / "results"
+        assert cli_dispatch(["benchmark", "--config", str(cfg_path), "--out-dir", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert str(cfg_path) in captured.err and message in captured.err
+        assert not out_dir.exists()  # rejected before any run
+
+    @pytest.mark.parametrize("command", ["evaluate", "translate", "tokenize"])
+    def test_non_utf8_input_exits_2(self, tmp_path, corpus_file, capsys, command):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"mi aveles\nmi \xff larthes\n")
+        good = tmp_path / "good.txt"
+        good.write_text("i am of avele\ni am the son of larth\n", encoding="utf-8")
+        model = tmp_path / "model.json"
+        assert cli_dispatch(["train", "--family", "random", "--in", str(corpus_file), "--out", str(model)]) == 0
+        argv = {
+            "evaluate": ["evaluate", "--hyp", str(bad), "--ref", str(good)],
+            "translate": ["translate", "--model", str(model), "--in", str(bad)],
+            "tokenize": ["tokenize", "--in", str(bad)],
+        }[command]
+        capsys.readouterr()
+        assert cli_dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}, line 2: not valid UTF-8 (invalid start byte)\n"
 
     def test_evaluate_mismatched_files(self, tmp_path):
         a = tmp_path / "a.txt"

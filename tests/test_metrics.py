@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ettmt import _kernels
+from ettmt import _kernels, metrics
 from ettmt.metrics import (
     MAX_SHIFT_CANDIDATES,
     MetricReport,
@@ -262,6 +262,73 @@ class TestMatchesFormerImplementation:
             assert ter(hyps, refs) == oracles.former_ter(hyps, refs)
             for h, r in pairs:
                 assert _pair_edits(h.split(), r.split()) == oracles.former_pair_edits(h.split(), r.split())
+
+    @staticmethod
+    def _assert_ngram_scores_equal(hyps, refs):
+        assert bleu(hyps, refs) == oracles.former_bleu(hyps, refs)
+        assert chrf(hyps, refs) == oracles.former_chrf(hyps, refs)
+
+    def test_unicode_items_and_separators(self):
+        # astral code points, a lone surrogate, combining marks and
+        # whitespace other than the space: tab, newline, ideographic space
+        items = ["a", "ab", "\U0001F600", "\U00010900x", "\ud800", "e\u0301", "θ", "\u3000", "\t", "\n", " "]
+        rnd = random.Random(21)
+        for _ in range(300):
+            segs = ["".join(rnd.choices(items, k=rnd.randint(0, 12))) for _ in range(2 * rnd.randint(1, 6))]
+            self._assert_ngram_scores_equal(segs[::2], segs[1::2])
+
+    def test_empty_and_whitespace_only_segments(self):
+        cases = [
+            ([""], ["a b"]),
+            (["a b"], [""]),
+            ([""], [""]),
+            (["  \t"], ["\u3000"]),
+            (["", "", ""], ["a", "b c", "d e f g h"]),
+            (["\t \u3000", "", " "], ["a b c d e", "", "x"]),
+            (["a b c d e", "", "a a"], ["", " ", "a a"]),
+            (["", "a b c d"], ["", "a b c d"]),
+        ]
+        for hyps, refs in cases:
+            self._assert_ngram_scores_equal(hyps, refs)
+        rnd = random.Random(22)
+        for _ in range(100):
+            refs = [rnd.choice(["", " ", "\t", "a", "a b", "b a b c d e"]) for _ in range(rnd.randint(1, 6))]
+            hyps = [rnd.choice(["", " ", "\u3000", "a", "b a"]) for _ in refs]
+            self._assert_ngram_scores_equal(hyps, refs)
+            self._assert_ngram_scores_equal([""] * len(refs), refs)
+
+    def test_long_single_item_runs(self):
+        # every n-gram of a run repeats, so only clipping separates the counts
+        rnd = random.Random(23)
+        for _ in range(60):
+            hyps, refs = [], []
+            for _ in range(rnd.randint(1, 4)):
+                c = rnd.choice("ab")
+                hyps.append(rnd.choice([c * rnd.randint(0, 40), " ".join(c * rnd.randint(0, 40))]))
+                refs.append(rnd.choice([c * rnd.randint(0, 40), " ".join(c * rnd.randint(0, 40)), "ab" * 10]))
+            self._assert_ngram_scores_equal(hyps, refs)
+
+    @pytest.mark.parametrize("chunk_items", [1, 3, 17, 200, None])
+    def test_corpora_spanning_several_chunks(self, monkeypatch, chunk_items):
+        if chunk_items is not None:
+            monkeypatch.setattr(metrics, "CHUNK_ITEMS", chunk_items)
+        size = metrics.CHUNK_ITEMS
+        rnd = random.Random(24 + size)
+        pairs = [_random_pair(rnd) for _ in range(max(25, size // 4))]
+        hyps = [h for h, _ in pairs]
+        refs = [r for _, r in pairs]
+        assert sum(len((h + r).split()) for h, r in pairs) > 2 * size  # three chunks or more
+        self._assert_ngram_scores_equal(hyps, refs)
+        # one segment longer than a whole chunk, between shorter ones
+        long_hyp = " ".join(rnd.choices(WORDS, k=size))
+        long_ref = " ".join(rnd.choices(WORDS, k=size))
+        self._assert_ngram_scores_equal(hyps[:5] + [long_hyp] + hyps[5:8], refs[:5] + [long_ref] + refs[5:8])
+        self._assert_ngram_scores_equal([long_hyp], [long_hyp + " " + long_ref])
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.lists(st.tuples(st.text(max_size=20), st.text(max_size=20)), min_size=1, max_size=6))
+    def test_arbitrary_text_equal(self, pairs):
+        self._assert_ngram_scores_equal([h for h, _ in pairs], [r for _, r in pairs])
 
     def test_edit_ops_equal(self):
         rnd = random.Random(12)
