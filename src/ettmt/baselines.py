@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Lexicon
+from .corpus import Lexicon, read_lines
 from .errors import DataError
 
 log = logging.getLogger(__name__)
@@ -120,16 +120,16 @@ def save_dict_tsv(model: DictModel, path):
 
 def load_dict_tsv(path) -> DictModel:
     table: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n").split("\t")
-        if header[:2] != ["etruscan", "english"]:
-            raise DataError(f"{path}: expected header etruscan<TAB>english, got {header}")
-        for line_no, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) < 2:
-                raise DataError(f"{path} line {line_no}: expected two tab-separated columns")
-            if parts[0] not in table:
-                table[parts[0]] = parts[1]
+    header, *rows = read_lines(path) or [""]
+    header = header.rstrip("\n").split("\t")
+    if header[:2] != ["etruscan", "english"]:
+        raise DataError(f"{path}: expected header etruscan<TAB>english, got {header}")
+    for line_no, line in enumerate(rows, start=2):
+        if not line.strip():
+            continue
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) < 2:
+            raise DataError(f"{path} line {line_no}: expected two tab-separated columns")
+        if parts[0] not in table:
+            table[parts[0]] = parts[1]
     return DictModel(table=table)

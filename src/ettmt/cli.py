@@ -13,15 +13,12 @@ import sys
 import numpy as np
 
 from .augment import AugmentConfig, augment_pairs
-from .baselines import build_dict_model, train_random
-from .corpus import load_corpus, load_lexicon, load_suffixes, normalize, save_corpus
+from .corpus import load_corpus, load_lexicon, load_suffixes, normalize, read_lines, save_corpus
 from .errors import BenchmarkError, DataError
 from .fetch import fetch_dataset
 from .harness import BenchmarkConfig, format_table, run_benchmark
-from .ibm import train_ibm1, train_ibm2
 from .metrics import score_corpus
-from .modelio import FAMILIES, load_model, save_model, translate
-from .ngram import train_naive_bayes, train_ngram
+from .modelio import FAMILIES, load_model, save_model, train_model, training_pairs, translate
 from .tokenize import tokenize_suffix, tokenize_whitespace
 
 
@@ -29,22 +26,6 @@ def _corpus_format(path: str, explicit: str | None) -> str:
     if explicit:
         return explicit
     return "json" if str(path).endswith(".json") else "tsv"
-
-
-def _read_lines(path: str) -> list[str]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return [line.rstrip("\n") for line in fh]
-    except UnicodeDecodeError:
-        # the text reader decodes in blocks, so find the line again byte-wise;
-        # a newline byte never occurs inside a multi-byte UTF-8 character
-        with open(path, "rb") as fh:
-            for number, line in enumerate(fh, start=1):
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise DataError(f"{path}, line {number}: not valid UTF-8 ({exc.reason})") from exc
-        raise
 
 
 def _tokenizer(args):
@@ -67,7 +48,7 @@ def cmd_tokenize(args) -> int:
     tok = _tokenizer(args)
     out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
     try:
-        for line in _read_lines(args.infile):
+        for line in read_lines(args.infile):
             print(" ".join(tok(normalize(line))), file=out)
     finally:
         if out is not sys.stdout:
@@ -102,31 +83,14 @@ def cmd_train(args) -> int:
     pairs = [(tok(i.etruscan_norm), i.english.split()) for i in corpus.translated()]
     lexicon = load_lexicon(args.lexicon, args.suffixes) if args.lexicon else None
 
+    flags = {"n": args.n, "context_mode": args.context, "ordered": not args.unordered, "alpha": args.alpha,
+             "iterations": args.iterations, "use_lexicon": args.with_lexicon_pairs}
     family = args.family
-    if family == "random":
-        model = train_random([eng for _, eng in pairs])
-    elif family == "dict":
-        if lexicon is None:
-            raise DataError("training a dict model needs --lexicon")
-        model = build_dict_model(lexicon)
-    elif family == "ngram":
-        model = train_ngram(pairs, n=args.n, context_mode=args.context,
-                            ordered=not args.unordered, alpha=args.alpha)
-    elif family == "naive-bayes":
-        model = train_naive_bayes(pairs, n=args.n, context_mode=args.context, alpha=args.alpha)
-    else:
-        if args.with_lexicon_pairs:
-            if lexicon is None:
-                raise DataError("--with-lexicon-pairs needs --lexicon")
-            pairs += [
-                (tok(e.etruscan), e.english.split()) for e in lexicon.entries if e.translatable
-            ]
-        if family == "ibm1":
-            model = train_ibm1(pairs, iterations=args.iterations)
-        else:
-            model = train_ibm2(pairs, iterations=args.iterations)
+    model_cfg = {"family": family, **{k: v for k, v in flags.items() if k in FAMILIES[family]}}
+    model = train_model(model_cfg, pairs, lexicon, tok)
     save_model(family, model, args.out)
-    print(f"trained {family} model on {len(pairs)} pairs -> {args.out}", file=sys.stderr)
+    n_pairs = len(training_pairs(model_cfg, pairs, lexicon, tok))
+    print(f"trained {family} model on {n_pairs} pairs -> {args.out}", file=sys.stderr)
     return 0
 
 
@@ -136,7 +100,7 @@ def cmd_translate(args) -> int:
     rng = np.random.default_rng(args.seed)
     out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
     try:
-        for line in _read_lines(args.infile):
+        for line in read_lines(args.infile):
             tokens = tok(normalize(line))
             print(" ".join(translate(family, model, tokens, rng=rng, beams=args.beams)), file=out)
     finally:
@@ -146,8 +110,8 @@ def cmd_translate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    hyps = _read_lines(args.hyp)
-    refs = _read_lines(args.ref)
+    hyps = [line.rstrip("\n") for line in read_lines(args.hyp)]
+    refs = [line.rstrip("\n") for line in read_lines(args.ref)]
     try:
         report = score_corpus(hyps, refs)
     except ValueError as exc:

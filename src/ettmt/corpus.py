@@ -314,6 +314,23 @@ def _row_to_inscription(row: dict, line_no: int, report: LoadReport) -> Inscript
     )
 
 
+def read_lines(path, newline: str | None = None) -> list[str]:
+    """Every line of a UTF-8 text file, line ends kept, as the text reader splits them."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.readlines()
+    except UnicodeDecodeError:
+        # the text reader decodes in blocks, so find the line again byte-wise;
+        # a newline byte never occurs inside a multi-byte UTF-8 character
+        with open(path, "rb") as fh:
+            for number, line in enumerate(fh, start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise DataError(f"{path}, line {number}: not valid UTF-8 ({exc.reason})") from exc
+        raise
+
+
 def load_corpus(path, fmt: str = "tsv", name: str = "") -> tuple[ParallelCorpus, LoadReport]:
     """Load a corpus file (TSV or JSON) and normalize every row.
 
@@ -324,22 +341,20 @@ def load_corpus(path, fmt: str = "tsv", name: str = "") -> tuple[ParallelCorpus,
     report = LoadReport(path=str(path))
     items: list[Inscription] = []
     if fmt == "tsv":
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
-            if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != list(_CORPUS_COLUMNS):
-                raise DataError(
-                    f"{path}: expected header {' '.join(_CORPUS_COLUMNS)}, got {reader.fieldnames}"
-                )
-            for line_no, row in enumerate(reader, start=2):
-                if None in row or None in row.values():
-                    raise DataError(f"line {line_no}: wrong column count")
-                report.rows_read += 1
-                item = _row_to_inscription(row, line_no, report)
-                if item is not None:
-                    items.append(item)
+        reader = csv.DictReader(read_lines(path, newline=""), delimiter="\t", quoting=csv.QUOTE_NONE)
+        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != list(_CORPUS_COLUMNS):
+            raise DataError(
+                f"{path}: expected header {' '.join(_CORPUS_COLUMNS)}, got {reader.fieldnames}"
+            )
+        for line_no, row in enumerate(reader, start=2):
+            if None in row or None in row.values():
+                raise DataError(f"line {line_no}: wrong column count")
+            report.rows_read += 1
+            item = _row_to_inscription(row, line_no, report)
+            if item is not None:
+                items.append(item)
     elif fmt == "json":
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = json.loads("".join(read_lines(path)))
         if not isinstance(data, list):
             raise DataError(f"{path}: JSON corpus must be an array of objects")
         for line_no, row in enumerate(data, start=1):
@@ -389,34 +404,33 @@ def load_lexicon(path, suffix_path=None) -> Lexicon:
     they still serve feature lookups.
     """
     entries: list[LexiconEntry] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh, delimiter="\t", quoting=csv.QUOTE_NONE)
-        header = next(reader, None)
-        if header is None or len(header) != 2 + N_FEATURES:
-            got = 0 if header is None else len(header)
+    reader = csv.reader(read_lines(path, newline=""), delimiter="\t", quoting=csv.QUOTE_NONE)
+    header = next(reader, None)
+    if header is None or len(header) != 2 + N_FEATURES:
+        got = 0 if header is None else len(header)
+        raise DataError(
+            f"{path}: lexicon header must have {2 + N_FEATURES} columns, got {got}"
+        )
+    for line_no, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 2 + N_FEATURES:
             raise DataError(
-                f"{path}: lexicon header must have {2 + N_FEATURES} columns, got {got}"
+                f"{path} line {line_no}: expected {2 + N_FEATURES} columns, got {len(row)}"
             )
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 2 + N_FEATURES:
-                raise DataError(
-                    f"{path} line {line_no}: expected {2 + N_FEATURES} columns, got {len(row)}"
-                )
-            feats = []
-            for k, cell in enumerate(row[2:], start=1):
-                cell = cell.strip()
-                if cell not in ("0", "1"):
-                    raise DataError(f"{path} line {line_no}: feature f{k} must be 0/1, got {cell!r}")
-                feats.append(int(cell))
-            entries.append(
-                LexiconEntry(
-                    etruscan=normalize(row[0]),
-                    english=normalize_english(row[1]),
-                    features=tuple(feats),
-                )
+        feats = []
+        for k, cell in enumerate(row[2:], start=1):
+            cell = cell.strip()
+            if cell not in ("0", "1"):
+                raise DataError(f"{path} line {line_no}: feature f{k} must be 0/1, got {cell!r}")
+            feats.append(int(cell))
+        entries.append(
+            LexiconEntry(
+                etruscan=normalize(row[0]),
+                english=normalize_english(row[1]),
+                features=tuple(feats),
             )
+        )
     suffixes: tuple[str, ...] = ()
     if suffix_path is not None:
         suffixes = load_suffixes(suffix_path)
@@ -427,12 +441,11 @@ def load_suffixes(path) -> tuple[str, ...]:
     """Read one normalized suffix per line, ignoring blanks; order preserved."""
     out: list[str] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            suffix = normalize(line.strip())
-            if suffix and suffix not in seen:
-                out.append(suffix)
-                seen.add(suffix)
+    for line in read_lines(path):
+        suffix = normalize(line.strip())
+        if suffix and suffix not in seen:
+            out.append(suffix)
+            seen.add(suffix)
     return tuple(out)
 
 

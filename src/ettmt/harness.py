@@ -11,19 +11,16 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from .augment import AugmentConfig, augment_pairs
-from .baselines import build_dict_model, train_random
-from .corpus import Lexicon, load_corpus, load_lexicon, split_corpus
+from .corpus import load_corpus, load_lexicon, split_corpus
 from .errors import BenchmarkError, DataError
-from .ibm import train_ibm1, train_ibm2
 from .metrics import score_corpus
-from .modelio import FAMILIES, translate
-from .ngram import train_naive_bayes, train_ngram
+from .modelio import check_type, model_label, needs_lexicon, settings, train_model, translate
 from .tokenize import tokenize_suffix, tokenize_whitespace
 
 METRICS = ("bleu", "chrf", "ter")
@@ -45,17 +42,18 @@ class BenchmarkConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.default not in (MISSING, None):
+                check_type(f.name, getattr(self, f.name), f.default)
         if not isinstance(self.models, list) or not self.models:
             raise DataError("models must be a non-empty list of model configs")
         for k, model_cfg in enumerate(self.models):
             if not isinstance(model_cfg, dict):
                 raise DataError(f"model {k}: a model config must be an object, not {type(model_cfg).__name__}")
-            if "family" not in model_cfg:
-                raise DataError(f"model {k}: no 'family' (one of {', '.join(FAMILIES)})")
-            if model_cfg["family"] not in FAMILIES:
-                raise DataError(
-                    f"model {k}: unknown family {model_cfg['family']!r} (one of {', '.join(FAMILIES)})"
-                )
+            try:
+                settings(model_cfg)
+            except DataError as exc:
+                raise DataError(f"model {k}: {exc}") from exc
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         if not 0.0 < self.train_size < 1.0:
@@ -117,59 +115,6 @@ class BenchmarkResult:
         return json.dumps(doc, sort_keys=True, indent=1)
 
 
-def _model_label(model_cfg: dict) -> str:
-    family = model_cfg["family"]
-    parts = [family]
-    if family in ("ngram", "naive-bayes"):
-        parts.append(f"n={model_cfg.get('n', 1)}")
-        parts.append(model_cfg.get("context_mode", "ett"))
-        if family == "ngram" and not model_cfg.get("ordered", True):
-            parts.append("unordered")
-    if family in ("ibm1", "ibm2") and model_cfg.get("use_lexicon"):
-        parts.append("with-lexicon")
-    return ":".join(parts)
-
-
-def _train_model(model_cfg: dict, pairs, lexicon: Lexicon | None, tok):
-    family = model_cfg.get("family")
-    if family == "random":
-        return train_random([eng for _, eng in pairs])
-    if family == "dict":
-        if lexicon is None:
-            raise DataError("the dict family needs a lexicon")
-        return build_dict_model(lexicon)
-    if family == "ngram":
-        return train_ngram(
-            pairs,
-            n=model_cfg.get("n", 1),
-            context_mode=model_cfg.get("context_mode", "ett"),
-            ordered=model_cfg.get("ordered", True),
-            alpha=model_cfg.get("alpha", 1.0),
-        )
-    if family == "naive-bayes":
-        return train_naive_bayes(
-            pairs,
-            n=model_cfg.get("n", 2),
-            context_mode=model_cfg.get("context_mode", "ett"),
-            alpha=model_cfg.get("alpha", 1.0),
-        )
-    if family in ("ibm1", "ibm2"):
-        train_pairs = list(pairs)
-        if model_cfg.get("use_lexicon"):
-            if lexicon is None:
-                raise DataError("use_lexicon requires a lexicon")
-            train_pairs += [
-                (tok(entry.etruscan), entry.english.split())
-                for entry in lexicon.entries
-                if entry.translatable
-            ]
-        iterations = model_cfg.get("iterations", 10)
-        if family == "ibm1":
-            return train_ibm1(train_pairs, iterations=iterations)
-        return train_ibm2(train_pairs, iterations=iterations)
-    raise DataError(f"unknown model family {family!r}")
-
-
 def _aggregate(values: list[float]) -> tuple[float, float]:
     arr = np.asarray(values)
     if len(arr) == 1:
@@ -188,7 +133,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
 
     corpus, _report = stage("setup", "load-corpus", load_corpus, cfg.corpus, cfg.corpus_format)
     lexicon = None
-    if cfg.lexicon:
+    if cfg.lexicon and (cfg.augment or cfg.tokenizer == "suffix" or any(map(needs_lexicon, cfg.models))):
         lexicon = stage("setup", "load-lexicon", load_lexicon, cfg.lexicon, cfg.suffix_file)
     translated = corpus.translated()
     if cfg.tokenizer == "suffix":
@@ -201,7 +146,8 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
 
     per_model: list[ModelResult] = []
     for model_cfg in cfg.models:
-        label = _model_label(model_cfg)
+        label = model_label(model_cfg)
+        beams = settings(model_cfg).get("beams", 8)
         runs = []
         for r in range(cfg.repeats):
             seed_r = cfg.seed + r
@@ -214,9 +160,8 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
             if cfg.augment:
                 aug_cfg = stage(r, "augment-config", AugmentConfig, seed=seed_r, **cfg.augment)
                 pairs = stage(r, "augment", augment_pairs, pairs, lexicon, aug_cfg)
-            model = stage(r, "train", _train_model, model_cfg, pairs, lexicon, tok)
+            model = stage(r, "train", train_model, model_cfg, pairs, lexicon, tok)
             rng = np.random.default_rng(seed_r)
-            beams = model_cfg.get("beams", 8)
             hyps = [
                 " ".join(translate(model_cfg["family"], model, tok(i.etruscan_norm), rng=rng, beams=beams))
                 for i in test_c

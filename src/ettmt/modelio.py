@@ -1,5 +1,6 @@
-"""Versioned JSON persistence for every model family, plus a uniform
-translate dispatch used by the CLI and the benchmark runner."""
+"""Every per-family decision: config defaults, labels, training, versioned JSON
+persistence and a uniform translate dispatch used by the CLI and the
+benchmark runner."""
 
 from __future__ import annotations
 
@@ -10,30 +11,115 @@ import numpy as np
 from .baselines import (
     DictModel,
     RandomModel,
+    build_dict_model,
     load_dict_tsv,
     save_dict_tsv,
+    train_random,
     translate_dict,
     translate_random,
 )
+from .corpus import Lexicon
 from .errors import DataError
-from .ibm import AlignTable, TTable, translate_ibm
-from .ngram import NaiveBayesModel, NgramModel, beam_translate
+from .ibm import AlignTable, TTable, train_ibm1, train_ibm2, translate_ibm
+from .ngram import NaiveBayesModel, NgramModel, beam_translate, train_naive_bayes, train_ngram
 
 FORMAT = "ettmt-model"
 VERSION = 1
+PRUNE = 1e-6  # t-table and alignment probabilities below this are not saved
 
-FAMILIES = ("random", "dict", "ngram", "naive-bayes", "ibm1", "ibm2")
+# family -> {model config key: default}; a key's type is its default's type, and
+# every key but beams (a decoding setting) is a keyword of the family's trainer
+FAMILIES = {
+    "random": {},
+    "dict": {},
+    "ngram": {"n": 1, "context_mode": "ett", "alpha": 1.0, "beams": 8, "ordered": True},
+    "naive-bayes": {"n": 2, "context_mode": "ett", "alpha": 1.0, "beams": 8},
+    "ibm1": {"iterations": 10, "use_lexicon": False},
+    "ibm2": {"iterations": 10, "use_lexicon": False},
+}
 
 
-def save_model(family: str, model, path, prune: float = 1e-6):
+def check_type(key: str, value, default) -> None:
+    """DataError unless value has default's type; an int also passes for a float, a bool never for an int."""
+    want = type(default)
+    if type(value) is not want and not (want is float and type(value) is int):
+        raise DataError(f"{key} must be {want.__name__}, not {type(value).__name__} {value!r}")
+
+
+def settings(model_cfg: dict) -> dict:
+    """The family's defaults with the model config's values laid over them."""
+    if "family" not in model_cfg:
+        raise DataError(f"no 'family' (one of {', '.join(FAMILIES)})")
+    family = model_cfg["family"]
+    if not isinstance(family, str) or family not in FAMILIES:
+        raise DataError(f"unknown family {family!r} (one of {', '.join(FAMILIES)})")
+    defaults = FAMILIES[family]
+    out = dict(defaults)
+    for key, value in model_cfg.items():
+        if key == "family":
+            continue
+        if key not in defaults:
+            raise DataError(f"{family} has no key {key!r} (keys: {', '.join(defaults) or 'none'})")
+        check_type(key, value, defaults[key])
+        out[key] = value
+    return out
+
+
+def needs_lexicon(model_cfg: dict) -> bool:
+    """Whether training the model config reads the lexicon."""
+    return model_cfg["family"] == "dict" or settings(model_cfg).get("use_lexicon", False)
+
+
+def model_label(model_cfg: dict) -> str:
+    """Result label: the family, then the settings that tell its configs apart."""
+    opts = settings(model_cfg)
+    parts = [model_cfg["family"]]
+    if "context_mode" in opts:
+        parts += [f"n={opts['n']}", opts["context_mode"]]
+    if not opts.get("ordered", True):
+        parts.append("unordered")
+    if opts.get("use_lexicon"):
+        parts.append("with-lexicon")
+    return ":".join(parts)
+
+
+def training_pairs(model_cfg: dict, pairs, lexicon: Lexicon | None, tok) -> list:
+    """pairs, plus the lexicon's translatable entries (Etruscan side split by tok) when use_lexicon is set."""
+    if not settings(model_cfg).get("use_lexicon"):
+        return pairs
+    if lexicon is None:
+        raise DataError("use_lexicon requires a lexicon")
+    return list(pairs) + [(tok(e.etruscan), e.english.split()) for e in lexicon.entries if e.translatable]
+
+
+def train_model(model_cfg: dict, pairs, lexicon: Lexicon | None, tok):
+    """Train one model config on training_pairs(model_cfg, pairs, lexicon, tok)."""
+    family = model_cfg["family"]
+    opts = settings(model_cfg)
+    if family == "random":
+        return train_random([eng for _, eng in pairs])
+    if family == "dict":
+        if lexicon is None:
+            raise DataError("the dict family needs a lexicon")
+        return build_dict_model(lexicon)
+    opts.pop("beams", None)
+    if family == "ngram":
+        return train_ngram(pairs, **opts)
+    if family == "naive-bayes":
+        return train_naive_bayes(pairs, **opts)
+    train = train_ibm1 if family == "ibm1" else train_ibm2
+    return train(training_pairs(model_cfg, pairs, lexicon, tok), iterations=opts["iterations"])
+
+
+def save_model(family: str, model, path):
     if family == "dict" and str(path).endswith(".tsv"):
         save_dict_tsv(model, path)
         return
     if family == "ibm1":
-        payload = {"ttable": model.to_dict(prune=prune)}
+        payload = {"ttable": model.to_dict(prune=PRUNE)}
     elif family == "ibm2":
         ttable, align = model
-        payload = {"ttable": ttable.to_dict(prune=prune), "aligntable": align.to_dict(prune=prune)}
+        payload = {"ttable": ttable.to_dict(prune=PRUNE), "aligntable": align.to_dict(prune=PRUNE)}
     else:
         payload = model.to_dict()
     doc = {"format": FORMAT, "version": VERSION, "family": family, "payload": payload}
@@ -60,18 +146,21 @@ def load_model(path):
     payload = doc.get("payload")
     if not isinstance(payload, dict):
         raise DataError(f"{path}: model payload is missing or not an object")
-    if family == "random":
-        return family, RandomModel.from_dict(payload)
-    if family == "dict":
-        return family, DictModel.from_dict(payload)
-    if family == "ngram":
-        return family, NgramModel.from_dict(payload)
-    if family == "naive-bayes":
-        return family, NaiveBayesModel.from_dict(payload)
-    if family == "ibm1":
-        return family, TTable.from_dict(payload["ttable"])
-    if family == "ibm2":
-        return family, (TTable.from_dict(payload["ttable"]), AlignTable.from_dict(payload["aligntable"]))
+    try:
+        if family == "random":
+            return family, RandomModel.from_dict(payload)
+        if family == "dict":
+            return family, DictModel.from_dict(payload)
+        if family == "ngram":
+            return family, NgramModel.from_dict(payload)
+        if family == "naive-bayes":
+            return family, NaiveBayesModel.from_dict(payload)
+        if family == "ibm1":
+            return family, TTable.from_dict(payload["ttable"])
+        if family == "ibm2":
+            return family, (TTable.from_dict(payload["ttable"]), AlignTable.from_dict(payload["aligntable"]))
+    except KeyError as exc:
+        raise DataError(f"{path}: {family} model payload lacks key {exc}") from exc
     raise DataError(f"{path}: unknown model family {family!r}")
 
 

@@ -152,12 +152,43 @@ class TestRunBenchmark:
     @pytest.mark.parametrize("family", ["ibm1", "ibm2"])
     def test_null_lexicon_entry_rejected(self, family):
         from ettmt.corpus import N_FEATURES, Lexicon, LexiconEntry
-        from ettmt.harness import _train_model
+        from ettmt.modelio import train_model
 
         lexicon = Lexicon((LexiconEntry("<null>", "nothing", (0,) * N_FEATURES),))
         pairs = [(["mi"], ["i", "am"])]
         with pytest.raises(DataError, match="reserved"):
-            _train_model({"family": family, "use_lexicon": True}, pairs, lexicon, str.split)
+            train_model({"family": family, "use_lexicon": True}, pairs, lexicon, str.split)
+
+    def test_default_naive_bayes_label_and_training(self, corpus_file):
+        from ettmt.modelio import model_label, train_model
+
+        cfg = BenchmarkConfig(corpus=str(corpus_file), models=[{"family": "naive-bayes"}], repeats=1)
+        assert run_benchmark(cfg).results[0].label == "naive-bayes:n=2:ett"
+        model = train_model({"family": "naive-bayes"}, [(["mi"], ["i", "am"])], None, str.split)
+        assert model.n == 2
+        assert model_label({"family": "ngram", "ordered": False}) == "ngram:n=1:ett:unordered"
+        assert model_label({"family": "ibm2", "use_lexicon": True}) == "ibm2:with-lexicon"
+
+    @pytest.mark.parametrize(
+        "extra, loads",
+        [
+            ({"models": [{"family": "ngram", "n": 2}, {"family": "naive-bayes"}]}, False),
+            ({"models": [{"family": "ibm1"}]}, False),
+            ({"models": [{"family": "ibm1", "use_lexicon": True}]}, True),
+            ({"models": [{"family": "random"}, {"family": "dict"}]}, True),
+            ({"models": [{"family": "ngram"}], "augment": {"damage_prob": 0.1}}, True),
+        ],
+        ids=["ngram-only", "ibm-without-lexicon", "ibm-with-lexicon", "dict", "augment"],
+    )
+    def test_lexicon_loaded_only_when_used(self, monkeypatch, corpus_file, lexicon_file, extra, loads):
+        from ettmt import harness
+
+        calls = []
+        load = harness.load_lexicon
+        monkeypatch.setattr(harness, "load_lexicon", lambda *args: calls.append(args) or load(*args))
+        cfg = BenchmarkConfig(corpus=str(corpus_file), lexicon=str(lexicon_file), repeats=1, **extra)
+        run_benchmark(cfg)
+        assert len(calls) == int(loads)
 
     def test_config_file_roundtrip(self, tmp_path, corpus_file):
         doc = {"corpus": str(corpus_file), "model": {"family": "random"}, "repeats": 2, "seed": 3}
@@ -190,6 +221,27 @@ class TestConfigChecks:
     def test_bad_models_rejected(self, corpus_file, models, message):
         with pytest.raises(DataError, match=message):
             BenchmarkConfig(corpus=str(corpus_file), models=models)
+
+    @pytest.mark.parametrize(
+        "value, default, ok",
+        [(2, 1, True), (True, 1, False), (2, 1.0, True), (2.0, 1, False), (1, False, False), ("2", 1, False)],
+    )
+    def test_type_rule(self, value, default, ok):
+        from ettmt.modelio import check_type
+
+        if ok:
+            check_type("key", value, default)
+        else:
+            with pytest.raises(DataError, match="key must be"):
+                check_type("key", value, default)
+
+    def test_settings_lay_config_over_defaults(self):
+        from ettmt.modelio import FAMILIES, settings
+
+        assert settings({"family": "ngram", "n": 3}) == {**FAMILIES["ngram"], "n": 3}
+        assert settings({"family": "dict"}) == {}
+        with pytest.raises(DataError, match="ibm1 has no key 'iteration'"):
+            settings({"family": "ibm1", "iteration": 1})
 
     def test_every_family_accepted(self, corpus_file):
         from ettmt.modelio import FAMILIES
@@ -387,8 +439,11 @@ class TestCli:
             ('["ettmt-model", 1]', "top level is list"),
             ('{"format": "ettmt-model", "version": 1, "family": "dict"}', "payload is missing"),
             ('{"format": "ettmt-model", "version": 1, "family": "dict", "payload": [1]}', "payload is missing or not an object"),
+            ('{"format": "ettmt-model", "version": 1, "family": "ibm1", "payload": {}}', "ibm1 model payload lacks key 'ttable'"),
+            ('{"format": "ettmt-model", "version": 1, "family": "ibm2", "payload": {"ttable": {"entries": []}}}',
+             "ibm2 model payload lacks key 'aligntable'"),
         ],
-        ids=["invalid-json", "top-level-list", "no-payload", "payload-list"],
+        ids=["invalid-json", "top-level-list", "no-payload", "payload-list", "ibm1-no-ttable", "ibm2-no-aligntable"],
     )
     def test_malformed_model_file_exits_2(self, tmp_path, capsys, text, message):
         model = tmp_path / "bad.json"
@@ -413,9 +468,21 @@ class TestCli:
             (lambda cfg: json.dumps({**cfg, "models": [{"family": "ibm3"}]}), "unknown family 'ibm3'"),
             (lambda cfg: json.dumps({k: v for k, v in cfg.items() if k != "corpus"}), "no 'corpus'"),
             (lambda cfg: json.dumps({**cfg, "repeats": 0}), "repeats must be >= 1"),
+            (lambda cfg: json.dumps({**cfg, "models": [{"family": "ibm1", "iteration": 1}]}),
+             "model 0: ibm1 has no key 'iteration'"),
+            (lambda cfg: json.dumps({**cfg, "models": [{"family": "ngram", "n": "2"}]}), "model 0: n must be int"),
+            (lambda cfg: json.dumps({**cfg, "models": [{"family": "ibm2", "use_lexicon": 1}]}),
+             "model 0: use_lexicon must be bool"),
+            (lambda cfg: json.dumps({**cfg, "models": [{"family": "dict", "beams": 4}]}),
+             "model 0: dict has no key 'beams'"),
+            (lambda cfg: json.dumps({**cfg, "repeats": "2"}), "repeats must be int"),
+            (lambda cfg: json.dumps({**cfg, "full_eval": "yes"}), "full_eval must be bool"),
+            (lambda cfg: json.dumps({**cfg, "seed": 1.5}), "seed must be int"),
         ],
         ids=["invalid-json", "top-level-list", "models-object", "models-empty", "model-string",
-             "no-family", "unknown-family", "no-corpus", "repeats-0"],
+             "no-family", "unknown-family", "no-corpus", "repeats-0", "unknown-model-key",
+             "n-string", "use-lexicon-int", "beams-on-dict", "repeats-string", "full-eval-string",
+             "seed-float"],
     )
     def test_malformed_benchmark_config_exits_2(self, tmp_path, corpus_file, lexicon_file, capsys, edit, message):
         cfg = {"corpus": str(corpus_file), "lexicon": str(lexicon_file), "repeats": 1, "full_eval": True}
@@ -447,6 +514,47 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {bad}, line 2: not valid UTF-8 (invalid start byte)\n"
+
+    def test_non_utf8_corpus_exits_2(self, tmp_path, corpus_file, capsys):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(corpus_file.read_bytes().replace(b"mi aveles", b"mi \xffaveles"))
+        assert cli_dispatch(["train", "--family", "random", "--in", str(bad), "--out", str(tmp_path / "m.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {bad}, line 3: not valid UTF-8 (invalid start byte)\n"
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize(
+        "family, flags, expected",
+        [
+            ("naive-bayes", [], {"n": 1, "context_mode": "ett", "alpha": 1.0}),
+            ("naive-bayes", ["--n", "2", "--context", "ett-eng", "--alpha", "0.5"],
+             {"n": 2, "context_mode": "ett-eng", "alpha": 0.5}),
+            ("ngram", ["--unordered"], {"n": 1, "context_mode": "ett", "ordered": False, "alpha": 1.0}),
+        ],
+    )
+    def test_train_flags_reach_model(self, tmp_path, corpus_file, family, flags, expected):
+        from ettmt.modelio import load_model
+
+        model = tmp_path / "m.json"
+        argv = ["train", "--family", family, "--in", str(corpus_file), "--out", str(model)] + flags
+        assert cli_dispatch(argv) == 0
+        _, loaded = load_model(model)
+        assert {key: getattr(loaded, key) for key in expected} == expected
+
+    def test_train_lexicon_pairs_flag(self, tmp_path, corpus_file, lexicon_file, capsys):
+        from ettmt.modelio import load_model
+
+        base = ["train", "--family", "ibm1", "--in", str(corpus_file), "--iterations", "2"]
+        assert cli_dispatch(base + ["--out", str(tmp_path / "plain.json")]) == 0
+        assert cli_dispatch(base + ["--out", str(tmp_path / "lex.json"), "--lexicon", str(lexicon_file),
+                                    "--with-lexicon-pairs"]) == 0
+        _, plain = load_model(tmp_path / "plain.json")
+        _, lex = load_model(tmp_path / "lex.json")
+        assert "-s" not in plain.source_vocab and "-s" in lex.source_vocab  # a lexicon-only entry
+        capsys.readouterr()
+        assert cli_dispatch(base + ["--out", str(tmp_path / "x.json"), "--with-lexicon-pairs"]) == 2
+        assert capsys.readouterr().err.startswith("error: use_lexicon requires a lexicon")
 
     def test_evaluate_mismatched_files(self, tmp_path):
         a = tmp_path / "a.txt"
