@@ -86,7 +86,7 @@ def cmd_train(args) -> int:
     flags = {"n": args.n, "context_mode": args.context, "ordered": not args.unordered, "alpha": args.alpha,
              "iterations": args.iterations, "use_lexicon": args.with_lexicon_pairs}
     family = args.family
-    model_cfg = {"family": family, **{k: v for k, v in flags.items() if k in FAMILIES[family]}}
+    model_cfg = {"family": family, **{k: v for k, v in flags.items() if k in FAMILIES[family] and v is not None}}
     model = train_model(model_cfg, pairs, lexicon, tok)
     save_model(family, model, args.out)
     n_pairs = len(training_pairs(model_cfg, pairs, lexicon, tok))
@@ -181,11 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon")
     p.add_argument("--suffixes")
     p.add_argument("--tokenizer", choices=("whitespace", "suffix"), default="whitespace")
-    p.add_argument("--n", type=int, default=1, help="context size for ngram/naive-bayes")
-    p.add_argument("--context", choices=("ett", "ett-eng"), default="ett")
+    p.add_argument("--n", type=int, help="context size for ngram/naive-bayes")
+    p.add_argument("--context", choices=("ett", "ett-eng"))
     p.add_argument("--unordered", action="store_true", help="ignore source slot order (ngram)")
-    p.add_argument("--alpha", type=float, default=1.0, help="additive smoothing")
-    p.add_argument("--iterations", type=int, default=10, help="EM iterations (ibm1/ibm2)")
+    p.add_argument("--alpha", type=float, help="additive smoothing")
+    p.add_argument("--iterations", type=int, help="EM iterations (ibm1/ibm2)")
     p.add_argument("--with-lexicon-pairs", action="store_true",
                    help="add lexicon entries as training pairs (ibm1/ibm2)")
     p.set_defaults(fn=cmd_train)

@@ -354,7 +354,10 @@ def load_corpus(path, fmt: str = "tsv", name: str = "") -> tuple[ParallelCorpus,
             if item is not None:
                 items.append(item)
     elif fmt == "json":
-        data = json.loads("".join(read_lines(path)))
+        try:
+            data = json.loads("".join(read_lines(path)))
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: not a JSON corpus ({exc})") from exc
         if not isinstance(data, list):
             raise DataError(f"{path}: JSON corpus must be an array of objects")
         for line_no, row in enumerate(data, start=1):

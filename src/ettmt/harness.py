@@ -45,6 +45,10 @@ class BenchmarkConfig:
         for f in fields(self):
             if f.default not in (MISSING, None):
                 check_type(f.name, getattr(self, f.name), f.default)
+        check_type("corpus", self.corpus, "")
+        for name, empty in (("lexicon", ""), ("suffix_file", ""), ("output_dir", ""), ("augment", {})):
+            if getattr(self, name) is not None:
+                check_type(name, getattr(self, name), empty)
         if not isinstance(self.models, list) or not self.models:
             raise DataError("models must be a non-empty list of model configs")
         for k, model_cfg in enumerate(self.models):

@@ -218,8 +218,9 @@ def _encode(pairs: list[Pair], align_bases: np.ndarray | None = None) -> _Encode
     )
 
 
-def _normalize_rows(enc: _Encoded, values: np.ndarray) -> np.ndarray:
-    totals = np.repeat(enc.rows.sums(values), np.diff(enc.indptr))
+def _normalize(values: np.ndarray, rows: _kernels.Segments, lengths: np.ndarray) -> np.ndarray:
+    """Each row of a flat table divided by its sum; a row summing to zero stays as it is."""
+    totals = np.repeat(rows.sums(values), lengths)
     out = values.copy()
     np.divide(values, totals, out=out, where=totals > 0.0)
     return out
@@ -244,93 +245,40 @@ def _drop_probs(enc: _Encoded, counts: np.ndarray, recv: np.ndarray) -> np.ndarr
     return out
 
 
-def _ibm1_em(
-    enc: _Encoded, iterations: int
-) -> tuple[np.ndarray, list[float], np.ndarray, np.ndarray]:
-    """Model-1 EM from a uniform table as ``train_ibm1`` describes it.
+def _em(
+    enc: _Encoded, iterations: int, probs: np.ndarray | None = None, align: np.ndarray | None = None
+) -> tuple[TTable, np.ndarray | None]:
+    """EM from the t-table values ``probs`` (uniform when None): Model 1, or
+    Model 2 when ``align`` holds the row lengths of the position table from
+    ``_align_layout``, whose values start uniform.
 
-    Returns the trained probs, the log-likelihood history, and the counts
-    and recv of the final expectation pass.
+    Returns the trained t-table and position values (None for Model 1).  The
+    log-likelihood history has one value per iteration, under the parameters
+    entering it, plus one under the trained parameters from a final
+    expectation pass, which also gives the drop mass.
     """
-    probs = np.full(len(enc.cols), 1.0 / len(enc.target_vocab))
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    if probs is None:
+        probs = np.full(len(enc.cols), 1.0 / len(enc.target_vocab))
+    t_lengths = np.diff(enc.indptr)
+    a_vals = None
+    if align is not None:
+        a_vals = np.repeat(1.0 / align, align)
+        a_rows = _kernels.Segments(np.cumsum(align) - align, align)
     history: list[float] = []
-    for _ in range(iterations):
+    for it in range(iterations + 1):
         counts = np.zeros_like(probs)
-        history.append(float(_kernels.ibm1_estep(enc.links, probs, counts)))
-        probs = _normalize_rows(enc, counts)
-    counts = np.zeros_like(probs)
-    recv = np.zeros(len(enc.src_flat))
-    history.append(float(_kernels.ibm1_estep(enc.links, probs, counts, recv)))
-    return probs, history, counts, recv
-
-
-def train_ibm1(pairs: list[Pair], iterations: int = 10) -> TTable:
-    """EM training of the lexical table; uniform initialization.
-
-    The recorded log-likelihood history has one value per iteration,
-    evaluated under the parameters entering that iteration, plus a final
-    value under the trained parameters.
-    """
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
-    enc = _encode(pairs)
-    probs, history, counts, recv = _ibm1_em(enc, iterations)
-    return TTable(
-        source_vocab=enc.source_vocab,
-        target_vocab=enc.target_vocab,
-        indptr=enc.indptr,
-        cols=enc.cols,
-        probs=probs,
-        drop_probs=_drop_probs(enc, counts, recv),
-        loglik_history=history,
-    )
-
-
-def _align_layout(pairs: list[Pair]) -> tuple[dict[tuple[int, int], int], np.ndarray, int]:
-    """Flat layout for the shared position blocks: one block per (l_e, l_f)."""
-    offsets: dict[tuple[int, int], int] = {}
-    size = 0
-    for ett, eng in pairs:
-        shape = (len(eng), len(ett))
-        if shape not in offsets:
-            offsets[shape] = size
-            size += shape[0] * (shape[1] + 1)
-    bases = np.array([offsets[(len(eng), len(ett))] for ett, eng in pairs], dtype=np.int64)
-    return offsets, bases, size
-
-
-def train_ibm2(pairs: list[Pair], iterations: int = 10) -> tuple[TTable, AlignTable]:
-    """Model-1 initialization, then joint EM over the lexical and position tables."""
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
-    offsets, bases, size = _align_layout(pairs)
-    enc = _encode(pairs, bases)
-    probs, history, _, _ = _ibm1_em(enc, iterations)
-    a_vals = np.zeros(size)
-    for (l_e, l_f), off in offsets.items():
-        a_vals[off : off + l_e * (l_f + 1)] = 1.0 / (l_f + 1)
-
-    counts = np.zeros_like(probs)
-    a_counts = np.zeros_like(a_vals)
-    for _ in range(iterations):
-        counts[:] = 0.0
-        a_counts[:] = 0.0
-        ll = _kernels.ibm2_estep(enc.links, probs, a_vals, counts, a_counts)
-        history.append(float(ll))
-        probs = _normalize_rows(enc, counts)
-        for (l_e, l_f), off in offsets.items():
-            block = a_counts[off : off + l_e * (l_f + 1)].reshape(l_e, l_f + 1)
-            totals = block.sum(axis=1, keepdims=True)
-            np.divide(block, totals, out=block, where=totals > 0)
-            a_vals[off : off + l_e * (l_f + 1)] = block.reshape(-1)
-    counts[:] = 0.0
-    a_counts[:] = 0.0
-    recv = np.zeros(len(enc.src_flat))
-    history.append(float(_kernels.ibm2_estep(enc.links, probs, a_vals, counts, a_counts, recv)))
-    blocks = {
-        shape: a_vals[off : off + shape[0] * (shape[1] + 1)].reshape(shape[0], shape[1] + 1).copy()
-        for shape, off in offsets.items()
-    }
+        recv = np.zeros(len(enc.src_flat)) if it == iterations else None
+        if a_vals is None:
+            history.append(float(_kernels.ibm1_estep(enc.links, probs, counts, recv)))
+        else:
+            a_counts = np.zeros_like(a_vals)
+            history.append(float(_kernels.ibm2_estep(enc.links, probs, a_vals, counts, a_counts, recv)))
+        if recv is None:
+            probs = _normalize(counts, enc.rows, t_lengths)
+            if a_vals is not None:
+                a_vals = _normalize(a_counts, a_rows, align)
     ttable = TTable(
         source_vocab=enc.source_vocab,
         target_vocab=enc.target_vocab,
@@ -340,6 +288,46 @@ def train_ibm2(pairs: list[Pair], iterations: int = 10) -> tuple[TTable, AlignTa
         drop_probs=_drop_probs(enc, counts, recv),
         loglik_history=history,
     )
+    return ttable, a_vals
+
+
+def train_ibm1(pairs: list[Pair], iterations: int = 10) -> TTable:
+    """EM training of the lexical table; uniform initialization.
+
+    The recorded log-likelihood history has one value per iteration,
+    evaluated under the parameters entering that iteration, plus a final
+    value under the trained parameters.
+    """
+    return _em(_encode(pairs), iterations)[0]
+
+
+def _align_layout(pairs: list[Pair]) -> tuple[dict[tuple[int, int], int], np.ndarray, np.ndarray]:
+    """Flat layout for the shared position blocks, one per (l_e, l_f): each
+    block's offset, each pair's block offset, and the length of every block row."""
+    offsets: dict[tuple[int, int], int] = {}
+    lengths: list[int] = []
+    size = 0
+    for ett, eng in pairs:
+        shape = (len(eng), len(ett))
+        if shape not in offsets:
+            offsets[shape] = size
+            size += len(eng) * (len(ett) + 1)
+            lengths += [len(ett) + 1] * len(eng)
+    bases = np.array([offsets[(len(eng), len(ett))] for ett, eng in pairs], dtype=np.int64)
+    return offsets, bases, np.array(lengths, dtype=np.int64)
+
+
+def train_ibm2(pairs: list[Pair], iterations: int = 10) -> tuple[TTable, AlignTable]:
+    """Model-1 initialization, then joint EM over the lexical and position tables."""
+    offsets, bases, row_lengths = _align_layout(pairs)
+    enc = _encode(pairs, bases)
+    start, _ = _em(enc, iterations)
+    ttable, a_vals = _em(enc, iterations, start.probs, row_lengths)
+    ttable.loglik_history = start.loglik_history + ttable.loglik_history
+    blocks = {
+        (l_e, l_f): a_vals[off : off + l_e * (l_f + 1)].reshape(l_e, l_f + 1)
+        for (l_e, l_f), off in offsets.items()
+    }
     return ttable, AlignTable(blocks=blocks)
 
 

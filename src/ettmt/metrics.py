@@ -211,11 +211,15 @@ MAX_SHIFT_CANDIDATES = 1000
 _MATCH, _SUB, _INS, _DEL = 0, 1, 2, 3
 
 
-def _edit_ops(hyp: list[int], ref: list[int]) -> tuple[int, list[int]]:
-    """Edit distance with the operation path transforming hyp into ref.
+def _edit_ops(hyp: list[int], ref: list[int]) -> tuple[int, list[int], list[int], list[int]]:
+    """Edit distance transforming hyp into ref, with the alignment of its path.
 
-    Tie order is diagonal first, then reference insertion, then hypothesis
-    deletion, which pins down a unique alignment for the shift search.
+    Returns the distance; ``after``, where ``after[r + 1]`` is the number of
+    hyp words the path has consumed on reaching reference word r, so a block
+    shifted to follow that word lands there, and ``after[0]`` is 0; and the
+    0/1 error flags of each hyp and ref word.  Tie order is diagonal first, then
+    reference insertion, then hypothesis deletion, which pins down a unique
+    alignment for the shift search.
     """
     above = list(range(len(ref) + 1))
     ops = [[_INS] * len(above)]
@@ -241,43 +245,22 @@ def _edit_ops(hyp: list[int], ref: list[int]) -> tuple[int, list[int]]:
             left = best
         ops.append(op)
         above = row
-    path = []
     i, j = len(hyp), len(ref)
-    while i > 0 or j > 0:
+    after = [0] * (j + 1)
+    hyp_err = [1] * i
+    ref_err = [1] * j
+    while j:  # once j is 0, the path only deletes the remaining hyp words
         o = ops[i][j]
-        path.append(o)
-        if o == _MATCH or o == _SUB:
+        if o == _DEL:
             i -= 1
-            j -= 1
-        elif o == _INS:
-            j -= 1
-        else:
+            continue
+        after[j] = i
+        j -= 1
+        if o != _INS:
             i -= 1
-    path.reverse()
-    return above[-1], path
-
-
-def _path_alignment(path: list[int]):
-    """Per-word error flags and the ref-position -> hyp-position map."""
-    align: dict[int, int] = {}
-    hyp_err: list[int] = []
-    ref_err: list[int] = []
-    hpos = rpos = -1
-    for o in path:
-        if o == _MATCH or o == _SUB:
-            hpos += 1
-            rpos += 1
-            align[rpos] = hpos
-            hyp_err.append(0 if o == _MATCH else 1)
-            ref_err.append(0 if o == _MATCH else 1)
-        elif o == _INS:
-            rpos += 1
-            align[rpos] = hpos
-            ref_err.append(1)
-        else:
-            hpos += 1
-            hyp_err.append(1)
-    return align, hyp_err, ref_err
+            if o == _MATCH:
+                hyp_err[i] = ref_err[j] = 0
+    return above[-1], after, hyp_err, ref_err
 
 
 def _shift_candidates(hyp: list[int], ref: list[int]):
@@ -317,28 +300,16 @@ def _pair_edits(hyp_words: list[str], ref_words: list[str]) -> int:
     shifts = 0
     checked = 0
     while True:
-        pre, path = _edit_ops(hyp, ref)
-        align, hyp_err, ref_err = _path_alignment(path)
+        pre, after, hyp_err, ref_err = _edit_ops(hyp, ref)
         best = None
         for sh, sr, length in _shift_candidates(hyp, ref):
             if not any(hyp_err[sh : sh + length]):
                 continue
             if not any(ref_err[sr : sr + length]):
                 continue
-            if sh <= align[sr] < sh + length:
+            if sh < after[sr + 1] <= sh + length:
                 continue
-            prev_target = -1
-            for offset in range(-1, length):
-                anchor = sr + offset
-                if anchor == -1:
-                    target = 0
-                elif anchor in align:
-                    target = align[anchor] + 1
-                else:
-                    break
-                if target == prev_target:
-                    continue
-                prev_target = target
+            for target in dict.fromkeys(after[sr : sr + length + 1]):
                 moved = _shifted(hyp, sh, length, target)
                 gain = pre - _kernels.levenshtein(moved, ref)
                 checked += 1

@@ -5,6 +5,7 @@ benchmark runner."""
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .baselines import (
 from .corpus import Lexicon
 from .errors import DataError
 from .ibm import AlignTable, TTable, train_ibm1, train_ibm2, translate_ibm
-from .ngram import NaiveBayesModel, NgramModel, beam_translate, train_naive_bayes, train_ngram
+from .ngram import CONTEXT_MODES, NaiveBayesModel, NgramModel, beam_translate, train_naive_bayes, train_ngram
 
 FORMAT = "ettmt-model"
 VERSION = 1
@@ -47,7 +48,7 @@ def check_type(key: str, value, default) -> None:
 
 
 def settings(model_cfg: dict) -> dict:
-    """The family's defaults with the model config's values laid over them."""
+    """The family's defaults with the model config's values laid over them, checked for range."""
     if "family" not in model_cfg:
         raise DataError(f"no 'family' (one of {', '.join(FAMILIES)})")
     family = model_cfg["family"]
@@ -62,6 +63,13 @@ def settings(model_cfg: dict) -> dict:
             raise DataError(f"{family} has no key {key!r} (keys: {', '.join(defaults) or 'none'})")
         check_type(key, value, defaults[key])
         out[key] = value
+    for key in ("n", "iterations", "beams"):
+        if out.get(key, 1) < 1:
+            raise DataError(f"{key} must be >= 1, got {out[key]!r}")
+    if not 0 < out.get("alpha", 1.0) < math.inf:
+        raise DataError(f"alpha must be a finite number > 0, got {out['alpha']!r}")
+    if out.get("context_mode", CONTEXT_MODES[0]) not in CONTEXT_MODES:
+        raise DataError(f"context_mode must be one of {', '.join(CONTEXT_MODES)}, got {out['context_mode']!r}")
     return out
 
 

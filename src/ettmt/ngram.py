@@ -45,7 +45,7 @@ EOS = "<eos>"
 
 CONTEXT_ETT = "ett"
 CONTEXT_ETT_ENG = "ett-eng"
-_MODES = (CONTEXT_ETT, CONTEXT_ETT_ENG)
+CONTEXT_MODES = (CONTEXT_ETT, CONTEXT_ETT_ENG)
 
 Pair = tuple[list[str], list[str]]
 
@@ -82,6 +82,17 @@ def _context_key(src_slots: tuple, eng_slots: tuple, ordered: bool) -> tuple:
 def _check_arity(model, src_slots: tuple) -> None:
     if len(src_slots) != model.n:
         raise ValueError(f"expected {model.n} source slots, got {len(src_slots)}")
+
+
+def _check_training(pairs: list[Pair], n: int, context_mode: str, alpha: float) -> None:
+    if not pairs:
+        raise DataError("cannot train on an empty pair list")
+    if context_mode not in CONTEXT_MODES:
+        raise ValueError(f"context_mode must be one of {CONTEXT_MODES}, got {context_mode!r}")
+    if n < 1:
+        raise ValueError(f"context size must be >= 1, got {n}")
+    if alpha <= 0:
+        raise ValueError(f"smoothing parameter must be > 0, got {alpha}")
 
 
 def _checked_vocab(vocab, targets) -> tuple[str, ...]:
@@ -184,14 +195,7 @@ def train_ngram(
     alpha: float = 1.0,
 ) -> NgramModel:
     """Accumulate context -> target counts over all aligned positions."""
-    if not pairs:
-        raise DataError("cannot train on an empty pair list")
-    if context_mode not in _MODES:
-        raise ValueError(f"context_mode must be one of {_MODES}, got {context_mode!r}")
-    if n < 1:
-        raise ValueError(f"context size must be >= 1, got {n}")
-    if alpha <= 0:
-        raise ValueError(f"smoothing parameter must be > 0, got {alpha}")
+    _check_training(pairs, n, context_mode, alpha)
     counts: dict[tuple, dict[str, int]] = {}
     totals: dict[tuple, int] = {}
     vocab = {EOS, PAD}
@@ -234,11 +238,8 @@ class NaiveBayesModel:
     total_positions: int
     # one map per context slot: target -> {value -> count}
     slot_counts: list[dict[str, dict[str, int]]] = field(repr=False)
-    slot_vocab_sizes: list[int] = field(default_factory=list)
     slot_vocabs: list[tuple[str, ...]] = field(default_factory=list, repr=False)
     vocab: tuple[str, ...] = ()
-
-    ordered: bool = True  # the factored model always respects slot order
     # log-prior vector, per-slot default log-likelihood vectors and per-slot
     # {value: (target indices, log-likelihoods)} overrides; built on first use
     _tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
@@ -276,7 +277,7 @@ class NaiveBayesModel:
             index = {t: i for i, t in enumerate(self.vocab)}
             defaults, overrides = [], []
             for slot, by_target in enumerate(self.slot_counts):
-                size = self.slot_vocab_sizes[slot]
+                size = len(self.slot_vocabs[slot])
                 defaults.append(np.array(
                     [math.log(alpha / (self.target_counts.get(t, 0) + alpha * size)) for t in self.vocab]
                 ))
@@ -300,7 +301,7 @@ class NaiveBayesModel:
     def slot_likelihood(self, slot: int, target: str, value: str) -> float:
         count = self.slot_counts[slot].get(target, {}).get(value, 0)
         total = self.target_counts.get(target, 0)
-        return (count + self.alpha) / (total + self.alpha * self.slot_vocab_sizes[slot])
+        return (count + self.alpha) / (total + self.alpha * len(self.slot_vocabs[slot]))
 
     def to_dict(self) -> dict:
         return {
@@ -319,7 +320,6 @@ class NaiveBayesModel:
     @classmethod
     def from_dict(cls, payload: dict) -> "NaiveBayesModel":
         n, alpha = _checked_settings(payload)
-        slot_vocabs = [tuple(v) for v in payload["slot_vocabs"]]
         return cls(
             n=n,
             context_mode=payload["context_mode"],
@@ -330,8 +330,7 @@ class NaiveBayesModel:
                 {t: {v: int(c) for v, c in vals.items()} for t, vals in slot.items()}
                 for slot in payload["slot_counts"]
             ],
-            slot_vocab_sizes=[len(v) for v in slot_vocabs],
-            slot_vocabs=slot_vocabs,
+            slot_vocabs=[tuple(v) for v in payload["slot_vocabs"]],
             vocab=_checked_vocab(
                 payload["vocab"],
                 list(payload["target_counts"]) + [t for slot in payload["slot_counts"] for t in slot],
@@ -346,14 +345,7 @@ def train_naive_bayes(
     alpha: float = 1.0,
 ) -> NaiveBayesModel:
     """Estimate the target prior and the per-slot conditionals."""
-    if not pairs:
-        raise DataError("cannot train on an empty pair list")
-    if context_mode not in _MODES:
-        raise ValueError(f"context_mode must be one of {_MODES}, got {context_mode!r}")
-    if n < 1:
-        raise ValueError(f"context size must be >= 1, got {n}")
-    if alpha <= 0:
-        raise ValueError(f"smoothing parameter must be > 0, got {alpha}")
+    _check_training(pairs, n, context_mode, alpha)
     n_slots = 2 * n if context_mode == CONTEXT_ETT_ENG else n
     target_counts: dict[str, int] = {}
     slot_counts: list[dict[str, dict[str, int]]] = [{} for _ in range(n_slots)]
@@ -371,7 +363,6 @@ def train_naive_bayes(
                 bucket[value] = bucket.get(value, 0) + 1
     src_sorted = tuple(sorted(src_vocab))
     tgt_sorted = tuple(sorted(tgt_vocab))
-    slot_vocabs = [src_sorted] * n + [tgt_sorted] * (n_slots - n)
     return NaiveBayesModel(
         n=n,
         context_mode=context_mode,
@@ -379,8 +370,7 @@ def train_naive_bayes(
         target_counts=target_counts,
         total_positions=total,
         slot_counts=slot_counts,
-        slot_vocab_sizes=[len(v) for v in slot_vocabs],
-        slot_vocabs=slot_vocabs,
+        slot_vocabs=[src_sorted] * n + [tgt_sorted] * (n_slots - n),
         vocab=tgt_sorted,
     )
 

@@ -478,11 +478,24 @@ class TestCli:
             (lambda cfg: json.dumps({**cfg, "repeats": "2"}), "repeats must be int"),
             (lambda cfg: json.dumps({**cfg, "full_eval": "yes"}), "full_eval must be bool"),
             (lambda cfg: json.dumps({**cfg, "seed": 1.5}), "seed must be int"),
+            (lambda cfg: json.dumps({**cfg, "augment": "yes"}), "augment must be dict, not str 'yes'"),
+            (lambda cfg: json.dumps({**cfg, "corpus": 5}), "corpus must be str, not int 5"),
+            (lambda cfg: json.dumps({**cfg, "lexicon": ["a"]}), "lexicon must be str, not list"),
+            (lambda cfg: json.dumps({**cfg, "models": [{"family": "ibm1", "iterations": 0}]}),
+             "model 0: iterations must be >= 1, got 0"),
+            (lambda cfg: json.dumps({**cfg, "models": [{"family": "ngram", "n": 0}]}), "model 0: n must be >= 1"),
+            (lambda cfg: json.dumps({**cfg, "models": [{"family": "ngram", "beams": 0}]}),
+             "model 0: beams must be >= 1"),
+            (lambda cfg: json.dumps({**cfg, "models": [{"family": "naive-bayes", "alpha": 0}]}),
+             "model 0: alpha must be a finite number > 0, got 0"),
+            (lambda cfg: json.dumps({**cfg, "models": [{"family": "ngram", "context_mode": "foo"}]}),
+             "model 0: context_mode must be one of ett, ett-eng, got 'foo'"),
         ],
         ids=["invalid-json", "top-level-list", "models-object", "models-empty", "model-string",
              "no-family", "unknown-family", "no-corpus", "repeats-0", "unknown-model-key",
              "n-string", "use-lexicon-int", "beams-on-dict", "repeats-string", "full-eval-string",
-             "seed-float"],
+             "seed-float", "augment-string", "corpus-int", "lexicon-list", "iterations-0", "n-0",
+             "beams-0", "alpha-0", "context-mode-unknown"],
     )
     def test_malformed_benchmark_config_exits_2(self, tmp_path, corpus_file, lexicon_file, capsys, edit, message):
         cfg = {"corpus": str(corpus_file), "lexicon": str(lexicon_file), "repeats": 1, "full_eval": True}
@@ -527,7 +540,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "family, flags, expected",
         [
-            ("naive-bayes", [], {"n": 1, "context_mode": "ett", "alpha": 1.0}),
+            ("naive-bayes", [], {"n": 2, "context_mode": "ett", "alpha": 1.0}),
             ("naive-bayes", ["--n", "2", "--context", "ett-eng", "--alpha", "0.5"],
              {"n": 2, "context_mode": "ett-eng", "alpha": 0.5}),
             ("ngram", ["--unordered"], {"n": 1, "context_mode": "ett", "ordered": False, "alpha": 1.0}),
@@ -541,6 +554,28 @@ class TestCli:
         assert cli_dispatch(argv) == 0
         _, loaded = load_model(model)
         assert {key: getattr(loaded, key) for key in expected} == expected
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--family", "ibm1", "--iterations", "0"], "iterations must be >= 1, got 0"),
+            (["--family", "ngram", "--n", "0"], "n must be >= 1, got 0"),
+            (["--family", "naive-bayes", "--alpha", "-1"], "alpha must be a finite number > 0, got -1.0"),
+        ],
+        ids=["iterations-0", "n-0", "alpha-negative"],
+    )
+    def test_train_out_of_range_flag_exits_2(self, tmp_path, corpus_file, capsys, flags, message):
+        model = tmp_path / "m.json"
+        assert cli_dispatch(["train", "--in", str(corpus_file), "--out", str(model)] + flags) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not model.exists()
+
+    def test_truncated_json_corpus_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "t.json"
+        corpus.write_text('[{"id": "a"', encoding="utf-8")
+        assert cli_dispatch(["train", "--family", "random", "--in", str(corpus), "--out", str(tmp_path / "m.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {corpus}: not a JSON corpus (") and err.count("\n") == 1
 
     def test_train_lexicon_pairs_flag(self, tmp_path, corpus_file, lexicon_file, capsys):
         from ettmt.modelio import load_model

@@ -337,7 +337,10 @@ class TestMatchesFormerImplementation:
             max_len = 25 if k < 400 else 70
             hyp = [rnd.randrange(vocab) for _ in range(rnd.randint(0, max_len))]
             ref = [rnd.randrange(vocab) for _ in range(rnd.randint(0, max_len))]
-            assert _edit_ops(hyp, ref) == oracles.former_edit_ops(hyp, ref)
+            distance, path = oracles.former_edit_ops(hyp, ref)
+            align, hyp_err, ref_err = oracles._former_path_alignment(path)
+            after = [0] + [align[r] + 1 for r in range(len(ref))]
+            assert _edit_ops(hyp, ref) == (distance, after, hyp_err, ref_err)
 
     def test_shift_candidates_equal(self):
         # lengths past MAX_SHIFT_DIST exercise the distance bound
