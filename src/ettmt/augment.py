@@ -24,7 +24,7 @@ class AugmentConfig:
     max_name_replacements: int = 1
     damage_prob: float = 0.1
     damage_geom_p: float = 0.5
-    damage_iterations: int = 0
+    damage_iterations: int = 1
     seed: int = 0
 
     def __post_init__(self):

@@ -13,28 +13,19 @@ import sys
 import numpy as np
 
 from .augment import AugmentConfig, augment_pairs
-from .corpus import load_corpus, load_lexicon, load_suffixes, normalize, read_lines, save_corpus
+from .corpus import load_corpus, load_lexicon, normalize, read_lines, save_corpus
 from .errors import BenchmarkError, DataError
 from .fetch import fetch_dataset
 from .harness import BenchmarkConfig, format_table, run_benchmark
 from .metrics import score_corpus
 from .modelio import FAMILIES, load_model, save_model, train_model, training_pairs, translate
-from .tokenize import tokenize_suffix, tokenize_whitespace
+from .tokenize import TOKENIZERS, tokenizer
 
 
 def _corpus_format(path: str, explicit: str | None) -> str:
     if explicit:
         return explicit
     return "json" if str(path).endswith(".json") else "tsv"
-
-
-def _tokenizer(args):
-    if getattr(args, "tokenizer", "whitespace") == "suffix":
-        if not getattr(args, "suffixes", None):
-            raise DataError("the suffix tokenizer needs --suffixes")
-        suffixes = load_suffixes(args.suffixes)
-        return lambda text: tokenize_suffix(text, suffixes)
-    return tokenize_whitespace
 
 
 def cmd_normalize(args) -> int:
@@ -45,7 +36,7 @@ def cmd_normalize(args) -> int:
 
 
 def cmd_tokenize(args) -> int:
-    tok = _tokenizer(args)
+    tok = tokenizer(args.tokenizer, args.suffixes)
     out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
     try:
         for line in read_lines(args.infile):
@@ -58,14 +49,10 @@ def cmd_tokenize(args) -> int:
 
 def cmd_augment(args) -> int:
     corpus, _ = load_corpus(args.infile, _corpus_format(args.infile, args.format))
-    lexicon = load_lexicon(args.lexicon, args.suffixes) if args.lexicon else None
-    cfg = AugmentConfig(
-        max_name_replacements=args.name_replacements,
-        damage_prob=args.damage_prob,
-        damage_geom_p=args.damage_geom_p,
-        damage_iterations=args.damage_iterations,
-        seed=args.seed,
-    )
+    lexicon = load_lexicon(args.lexicon) if args.lexicon else None
+    flags = {"max_name_replacements": args.name_replacements, "damage_prob": args.damage_prob,
+             "damage_geom_p": args.damage_geom_p, "damage_iterations": args.damage_iterations, "seed": args.seed}
+    cfg = AugmentConfig(**{k: v for k, v in flags.items() if v is not None})
     translated = corpus.translated()
     pairs = [(i.etruscan_norm.split(), i.english.split()) for i in translated]
     expanded = augment_pairs(pairs, lexicon, cfg)
@@ -79,9 +66,9 @@ def cmd_augment(args) -> int:
 
 def cmd_train(args) -> int:
     corpus, _ = load_corpus(args.infile, _corpus_format(args.infile, args.format))
-    tok = _tokenizer(args)
+    tok = tokenizer(args.tokenizer, args.suffixes)
     pairs = [(tok(i.etruscan_norm), i.english.split()) for i in corpus.translated()]
-    lexicon = load_lexicon(args.lexicon, args.suffixes) if args.lexicon else None
+    lexicon = load_lexicon(args.lexicon) if args.lexicon else None
 
     flags = {"n": args.n, "context_mode": args.context, "ordered": not args.unordered, "alpha": args.alpha,
              "iterations": args.iterations, "use_lexicon": args.with_lexicon_pairs}
@@ -96,7 +83,7 @@ def cmd_train(args) -> int:
 
 def cmd_translate(args) -> int:
     family, model = load_model(args.model)
-    tok = _tokenizer(args)
+    tok = tokenizer(args.tokenizer, args.suffixes)
     rng = np.random.default_rng(args.seed)
     out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
     try:
@@ -112,10 +99,7 @@ def cmd_translate(args) -> int:
 def cmd_evaluate(args) -> int:
     hyps = [line.rstrip("\n") for line in read_lines(args.hyp)]
     refs = [line.rstrip("\n") for line in read_lines(args.ref)]
-    try:
-        report = score_corpus(hyps, refs)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    report = score_corpus(hyps, refs)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump(report.to_dict(), fh, indent=1)
@@ -156,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tokenize", help="tokenize text, one segment per line")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out")
-    p.add_argument("--tokenizer", choices=("whitespace", "suffix"), default="whitespace")
+    p.add_argument("--tokenizer", choices=TOKENIZERS, default="whitespace")
     p.add_argument("--suffixes", help="suffix file for the suffix tokenizer")
     p.set_defaults(fn=cmd_tokenize)
 
@@ -165,12 +149,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("tsv", "json"))
     p.add_argument("--lexicon")
-    p.add_argument("--suffixes")
-    p.add_argument("--name-replacements", type=int, default=1)
-    p.add_argument("--damage-prob", type=float, default=0.1)
-    p.add_argument("--damage-geom-p", type=float, default=0.5)
-    p.add_argument("--damage-iterations", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--name-replacements", type=int)
+    p.add_argument("--damage-prob", type=float)
+    p.add_argument("--damage-geom-p", type=float)
+    p.add_argument("--damage-iterations", type=int)
+    p.add_argument("--seed", type=int)
     p.set_defaults(fn=cmd_augment)
 
     p = sub.add_parser("train", help="train a model on a corpus")
@@ -180,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("tsv", "json"))
     p.add_argument("--lexicon")
     p.add_argument("--suffixes")
-    p.add_argument("--tokenizer", choices=("whitespace", "suffix"), default="whitespace")
+    p.add_argument("--tokenizer", choices=TOKENIZERS, default="whitespace")
     p.add_argument("--n", type=int, help="context size for ngram/naive-bayes")
     p.add_argument("--context", choices=("ett", "ett-eng"))
     p.add_argument("--unordered", action="store_true", help="ignore source slot order (ngram)")
@@ -194,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out")
-    p.add_argument("--tokenizer", choices=("whitespace", "suffix"), default="whitespace")
+    p.add_argument("--tokenizer", choices=TOKENIZERS, default="whitespace")
     p.add_argument("--suffixes")
     p.add_argument("--beams", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
@@ -233,7 +216,7 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.fn(args)
-    except (DataError, BenchmarkError, OSError) as exc:
+    except (DataError, BenchmarkError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,8 +2,10 @@
 
 One benchmark evaluates one or more model configurations on the same corpus
 protocol: for each run r in 0..repeats-1, split with seed base_seed+r (or use
-the full corpus when full_eval is set), optionally augment the training half,
-train, translate the held-out half, and score. Mean and sample standard
+the full corpus when full_eval is set), tokenize and optionally augment the
+training half, tokenize the held-out half, then train, translate and score
+every model config on that one preparation, which no model changes. A
+run's wall_clock includes its repeat's preparation. Mean and sample standard
 deviation are reported per metric.
 """
 
@@ -20,10 +22,12 @@ from .augment import AugmentConfig, augment_pairs
 from .corpus import load_corpus, load_lexicon, split_corpus
 from .errors import BenchmarkError, DataError
 from .metrics import score_corpus
-from .modelio import check_type, model_label, needs_lexicon, settings, train_model, translate
-from .tokenize import tokenize_suffix, tokenize_whitespace
+from .modelio import check_type, model_label, needs_lexicon, overlay, settings, train_model, translate
+from .tokenize import TOKENIZERS, tokenizer
 
 METRICS = ("bleu", "chrf", "ter")
+# augment config key -> default; the runner sets the seed of each repeat
+AUGMENT_DEFAULTS = {f.name: f.default for f in fields(AugmentConfig) if f.name != "seed"}
 
 
 @dataclass
@@ -58,12 +62,16 @@ class BenchmarkConfig:
                 settings(model_cfg)
             except DataError as exc:
                 raise DataError(f"model {k}: {exc}") from exc
+        if self.augment is not None:
+            AugmentConfig(**overlay("augment", AUGMENT_DEFAULTS, self.augment))
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
         if not 0.0 < self.train_size < 1.0:
             raise ValueError("train_size must be in (0, 1)")
-        if self.tokenizer not in ("whitespace", "suffix"):
+        if self.tokenizer not in TOKENIZERS:
             raise ValueError(f"unknown tokenizer {self.tokenizer!r}")
+        if self.tokenizer == "suffix" and self.suffix_file is None:
+            raise DataError("the suffix tokenizer needs a suffix_file")
 
     @classmethod
     def from_json(cls, path) -> "BenchmarkConfig":
@@ -136,59 +144,44 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
             raise BenchmarkError(f"run {run}, stage '{name}': {exc}") from exc
 
     corpus, _report = stage("setup", "load-corpus", load_corpus, cfg.corpus, cfg.corpus_format)
+    tok = stage("setup", "tokenizer", tokenizer, cfg.tokenizer, cfg.suffix_file)
     lexicon = None
-    if cfg.lexicon and (cfg.augment or cfg.tokenizer == "suffix" or any(map(needs_lexicon, cfg.models))):
-        lexicon = stage("setup", "load-lexicon", load_lexicon, cfg.lexicon, cfg.suffix_file)
+    if cfg.lexicon and (cfg.augment or any(map(needs_lexicon, cfg.models))):
+        lexicon = stage("setup", "load-lexicon", load_lexicon, cfg.lexicon)
     translated = corpus.translated()
-    if cfg.tokenizer == "suffix":
-        if lexicon is None or not lexicon.suffixes:
-            raise BenchmarkError("run setup, stage 'tokenizer': suffix tokenizer needs a suffix file")
-        suffixes = lexicon.suffixes
-        tok = lambda text: tokenize_suffix(text, suffixes)
-    else:
-        tok = tokenize_whitespace
+    beams = [settings(model_cfg).get("beams", 8) for model_cfg in cfg.models]
 
-    per_model: list[ModelResult] = []
-    for model_cfg in cfg.models:
-        label = model_label(model_cfg)
-        beams = settings(model_cfg).get("beams", 8)
-        runs = []
-        for r in range(cfg.repeats):
-            seed_r = cfg.seed + r
-            started = time.perf_counter()
-            if cfg.full_eval:
-                train_c = test_c = translated
-            else:
-                train_c, test_c = stage(r, "split", split_corpus, translated, cfg.train_size, seed_r)
-            pairs = [(tok(i.etruscan_norm), i.english.split()) for i in train_c]
-            if cfg.augment:
-                aug_cfg = stage(r, "augment-config", AugmentConfig, seed=seed_r, **cfg.augment)
-                pairs = stage(r, "augment", augment_pairs, pairs, lexicon, aug_cfg)
+    runs: list[list[dict]] = [[] for _ in cfg.models]
+    for r in range(cfg.repeats):
+        seed_r = cfg.seed + r
+        started = time.perf_counter()
+        if cfg.full_eval:
+            train_c = test_c = translated
+        else:
+            train_c, test_c = stage(r, "split", split_corpus, translated, cfg.train_size, seed_r)
+        pairs = [(tok(i.etruscan_norm), i.english.split()) for i in train_c]
+        if cfg.augment:
+            pairs = stage(r, "augment", augment_pairs, pairs, lexicon, AugmentConfig(**cfg.augment, seed=seed_r))
+        sources = [tok(i.etruscan_norm) for i in test_c]
+        refs = [i.english for i in test_c]
+        prepared_s = time.perf_counter() - started
+        for model_cfg, model_beams, model_runs in zip(cfg.models, beams, runs):
+            model_started = time.perf_counter()
             model = stage(r, "train", train_model, model_cfg, pairs, lexicon, tok)
             rng = np.random.default_rng(seed_r)
-            hyps = [
-                " ".join(translate(model_cfg["family"], model, tok(i.etruscan_norm), rng=rng, beams=beams))
-                for i in test_c
-            ]
-            refs = [i.english for i in test_c]
+            hyps = [" ".join(translate(model_cfg["family"], model, src, rng=rng, beams=model_beams))
+                    for src in sources]
             report = stage(r, "evaluate", score_corpus, hyps, refs)
-            runs.append(
-                {
-                    "seed": seed_r,
-                    "bleu": report.bleu,
-                    "chrf": report.chrf,
-                    "ter": report.ter,
-                    "n_pairs": report.n_pairs,
-                    "wall_clock": time.perf_counter() - started,
-                }
-            )
-        mean = {}
-        std = {}
+            wall_clock = prepared_s + time.perf_counter() - model_started
+            model_runs.append({"seed": seed_r, "bleu": report.bleu, "chrf": report.chrf, "ter": report.ter,
+                               "n_pairs": report.n_pairs, "wall_clock": wall_clock})
+
+    per_model = []
+    for model_cfg, model_runs in zip(cfg.models, runs):
+        mean, std = {}, {}
         for metric in METRICS:
-            mean[metric], std[metric] = _aggregate([run[metric] for run in runs])
-        per_model.append(
-            ModelResult(label=label, runs=runs, mean=mean, std=std, single_run=cfg.repeats == 1)
-        )
+            mean[metric], std[metric] = _aggregate([run[metric] for run in model_runs])
+        per_model.append(ModelResult(model_label(model_cfg), model_runs, mean, std, single_run=cfg.repeats == 1))
 
     result = BenchmarkResult(config=cfg.to_dict(), results=per_model)
     if cfg.output_dir:

@@ -47,6 +47,17 @@ def check_type(key: str, value, default) -> None:
         raise DataError(f"{key} must be {want.__name__}, not {type(value).__name__} {value!r}")
 
 
+def overlay(name: str, defaults: dict, cfg: dict) -> dict:
+    """defaults with cfg's values laid over them; DataError on a key defaults lacks or a value of another type."""
+    out = dict(defaults)
+    for key, value in cfg.items():
+        if key not in defaults:
+            raise DataError(f"{name} has no key {key!r} (keys: {', '.join(defaults) or 'none'})")
+        check_type(key, value, defaults[key])
+        out[key] = value
+    return out
+
+
 def settings(model_cfg: dict) -> dict:
     """The family's defaults with the model config's values laid over them, checked for range."""
     if "family" not in model_cfg:
@@ -54,15 +65,7 @@ def settings(model_cfg: dict) -> dict:
     family = model_cfg["family"]
     if not isinstance(family, str) or family not in FAMILIES:
         raise DataError(f"unknown family {family!r} (one of {', '.join(FAMILIES)})")
-    defaults = FAMILIES[family]
-    out = dict(defaults)
-    for key, value in model_cfg.items():
-        if key == "family":
-            continue
-        if key not in defaults:
-            raise DataError(f"{family} has no key {key!r} (keys: {', '.join(defaults) or 'none'})")
-        check_type(key, value, defaults[key])
-        out[key] = value
+    out = overlay(family, FAMILIES[family], {k: v for k, v in model_cfg.items() if k != "family"})
     for key in ("n", "iterations", "beams"):
         if out.get(key, 1) < 1:
             raise DataError(f"{key} must be >= 1, got {out[key]!r}")

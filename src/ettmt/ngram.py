@@ -79,6 +79,11 @@ def _context_key(src_slots: tuple, eng_slots: tuple, ordered: bool) -> tuple:
     return src_slots + eng_slots
 
 
+def _left_sum(values: list[float]) -> float:
+    """Sum strictly left to right, whatever the Python version (3.12's sum() compensates)."""
+    return float(np.cumsum(values)[-1])
+
+
 def _check_arity(model, src_slots: tuple) -> None:
     if len(src_slots) != model.n:
         raise ValueError(f"expected {model.n} source slots, got {len(src_slots)}")
@@ -264,7 +269,7 @@ class NaiveBayesModel:
                 summed[idx] = score[idx] + logs
             score = summed
         weights = [math.exp(s) for s in (score - score.max()).tolist()]
-        z = sum(weights)
+        z = _left_sum(weights)
         return np.array([-math.log(w / z) for w in weights])
 
     def _cost_tables(self) -> tuple:
@@ -388,7 +393,7 @@ def nb_posterior(model: NaiveBayesModel, src_slots: tuple, eng_slots: tuple = ()
         log_scores.append(score)
     peak = max(log_scores)
     weights = [math.exp(s - peak) for s in log_scores]
-    z = sum(weights)
+    z = _left_sum(weights)
     return {t: w / z for t, w in zip(model.vocab, weights)}
 
 
@@ -410,12 +415,12 @@ def beam_translate(model, source: list[str], beams: int = 8, max_len: int | None
     At each position the live hypotheses' summed costs plus their contexts'
     cost vectors (`model.costs`, one per distinct context) form a
     hypotheses x vocab matrix. The beam keeps its `beams` smallest entries,
-    ordered by (cost, token sequence). All live sequences have the same
-    length, so that order is (cost, the parent's rank among the live
-    sequences, token index); the last key is exact because `vocab` is
-    sorted. The cost vectors are computed with `math.log` / `math.exp`, not
-    numpy's, so each entry equals `-math.log(p)` of `distribution` to the
-    last bit and near-ties resolve exactly as a per-expansion sort would.
+    ordered by (cost, token sequence). The live hypotheses are kept in
+    token-sequence order and `vocab` is sorted, so an entry's flat index
+    is its sequence order. The cost vectors are computed with `math.log` /
+    `math.exp`, not numpy's, so each entry equals `-math.log(p)` of
+    `distribution` to the last bit and near-ties resolve exactly as a
+    per-expansion sort would.
     """
     if beams < 1:
         raise ValueError(f"beam count must be >= 1, got {beams}")
@@ -426,10 +431,9 @@ def beam_translate(model, source: list[str], beams: int = 8, max_len: int | None
     vocab = model.vocab
     eos = vocab.index(EOS)
 
-    # live hypotheses: emitted tokens, summed -log p, lexicographic rank
+    # live hypotheses in token-sequence order: emitted tokens, summed -log p
     alive: list[tuple[str, ...]] = [()]
     scores = np.zeros(1)
-    ranks = np.zeros(1, dtype=np.intp)
     done: list[tuple[float, float, tuple[str, ...]]] = []
     for i in range(n_positions):
         src_slots = tuple(padded[i : i + n])
@@ -450,13 +454,9 @@ def beam_translate(model, source: list[str], beams: int = 8, max_len: int | None
         k = min(beams, n_open)
         # every entry up to the k-th smallest cost, ties at the cut included
         picked = np.flatnonzero(flat <= np.partition(flat, k - 1)[k - 1])
-        parent, tok = np.divmod(picked, len(vocab))
-        order = np.lexsort((tok, ranks[parent], flat[picked]))[:k]
-        parent, tok = parent[order], tok[order]
-        scores = flat[picked[order]]
-        parent_ranks = ranks[parent]
-        ranks = np.empty(k, dtype=np.intp)
-        ranks[np.lexsort((tok, parent_ranks))] = np.arange(k)
+        kept = np.sort(picked[np.argsort(flat[picked], kind="stable")[:k]])
+        parent, tok = np.divmod(kept, len(vocab))
+        scores = flat[kept]
         alive = [alive[p] + (vocab[t],) for p, t in zip(parent.tolist(), tok.tolist())]
     done.extend((score, math.inf, tokens) for score, tokens in zip(scores.tolist(), alive))
     done.sort(key=lambda h: (h[0], h[1], h[2]))

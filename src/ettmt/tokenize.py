@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
+
+from .corpus import load_suffixes
+from .errors import DataError
 
 # A suffix must leave at least this many root characters behind.
 MIN_ROOT_LEN = 2
+
+TOKENIZERS = ("whitespace", "suffix")
 
 
 def tokenize_whitespace(text: str) -> list[str]:
@@ -32,6 +37,20 @@ def tokenize_suffix(text: str, suffixes: Iterable[str]) -> list[str]:
         else:
             out.append(token)
     return out
+
+
+def tokenizer(kind: str, suffix_path=None) -> Callable[[str], list[str]]:
+    """The tokenize function named by kind; the suffix tokenizer splits on the suffixes in suffix_path."""
+    if kind not in TOKENIZERS:
+        raise DataError(f"unknown tokenizer {kind!r} (one of {', '.join(TOKENIZERS)})")
+    if kind == "whitespace":
+        return tokenize_whitespace
+    if suffix_path is None:
+        raise DataError("the suffix tokenizer needs a suffix file")
+    suffixes = load_suffixes(suffix_path)
+    if not suffixes:
+        raise DataError(f"{suffix_path}: no suffixes")
+    return lambda text: tokenize_suffix(text, suffixes)
 
 
 def detokenize(tokens: list[str]) -> str:

@@ -157,6 +157,10 @@ class TestConfig:
         with pytest.raises(ValueError):
             AugmentConfig(max_name_replacements=-1)
 
+    def test_defaults_damage_once(self):
+        # with no damage pass the damage_prob / damage_geom_p defaults would do nothing
+        assert AugmentConfig().damage_iterations == 1
+
 
 class TestAugmentPairs:
     def test_expansion_counts(self, lexicon):

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -136,6 +137,78 @@ class TestRunBenchmark:
         result = run_benchmark(cfg)
         assert result.results[0].runs
 
+    def test_suffix_tokenizer_without_lexicon(self, corpus_file, lexicon_file):
+        cfg = BenchmarkConfig(
+            corpus=str(corpus_file),
+            suffix_file=str(lexicon_file.parent / "suffixes.txt"),
+            models=[{"family": "ngram"}],
+            tokenizer="suffix",
+            repeats=1,
+        )
+        assert run_benchmark(cfg).results[0].runs
+
+    def test_empty_suffix_file_fails_at_setup(self, tmp_path, corpus_file):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("\n", encoding="utf-8")
+        cfg = BenchmarkConfig(corpus=str(corpus_file), suffix_file=str(empty), tokenizer="suffix",
+                              models=[{"family": "random"}], repeats=1)
+        with pytest.raises(BenchmarkError, match="run setup, stage 'tokenizer': .*: no suffixes"):
+            run_benchmark(cfg)
+
+    def test_models_share_each_repeats_preparation(self, monkeypatch, corpus_file, lexicon_file):
+        # each model's runs are the same alone, first or last, and no model
+        # changes the training pairs or test sources that the others share
+        from ettmt import harness
+
+        shared = []
+        train, translate = harness.train_model, harness.translate
+
+        def spy_train(model_cfg, pairs, *args):
+            shared.append((pairs, copy.deepcopy(pairs)))
+            return train(model_cfg, pairs, *args)
+
+        def spy_translate(family, model, tokens, **kwargs):
+            shared.append((tokens, list(tokens)))
+            return translate(family, model, tokens, **kwargs)
+
+        monkeypatch.setattr(harness, "train_model", spy_train)
+        monkeypatch.setattr(harness, "translate", spy_translate)
+        models = [
+            {"family": "ngram", "n": 2, "context_mode": "ett-eng"},
+            {"family": "random"},
+            {"family": "ibm1", "iterations": 2, "use_lexicon": True},
+            {"family": "naive-bayes"},
+            {"family": "dict"},
+            {"family": "ibm2", "iterations": 2},
+        ]
+
+        def results(order):
+            cfg = BenchmarkConfig(corpus=str(corpus_file), lexicon=str(lexicon_file), models=order, repeats=3,
+                                  augment={"max_name_replacements": 1, "damage_prob": 0.3})
+            return [
+                (res.label, [{k: v for k, v in run.items() if k != "wall_clock"} for run in res.runs])
+                for res in run_benchmark(cfg).results
+            ]
+
+        forward = results(models)
+        assert [label for label, _ in forward] == ["ngram:n=2:ett-eng", "random", "ibm1:with-lexicon",
+                                                    "naive-bayes:n=2:ett", "dict", "ibm2"]
+        assert results(models[::-1]) == forward[::-1]
+        assert [results([model])[0] for model in models] == forward
+        assert all(value == before for value, before in shared)
+
+    def test_each_repeat_augmented_once(self, monkeypatch, corpus_file, lexicon_file):
+        from ettmt import harness
+
+        seeds = []
+        augment = harness.augment_pairs
+        monkeypatch.setattr(harness, "augment_pairs", lambda *args: seeds.append(args[2].seed) or augment(*args))
+        cfg = BenchmarkConfig(corpus=str(corpus_file), lexicon=str(lexicon_file), repeats=3, seed=4,
+                              models=[{"family": "ibm1", "iterations": 2}, {"family": "random"}],
+                              augment={"damage_prob": 0.2})
+        run_benchmark(cfg)
+        assert seeds == [4, 5, 6]
+
     def test_table_layout(self, corpus_file, lexicon_file):
         cfg = BenchmarkConfig(
             corpus=str(corpus_file),
@@ -177,8 +250,9 @@ class TestRunBenchmark:
             ({"models": [{"family": "ibm1", "use_lexicon": True}]}, True),
             ({"models": [{"family": "random"}, {"family": "dict"}]}, True),
             ({"models": [{"family": "ngram"}], "augment": {"damage_prob": 0.1}}, True),
+            ({"models": [{"family": "ngram"}], "tokenizer": "suffix"}, False),
         ],
-        ids=["ngram-only", "ibm-without-lexicon", "ibm-with-lexicon", "dict", "augment"],
+        ids=["ngram-only", "ibm-without-lexicon", "ibm-with-lexicon", "dict", "augment", "suffix-tokenizer"],
     )
     def test_lexicon_loaded_only_when_used(self, monkeypatch, corpus_file, lexicon_file, extra, loads):
         from ettmt import harness
@@ -186,7 +260,8 @@ class TestRunBenchmark:
         calls = []
         load = harness.load_lexicon
         monkeypatch.setattr(harness, "load_lexicon", lambda *args: calls.append(args) or load(*args))
-        cfg = BenchmarkConfig(corpus=str(corpus_file), lexicon=str(lexicon_file), repeats=1, **extra)
+        cfg = BenchmarkConfig(corpus=str(corpus_file), lexicon=str(lexicon_file),
+                              suffix_file=str(lexicon_file.parent / "suffixes.txt"), repeats=1, **extra)
         run_benchmark(cfg)
         assert len(calls) == int(loads)
 
@@ -327,6 +402,40 @@ class TestCli:
         assert out.exists()
         text = out.read_text()
         assert text.count("\n") > 12  # expanded beyond the originals
+
+    def test_augment_flags_default_to_augment_config(self, tmp_path, corpus_file, lexicon_file):
+        base = ["augment", "--in", str(corpus_file), "--lexicon", str(lexicon_file)]
+        assert cli_dispatch(base + ["--out", str(tmp_path / "a.tsv")]) == 0
+        explicit = ["--name-replacements", "1", "--damage-prob", "0.1", "--damage-geom-p", "0.5",
+                    "--damage-iterations", "1", "--seed", "0"]
+        assert cli_dispatch(base + ["--out", str(tmp_path / "b.tsv")] + explicit) == 0
+        assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
+
+    def test_augment_out_of_range_flag_exits_2(self, tmp_path, corpus_file, capsys):
+        out = tmp_path / "aug.tsv"
+        assert cli_dispatch(["augment", "--in", str(corpus_file), "--out", str(out), "--damage-prob", "2"]) == 2
+        assert capsys.readouterr().err == "error: damage_prob must be in [0, 1]\n"
+        assert not out.exists()
+
+    def test_translate_beams_0_exits_2(self, tmp_path, corpus_file, capsys):
+        model = tmp_path / "ngram.json"
+        assert cli_dispatch(["train", "--family", "ngram", "--in", str(corpus_file), "--out", str(model)]) == 0
+        src = tmp_path / "src.txt"
+        src.write_text("mi aveles\n", encoding="utf-8")
+        capsys.readouterr()
+        assert cli_dispatch(["translate", "--model", str(model), "--in", str(src), "--beams", "0"]) == 2
+        assert capsys.readouterr().err == "error: beam count must be >= 1, got 0\n"
+
+    def test_empty_suffix_file_exits_2(self, tmp_path, capsys):
+        text = tmp_path / "text.txt"
+        text.write_text("mi aveles\n", encoding="utf-8")
+        empty = tmp_path / "empty.txt"
+        empty.write_text("", encoding="utf-8")
+        argv = ["tokenize", "--in", str(text), "--tokenizer", "suffix"]
+        assert cli_dispatch(argv) == 2
+        assert capsys.readouterr().err == "error: the suffix tokenizer needs a suffix file\n"
+        assert cli_dispatch(argv + ["--suffixes", str(empty)]) == 2
+        assert capsys.readouterr().err == f"error: {empty}: no suffixes\n"
 
     def test_benchmark_subcommand(self, tmp_path, corpus_file, lexicon_file, capsys):
         cfg = {
@@ -490,12 +599,19 @@ class TestCli:
              "model 0: alpha must be a finite number > 0, got 0"),
             (lambda cfg: json.dumps({**cfg, "models": [{"family": "ngram", "context_mode": "foo"}]}),
              "model 0: context_mode must be one of ett, ett-eng, got 'foo'"),
+            (lambda cfg: json.dumps({**cfg, "augment": {"foo": 1}}), "augment has no key 'foo'"),
+            (lambda cfg: json.dumps({**cfg, "augment": {"seed": 3}}), "augment has no key 'seed'"),
+            (lambda cfg: json.dumps({**cfg, "augment": {"damage_iterations": 1.5}}),
+             "damage_iterations must be int, not float 1.5"),
+            (lambda cfg: json.dumps({**cfg, "augment": {"damage_prob": 2}}), "damage_prob must be in [0, 1]"),
+            (lambda cfg: json.dumps({**cfg, "tokenizer": "suffix"}), "the suffix tokenizer needs a suffix_file"),
         ],
         ids=["invalid-json", "top-level-list", "models-object", "models-empty", "model-string",
              "no-family", "unknown-family", "no-corpus", "repeats-0", "unknown-model-key",
              "n-string", "use-lexicon-int", "beams-on-dict", "repeats-string", "full-eval-string",
              "seed-float", "augment-string", "corpus-int", "lexicon-list", "iterations-0", "n-0",
-             "beams-0", "alpha-0", "context-mode-unknown"],
+             "beams-0", "alpha-0", "context-mode-unknown", "augment-unknown-key", "augment-seed",
+             "augment-iterations-float", "augment-prob-2", "suffix-without-file"],
     )
     def test_malformed_benchmark_config_exits_2(self, tmp_path, corpus_file, lexicon_file, capsys, edit, message):
         cfg = {"corpus": str(corpus_file), "lexicon": str(lexicon_file), "repeats": 1, "full_eval": True}

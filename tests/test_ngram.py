@@ -332,6 +332,20 @@ class TestCostVectors:
                 expected = [-math.log(p) for p in model.distribution(key).values()]
                 assert model.costs(key).tolist() == expected, (alpha, key)
 
+    def test_normalizer_adds_left_to_right(self):
+        # a compensated sum (Python 3.12's sum()) would give 2.0 here and move
+        # every naive-Bayes cost in the last bit
+        from ettmt.ngram import _left_sum
+
+        assert _left_sum([1.0, 1e100, 1.0, -1e100]) == 0.0
+        rng = random.Random(14)
+        for _ in range(200):
+            values = [rng.random() * 10 ** rng.randint(-8, 8) for _ in range(rng.randint(1, 300))]
+            total = 0.0
+            for v in values:
+                total += v
+            assert _left_sum(values) == total
+
     def test_costs_arity_checked(self):
         for model in (train_ngram([(["a"], ["x"])], n=2), train_naive_bayes([(["a"], ["x"])], n=2)):
             with pytest.raises(ValueError):

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ettmt.tokenize import detokenize, tokenize_suffix, tokenize_whitespace
+from ettmt.errors import DataError
+from ettmt.tokenize import detokenize, tokenize_suffix, tokenize_whitespace, tokenizer
 
 # normalized strings whose words do not begin with '-' (a leading hyphen is
 # reserved for suffix tokens, so such words cannot round-trip)
@@ -47,6 +48,28 @@ class TestSuffix:
     @given(normalized_texts)
     def test_empty_suffix_list_property(self, text):
         assert tokenize_suffix(text, []) == tokenize_whitespace(text)
+
+
+class TestTokenizer:
+    def test_whitespace(self):
+        assert tokenizer("whitespace") is tokenize_whitespace
+
+    def test_suffix_reads_suffix_file(self, tmp_path):
+        path = tmp_path / "suffixes.txt"
+        path.write_text("s\nus\n", encoding="utf-8")
+        assert tokenizer("suffix", path)("velus mi") == ["vel", "-us", "mi"]
+
+    def test_suffix_needs_a_nonempty_suffix_file(self, tmp_path):
+        with pytest.raises(DataError, match="needs a suffix file"):
+            tokenizer("suffix")
+        path = tmp_path / "suffixes.txt"
+        path.write_text("\n  \n", encoding="utf-8")
+        with pytest.raises(DataError, match="no suffixes"):
+            tokenizer("suffix", path)
+
+    def test_unknown_kind(self):
+        with pytest.raises(DataError, match="unknown tokenizer 'bpe'"):
+            tokenizer("bpe")
 
 
 class TestDetokenize:
