@@ -18,7 +18,7 @@ from .errors import BenchmarkError, DataError
 from .fetch import fetch_dataset
 from .harness import BenchmarkConfig, format_table, run_benchmark
 from .metrics import score_corpus
-from .modelio import FAMILIES, load_model, save_model, train_model, training_pairs, translate
+from .modelio import FAMILIES, lexicon_entries, load_model, save_model, train_model, translate
 from .tokenize import TOKENIZERS, tokenizer
 
 
@@ -76,7 +76,7 @@ def cmd_train(args) -> int:
     model_cfg = {"family": family, **{k: v for k, v in flags.items() if k in FAMILIES[family] and v is not None}}
     model = train_model(model_cfg, pairs, lexicon, tok)
     save_model(family, model, args.out)
-    n_pairs = len(training_pairs(model_cfg, pairs, lexicon, tok))
+    n_pairs = len(pairs) + len(lexicon_entries(model_cfg, lexicon))
     print(f"trained {family} model on {n_pairs} pairs -> {args.out}", file=sys.stderr)
     return 0
 

@@ -59,19 +59,6 @@ def _check_corpus(hypotheses, references):
 CHUNK_ITEMS = 2048  # hypothesis plus reference items per chunk; bounds the temporaries
 
 
-def _dense_rank(keys: np.ndarray) -> tuple[np.ndarray, int]:
-    """Each key's rank among the distinct keys, and how many distinct keys there are."""
-    # a stable sort, not np.unique or quicksort: their code pages alone add
-    # to peak RSS more than the arrays of a chunk do
-    order = np.argsort(keys, kind="stable")
-    step = np.zeros(len(keys), dtype=np.int64)
-    np.minimum(np.diff(keys[order]), 1, out=step[1:])  # 1 where a new key starts
-    np.cumsum(step, out=step)
-    ranks = np.empty_like(step)
-    ranks[order] = step
-    return ranks, int(step[-1]) + 1
-
-
 def _chunks(pairs):
     """Lists hyp 0, ref 0, hyp 1, ref 1, ... of about ``CHUNK_ITEMS`` items."""
     runs = []
@@ -111,14 +98,14 @@ def _ngram_stats(pairs, order: int, encode):
         run = np.repeat(np.arange(len(runs)), lengths)
         pos = np.arange(len(codes))
         left = np.cumsum(lengths)[run] - pos  # items from a position to its run's end
-        ids, kinds = _dense_rank((run >> 1) * width + codes)  # run >> 1: the segment
+        ids, kinds = _kernels.dense_rank((run >> 1) * width + codes)  # run >> 1: the segment
         for n in range(1, order + 1):
             if n > 1:
                 keep = left[pos] >= n
                 pos = pos[keep]
                 if not len(pos):
                     break
-                ids, kinds = _dense_rank(ids[keep] * width + codes[pos + n - 1])
+                ids, kinds = _kernels.dense_rank(ids[keep] * width + codes[pos + n - 1])
             from_hyp = run[pos] % 2 == 0
             hyp_counts = np.bincount(ids[from_hyp], minlength=kinds)
             ref_counts = np.bincount(ids[~from_hyp], minlength=kinds)

@@ -94,13 +94,18 @@ def model_label(model_cfg: dict) -> str:
     return ":".join(parts)
 
 
-def training_pairs(model_cfg: dict, pairs, lexicon: Lexicon | None, tok) -> list:
-    """pairs, plus the lexicon's translatable entries (Etruscan side split by tok) when use_lexicon is set."""
+def lexicon_entries(model_cfg: dict, lexicon: Lexicon | None) -> list:
+    """The lexicon entries training adds as pairs: the translatable ones when use_lexicon is set, else none."""
     if not settings(model_cfg).get("use_lexicon"):
-        return pairs
+        return []
     if lexicon is None:
         raise DataError("use_lexicon requires a lexicon")
-    return list(pairs) + [(tok(e.etruscan), e.english.split()) for e in lexicon.entries if e.translatable]
+    return [e for e in lexicon.entries if e.translatable]
+
+
+def training_pairs(model_cfg: dict, pairs, lexicon: Lexicon | None, tok) -> list:
+    """pairs, plus lexicon_entries(model_cfg, lexicon) as pairs (Etruscan side split by tok)."""
+    return list(pairs) + [(tok(e.etruscan), e.english.split()) for e in lexicon_entries(model_cfg, lexicon)]
 
 
 def train_model(model_cfg: dict, pairs, lexicon: Lexicon | None, tok):

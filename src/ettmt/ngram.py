@@ -23,12 +23,15 @@ source-only context every live hypothesis sees the same distribution, so any
 beam width reproduces greedy search; with English context the hypotheses
 diverge and the beam matters.
 
-Every cost value is built with the same ``math.log`` / ``math.exp`` calls,
-in the same order, as ``ngram_distribution`` and ``nb_posterior``. numpy is
-used only for steps that IEEE arithmetic makes exact: add, subtract, max,
-fill, scatter, partition and sort. ``np.log`` and ``np.exp`` may differ from
-``math`` in the last bit and ``np.sum`` adds in another order; any of these
-could reorder two nearly tied hypotheses and change a decoded sentence.
+Every cost value is built with the same ``math.log`` / ``math.exp`` calls
+on the same arguments as ``ngram_distribution`` and ``nb_posterior``, though
+the naive-Bayes costs call them once per distinct score value rather than
+once per target. numpy is used only for steps that IEEE arithmetic makes
+exact: add, subtract, correctly rounded division, max, fill, scatter,
+gather, ranking, partition and sort. ``np.log`` and ``np.exp`` may differ
+from ``math`` in the last bit and ``np.sum`` adds in another order; any of
+these could reorder two nearly tied hypotheses and change a decoded
+sentence.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._kernels import dense_rank
 from .errors import DataError
 
 PAD = "<pad>"
@@ -79,7 +83,7 @@ def _context_key(src_slots: tuple, eng_slots: tuple, ordered: bool) -> tuple:
     return src_slots + eng_slots
 
 
-def _left_sum(values: list[float]) -> float:
+def _left_sum(values: list[float] | np.ndarray) -> float:
     """Sum strictly left to right, whatever the Python version (3.12's sum() compensates)."""
     return float(np.cumsum(values)[-1])
 
@@ -256,7 +260,9 @@ class NaiveBayesModel:
         """-log of `distribution` over `vocab`, equal to it bit for bit.
 
         Each target's log score adds the same `math.log` terms in the same
-        slot order as `nb_posterior`, one vector addition per slot.
+        slot order as `nb_posterior`, one vector addition per slot. The
+        `math.exp` and `math.log` of the normalization run once per distinct
+        score value, not once per target: equal scores give equal results.
         """
         _check_arity(self, src_slots)
         log_prior, defaults, overrides = self._cost_tables()
@@ -268,9 +274,13 @@ class NaiveBayesModel:
                 idx, logs = override
                 summed[idx] = score[idx] + logs
             score = summed
-        weights = [math.exp(s) for s in (score - score.max()).tolist()]
-        z = _left_sum(weights)
-        return np.array([-math.log(w / z) for w in weights])
+        shifted = score - score.max()
+        ranks, kinds = dense_rank(shifted)
+        distinct = np.empty(kinds)
+        distinct[ranks] = shifted
+        exps = np.array([math.exp(s) for s in distinct.tolist()])
+        z = _left_sum(exps[ranks])
+        return np.array([-math.log(q) for q in (exps / z).tolist()])[ranks]
 
     def _cost_tables(self) -> tuple:
         if self._tables is None:
@@ -420,7 +430,8 @@ def beam_translate(model, source: list[str], beams: int = 8, max_len: int | None
     is its sequence order. The cost vectors are computed with `math.log` /
     `math.exp`, not numpy's, so each entry equals `-math.log(p)` of
     `distribution` to the last bit and near-ties resolve exactly as a
-    per-expansion sort would.
+    per-expansion sort would; a naive-Bayes vector runs them once per
+    distinct score value.
     """
     if beams < 1:
         raise ValueError(f"beam count must be >= 1, got {beams}")

@@ -18,15 +18,25 @@ def tokenize_whitespace(text: str) -> list[str]:
     return text.split()
 
 
+class _LongestFirst(tuple):
+    """Distinct suffixes, longest first and alphabetical within a length: the
+    order in which `tokenize_suffix` tries them."""
+
+    def __new__(cls, suffixes: Iterable[str]):
+        return super().__new__(cls, sorted(set(suffixes), key=lambda s: (-len(s), s)))
+
+
 def tokenize_suffix(text: str, suffixes: Iterable[str]) -> list[str]:
     """Split each word into root + suffix using the longest matching suffix.
 
     A suffix applies only when it matches the end of the word and leaves a
     root of at least MIN_ROOT_LEN characters; the split is applied once per
     word (no recursive stripping). The suffix token is emitted with a '-'
-    prefix so later stages can tell it apart from a free word.
+    prefix so later stages can tell it apart from a free word. The
+    function from `tokenizer` passes its suffixes already in that order, so
+    they are not sorted again on every call.
     """
-    by_length = sorted(set(suffixes), key=lambda s: (-len(s), s))
+    by_length = suffixes if isinstance(suffixes, _LongestFirst) else _LongestFirst(suffixes)
     out: list[str] = []
     for token in text.split():
         for suffix in by_length:
@@ -47,7 +57,7 @@ def tokenizer(kind: str, suffix_path=None) -> Callable[[str], list[str]]:
         return tokenize_whitespace
     if suffix_path is None:
         raise DataError("the suffix tokenizer needs a suffix file")
-    suffixes = load_suffixes(suffix_path)
+    suffixes = _LongestFirst(load_suffixes(suffix_path))
     if not suffixes:
         raise DataError(f"{suffix_path}: no suffixes")
     return lambda text: tokenize_suffix(text, suffixes)

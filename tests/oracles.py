@@ -888,6 +888,40 @@ def oracle_factored_posterior(prior, conditionals, context):
 
 
 # ---------------------------------------------------------------------------
+# Naive-Bayes cost vectors
+# ---------------------------------------------------------------------------
+
+def _check_arity(model, src_slots: tuple) -> None:
+    if len(src_slots) != model.n:
+        raise ValueError(f"expected {model.n} source slots, got {len(src_slots)}")
+
+
+def _left_sum(values) -> float:
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def former_nb_costs(self, src_slots: tuple, eng_slots: tuple = ()) -> np.ndarray:
+    """`NaiveBayesModel.costs` as it was before it worked per distinct score:
+    one `math.exp` and one `math.log` per target. `self` is the model."""
+    _check_arity(self, src_slots)
+    log_prior, defaults, overrides = self._cost_tables()
+    score = log_prior
+    for slot, value in enumerate(tuple(src_slots) + tuple(eng_slots)):
+        summed = score + defaults[slot]
+        override = overrides[slot].get(value)
+        if override is not None:
+            idx, logs = override
+            summed[idx] = score[idx] + logs
+        score = summed
+    weights = [math.exp(s) for s in (score - score.max()).tolist()]
+    z = _left_sum(weights)
+    return np.array([-math.log(w / z) for w in weights])
+
+
+# ---------------------------------------------------------------------------
 # Beam decoding
 # ---------------------------------------------------------------------------
 

@@ -707,6 +707,23 @@ class TestCli:
         assert cli_dispatch(base + ["--out", str(tmp_path / "x.json"), "--with-lexicon-pairs"]) == 2
         assert capsys.readouterr().err.startswith("error: use_lexicon requires a lexicon")
 
+    def test_train_tokenizes_each_lexicon_entry_once(self, tmp_path, corpus_file, lexicon_file, capsys,
+                                                     monkeypatch):
+        # the pair count printed after training is counted, not tokenized again
+        import ettmt.tokenize
+
+        texts = []
+        split = ettmt.tokenize.tokenize_suffix
+        monkeypatch.setattr(ettmt.tokenize, "tokenize_suffix",
+                            lambda text, suffixes: texts.append(text) or split(text, suffixes))
+        assert cli_dispatch(["train", "--family", "ibm1", "--in", str(corpus_file), "--iterations", "2",
+                             "--out", str(tmp_path / "m.json"), "--lexicon", str(lexicon_file),
+                             "--with-lexicon-pairs", "--tokenizer", "suffix",
+                             "--suffixes", str(tmp_path / "suffixes.txt")]) == 0
+        n_pairs = 12 + sum(1 for _, english, _ in WORD_ENTRIES + NAME_ENTRIES if english)
+        assert len(texts) == n_pairs
+        assert f"trained ibm1 model on {n_pairs} pairs -> " in capsys.readouterr().err
+
     def test_evaluate_mismatched_files(self, tmp_path):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"

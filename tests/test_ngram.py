@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+import ettmt.ngram
 from ettmt.errors import DataError
 from ettmt.ngram import (
     CONTEXT_ETT,
@@ -280,6 +281,62 @@ def _random_models(rng):
         yield train_naive_bayes(pairs, n=n, context_mode=mode, alpha=alpha)
 
 
+def _tie_heavy_nb(rng, n, context_mode, alpha, n_targets=300):
+    """A naive-Bayes model whose hundreds of targets share a handful of counts.
+
+    Targets with equal counts and no slot override for a context score the
+    same. Each slot gives a tenth of the targets counts for two of its first
+    eight values (s0-s5 and PAD on source slots, the first vocabulary entries
+    on English slots), so some contexts override a few targets and others
+    (unseen values) none.
+    """
+    vocab = tuple(sorted({EOS, PAD} | {f"t{i:03d}" for i in range(n_targets)}))
+    target_counts = {t: rng.choice((1, 2, 3, 5)) for t in vocab}
+    src_vocab = tuple(sorted({PAD} | {f"s{i}" for i in range(6)}))
+    n_slots = 2 * n if context_mode == CONTEXT_ETT_ENG else n
+    slot_vocabs = [src_vocab] * n + [vocab] * (n_slots - n)
+    slot_counts = [
+        {
+            t: {v: rng.randint(1, target_counts[t]) for v in rng.sample(slot_vocabs[slot][:8], 2)}
+            for t in rng.sample(vocab, len(vocab) // 10)
+        }
+        for slot in range(n_slots)
+    ]
+    return NaiveBayesModel(n=n, context_mode=context_mode, alpha=alpha, target_counts=target_counts,
+                           total_positions=sum(target_counts.values()), slot_counts=slot_counts,
+                           slot_vocabs=slot_vocabs, vocab=vocab)
+
+
+def _tie_heavy_contexts(rng, model, k):
+    """The all-unseen context (no overrides) and k drawn from seen and unseen values."""
+    history = model.context_mode == CONTEXT_ETT_ENG
+    src_values = list(model.slot_vocabs[0]) + ["unseen"]
+    eng_values = list(model.vocab[:8]) + ["unseen"]
+    contexts = [(("unseen",) * model.n, ("unseen",) * model.n if history else ())]
+    for _ in range(k):
+        src = tuple(rng.choices(src_values, k=model.n))
+        contexts.append((src, tuple(rng.choices(eng_values, k=model.n)) if history else ()))
+    return contexts
+
+
+class _CountingMath:
+    """Stands in for the math module and counts the calls to each function."""
+
+    def __init__(self):
+        self.calls = {}
+
+    def __getattr__(self, name):
+        target = getattr(math, name)
+        if not callable(target):
+            return target
+
+        def counted(*args):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return target(*args)
+
+        return counted
+
+
 class TestCostVectors:
     # `costs` must equal `-math.log` of `distribution` exactly, not
     # approximately: np.log / np.exp can differ from math.log / math.exp in
@@ -345,6 +402,29 @@ class TestCostVectors:
             for v in values:
                 total += v
             assert _left_sum(values) == total
+
+    def test_costs_equal_former_costs_on_tied_scores(self):
+        # the per-distinct-value exp and log must give what one exp and one
+        # log per target gave, on vectors where most targets tie
+        rng = random.Random(15)
+        for n, mode, alpha in itertools.product((1, 2), (CONTEXT_ETT, CONTEXT_ETT_ENG), (1.0, 0.01)):
+            model = _tie_heavy_nb(rng, n, mode, alpha)
+            for src, eng in _tie_heavy_contexts(rng, model, 30):
+                got = model.costs(src, eng).tolist()
+                assert got == oracles.former_nb_costs(model, src, eng).tolist(), (n, mode, alpha, src, eng)
+                assert got == [-math.log(p) for p in model.distribution(src, eng).values()]
+                assert len(set(got)) < len(model.vocab) // 4
+
+    def test_exp_and_log_run_once_per_distinct_value(self, monkeypatch):
+        rng = random.Random(16)
+        model = _tie_heavy_nb(rng, 2, CONTEXT_ETT_ENG, 1.0)
+        model.costs((PAD, PAD), (PAD, PAD))  # builds the tables, which take logs of their own
+        counting = _CountingMath()
+        monkeypatch.setattr(ettmt.ngram, "math", counting)
+        for src, eng in _tie_heavy_contexts(rng, model, 10):
+            counting.calls.clear()
+            distinct = len(set(model.costs(src, eng).tolist()))
+            assert counting.calls == {"exp": distinct, "log": distinct}, (src, eng)
 
     def test_costs_arity_checked(self):
         for model in (train_ngram([(["a"], ["x"])], n=2), train_naive_bayes([(["a"], ["x"])], n=2)):
@@ -435,6 +515,16 @@ class TestDecoderMatchesOracle:
                     assert got == want, (model, source, beams, max_len)
                     compared += 1
         assert compared == 72 * 6 * 5 * 2
+
+    def test_tie_heavy_naive_bayes(self):
+        rng = random.Random(17)
+        for n, mode, alpha in itertools.product((1, 2), (CONTEXT_ETT, CONTEXT_ETT_ENG), (1.0, 0.01)):
+            model = _tie_heavy_nb(rng, n, mode, alpha, n_targets=120)
+            src_values = list(model.slot_vocabs[0]) + ["unseen"]
+            for source in (["unseen"], rng.choices(src_values, k=3)):
+                for beams in range(1, 10):
+                    want = oracles.oracle_beam_translate(model, source, beams=beams)
+                    assert beam_translate(model, source, beams=beams) == want, (n, mode, alpha, source, beams)
 
 
 class TestBeamTranslate:
