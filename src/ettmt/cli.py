@@ -14,11 +14,12 @@ import numpy as np
 
 from .augment import AugmentConfig, augment_pairs
 from .corpus import load_corpus, load_lexicon, normalize, read_lines, save_corpus
-from .errors import BenchmarkError, DataError
+from .errors import BenchmarkError
 from .fetch import fetch_dataset
 from .harness import BenchmarkConfig, format_table, run_benchmark
 from .metrics import score_corpus
 from .modelio import FAMILIES, lexicon_entries, load_model, save_model, train_model, translate
+from .ngram import CONTEXT_MODES
 from .tokenize import TOKENIZERS, tokenizer
 
 
@@ -165,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suffixes")
     p.add_argument("--tokenizer", choices=TOKENIZERS, default="whitespace")
     p.add_argument("--n", type=int, help="context size for ngram/naive-bayes")
-    p.add_argument("--context", choices=("ett", "ett-eng"))
+    p.add_argument("--context", choices=CONTEXT_MODES)
     p.add_argument("--unordered", action="store_true", help="ignore source slot order (ngram)")
     p.add_argument("--alpha", type=float, help="additive smoothing")
     p.add_argument("--iterations", type=int, help="EM iterations (ibm1/ibm2)")
@@ -216,7 +217,7 @@ def cli_dispatch(argv: list[str] | None = None) -> int:
         return 1
     try:
         return args.fn(args)
-    except (DataError, BenchmarkError, OSError, ValueError) as exc:
+    except (BenchmarkError, OSError, ValueError) as exc:  # ValueError includes DataError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,9 +1,17 @@
-"""Shared exception types."""
+"""Shared exception types and the type rule for config and model-file values."""
 
 
-class DataError(Exception):
-    """Malformed or inconsistent input data (bad row, duplicate id, wrong column count)."""
+class DataError(ValueError):
+    """Malformed or inconsistent input data (bad row, duplicate id, wrong column count, bad setting)."""
 
 
 class BenchmarkError(Exception):
     """A benchmark stage failed; message carries the run index and stage name."""
+
+
+def check_type(key: str, value, default) -> None:
+    """DataError unless value is of default's type; an int also passes for a float, a bool never for a number."""
+    want = type(default)
+    ok = isinstance(value, (int, float) if want is float else want)
+    if not ok or (isinstance(value, bool) and want is not bool):
+        raise DataError(f"{key} must be {want.__name__}, not {type(value).__name__} {value!r}")

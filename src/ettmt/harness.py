@@ -20,9 +20,9 @@ import numpy as np
 
 from .augment import AugmentConfig, augment_pairs
 from .corpus import load_corpus, load_lexicon, split_corpus
-from .errors import BenchmarkError, DataError
+from .errors import BenchmarkError, DataError, check_type
 from .metrics import score_corpus
-from .modelio import check_type, model_label, needs_lexicon, overlay, settings, train_model, translate
+from .modelio import model_label, needs_lexicon, overlay, settings, train_model, translate
 from .tokenize import TOKENIZERS, tokenizer
 
 METRICS = ("bleu", "chrf", "ter")
@@ -91,7 +91,7 @@ class BenchmarkConfig:
             raise DataError(f"{path}: unknown config keys {sorted(unknown)}")
         try:
             return cls(**raw)
-        except (DataError, ValueError) as exc:
+        except ValueError as exc:  # includes DataError
             raise DataError(f"{path}: {exc}") from exc
 
     def to_dict(self) -> dict:
@@ -140,7 +140,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     def stage(run: int | str, name: str, fn, *args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (DataError, ValueError, OSError) as exc:
+        except (ValueError, OSError) as exc:
             raise BenchmarkError(f"run {run}, stage '{name}': {exc}") from exc
 
     corpus, _report = stage("setup", "load-corpus", load_corpus, cfg.corpus, cfg.corpus_format)

@@ -5,7 +5,6 @@ benchmark runner."""
 from __future__ import annotations
 
 import json
-import math
 
 import numpy as np
 
@@ -20,9 +19,9 @@ from .baselines import (
     translate_random,
 )
 from .corpus import Lexicon
-from .errors import DataError
+from .errors import DataError, check_type
 from .ibm import AlignTable, TTable, train_ibm1, train_ibm2, translate_ibm
-from .ngram import CONTEXT_MODES, NaiveBayesModel, NgramModel, beam_translate, train_naive_bayes, train_ngram
+from .ngram import NaiveBayesModel, NgramModel, beam_translate, check_settings, train_naive_bayes, train_ngram
 
 FORMAT = "ettmt-model"
 VERSION = 1
@@ -40,13 +39,6 @@ FAMILIES = {
 }
 
 
-def check_type(key: str, value, default) -> None:
-    """DataError unless value has default's type; an int also passes for a float, a bool never for an int."""
-    want = type(default)
-    if type(value) is not want and not (want is float and type(value) is int):
-        raise DataError(f"{key} must be {want.__name__}, not {type(value).__name__} {value!r}")
-
-
 def overlay(name: str, defaults: dict, cfg: dict) -> dict:
     """defaults with cfg's values laid over them; DataError on a key defaults lacks or a value of another type."""
     out = dict(defaults)
@@ -59,20 +51,19 @@ def overlay(name: str, defaults: dict, cfg: dict) -> dict:
 
 
 def settings(model_cfg: dict) -> dict:
-    """The family's defaults with the model config's values laid over them, checked for range."""
+    """The family's defaults with the model config's values laid over them, checked for range
+    (the n-gram and naive-Bayes settings by `ngram.check_settings`, as in training and model files)."""
     if "family" not in model_cfg:
         raise DataError(f"no 'family' (one of {', '.join(FAMILIES)})")
     family = model_cfg["family"]
     if not isinstance(family, str) or family not in FAMILIES:
         raise DataError(f"unknown family {family!r} (one of {', '.join(FAMILIES)})")
     out = overlay(family, FAMILIES[family], {k: v for k, v in model_cfg.items() if k != "family"})
-    for key in ("n", "iterations", "beams"):
+    for key in ("iterations", "beams"):
         if out.get(key, 1) < 1:
             raise DataError(f"{key} must be >= 1, got {out[key]!r}")
-    if not 0 < out.get("alpha", 1.0) < math.inf:
-        raise DataError(f"alpha must be a finite number > 0, got {out['alpha']!r}")
-    if out.get("context_mode", CONTEXT_MODES[0]) not in CONTEXT_MODES:
-        raise DataError(f"context_mode must be one of {', '.join(CONTEXT_MODES)}, got {out['context_mode']!r}")
+    if "context_mode" in out:
+        check_settings(out["n"], out["context_mode"], out["alpha"], out.get("ordered", True))
     return out
 
 
@@ -177,6 +168,8 @@ def load_model(path):
             return family, (TTable.from_dict(payload["ttable"]), AlignTable.from_dict(payload["aligntable"]))
     except KeyError as exc:
         raise DataError(f"{path}: {family} model payload lacks key {exc}") from exc
+    except (TypeError, ValueError, AttributeError, IndexError) as exc:  # ValueError includes DataError
+        raise DataError(f"{path}: bad {family} model payload: {exc}") from exc
     raise DataError(f"{path}: unknown model family {family!r}")
 
 

@@ -15,6 +15,11 @@ Two estimators share that alignment:
 * ``NaiveBayesModel`` factors the conditional into a target prior times
   per-slot likelihoods and scores candidates in log space.
 
+``check_settings`` holds the one rule for ``n``, ``context_mode``, ``alpha``
+and ``ordered``; both trainers, both ``from_dict`` loaders and the model
+configs of ``ettmt.modelio`` call it, so a value is accepted or rejected with
+the same message wherever it comes from.
+
 ``beam_translate`` decodes either model. Each model's ``costs`` method gives
 -log P(target | context) as one numpy vector over its sorted ``vocab``, and
 the decoder scores every expansion of every live hypothesis as one array
@@ -31,7 +36,8 @@ exact: add, subtract, correctly rounded division, max, fill, scatter,
 gather, ranking, partition and sort. ``np.log`` and ``np.exp`` may differ
 from ``math`` in the last bit and ``np.sum`` adds in another order; any of
 these could reorder two nearly tied hypotheses and change a decoded
-sentence.
+sentence. A probability that underflows to 0.0 costs ``inf`` rather than
+failing ``math.log``, so the decoder picks it only when nothing else is left.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import dense_rank
-from .errors import DataError
+from .errors import DataError, check_type
 
 PAD = "<pad>"
 EOS = "<eos>"
@@ -93,15 +99,33 @@ def _check_arity(model, src_slots: tuple) -> None:
         raise ValueError(f"expected {model.n} source slots, got {len(src_slots)}")
 
 
-def _check_training(pairs: list[Pair], n: int, context_mode: str, alpha: float) -> None:
+def _check_training(pairs: list[Pair]) -> None:
     if not pairs:
         raise DataError("cannot train on an empty pair list")
-    if context_mode not in CONTEXT_MODES:
-        raise ValueError(f"context_mode must be one of {CONTEXT_MODES}, got {context_mode!r}")
+
+
+def check_settings(n, context_mode, alpha, ordered=True) -> None:
+    """DataError unless n is an int >= 1, context_mode one of CONTEXT_MODES, alpha a finite
+    number > 0 and ordered a bool (a bool is no number): the rule for training, model files and configs."""
+    for key, value, default in (("n", n, 1), ("context_mode", context_mode, CONTEXT_ETT),
+                                ("alpha", alpha, 1.0), ("ordered", ordered, True)):
+        check_type(key, value, default)
     if n < 1:
-        raise ValueError(f"context size must be >= 1, got {n}")
-    if alpha <= 0:
-        raise ValueError(f"smoothing parameter must be > 0, got {alpha}")
+        raise DataError(f"n must be >= 1, got {n!r}")
+    if not 0 < alpha < math.inf:
+        raise DataError(f"alpha must be a finite number > 0, got {alpha!r}")
+    if context_mode not in CONTEXT_MODES:
+        raise DataError(f"context_mode must be one of {', '.join(CONTEXT_MODES)}, got {context_mode!r}")
+
+
+def _n_slots(n: int, context_mode: str) -> int:
+    """Context slots per position: n source tokens, plus n English ones in ett-eng mode."""
+    return 2 * n if context_mode == CONTEXT_ETT_ENG else n
+
+
+def _log(p: float) -> float:
+    """math.log(p), or -inf for a probability that underflowed to 0.0."""
+    return math.log(p) if p > 0.0 else -math.inf
 
 
 def _checked_vocab(vocab, targets) -> tuple[str, ...]:
@@ -122,21 +146,6 @@ def _checked_vocab(vocab, targets) -> tuple[str, ...]:
     if unknown:
         raise DataError(f"model counts name targets outside its vocabulary: {', '.join(unknown[:5])}")
     return vocab
-
-
-def _checked_settings(payload: dict) -> tuple[int, float]:
-    """A loaded model's context size and smoothing, held to the training checks.
-
-    Smoothing of zero makes unseen targets impossible, so decoding takes
-    the log of zero; a context size below one gives no source slots.
-    """
-    n, alpha = payload["n"], payload["alpha"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise DataError(f"model context size must be an integer >= 1, got {n!r}")
-    valid_alpha = isinstance(alpha, (int, float)) and not isinstance(alpha, bool)
-    if not valid_alpha or not 0 < alpha < math.inf:
-        raise DataError(f"model smoothing parameter must be a finite number > 0, got {alpha!r}")
-    return n, alpha
 
 
 @dataclass
@@ -162,8 +171,8 @@ class NgramModel:
         key = _context_key(tuple(src_slots), tuple(eng_slots), self.ordered)
         bucket = self.counts.get(key, {})
         denom = self.context_totals.get(key, 0) + self.alpha * len(self.vocab)
-        out = np.full(len(self.vocab), -math.log(self.alpha / denom))
-        if bucket:
+        out = np.full(len(self.vocab), -_log(self.alpha / denom))
+        if bucket and denom < math.inf:  # a count over a finite denominator never underflows
             out[[self._index[t] for t in bucket]] = [
                 -math.log((c + self.alpha) / denom) for c in bucket.values()
             ]
@@ -181,14 +190,19 @@ class NgramModel:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "NgramModel":
-        n, alpha = _checked_settings(payload)
+        n, context_mode, ordered, alpha = (payload[key] for key in ("n", "context_mode", "ordered", "alpha"))
+        check_settings(n, context_mode, alpha, ordered)
+        width = _n_slots(n, context_mode)
         counts = {}
         for ctx, tgts in payload["counts"]:
+            if len(ctx) != width:
+                raise DataError(f"model counts do not fit n={n}, {context_mode}: "
+                                f"{ctx!r} has {len(ctx)} slots, not {width}")
             counts[tuple(ctx)] = {t: int(c) for t, c in tgts}
         return cls(
             n=n,
-            context_mode=payload["context_mode"],
-            ordered=payload["ordered"],
+            context_mode=context_mode,
+            ordered=ordered,
             alpha=alpha,
             counts=counts,
             context_totals={ctx: sum(t.values()) for ctx, t in counts.items()},
@@ -204,7 +218,8 @@ def train_ngram(
     alpha: float = 1.0,
 ) -> NgramModel:
     """Accumulate context -> target counts over all aligned positions."""
-    _check_training(pairs, n, context_mode, alpha)
+    _check_training(pairs)
+    check_settings(n, context_mode, alpha, ordered)
     counts: dict[tuple, dict[str, int]] = {}
     totals: dict[tuple, int] = {}
     vocab = {EOS, PAD}
@@ -280,21 +295,21 @@ class NaiveBayesModel:
         distinct[ranks] = shifted
         exps = np.array([math.exp(s) for s in distinct.tolist()])
         z = _left_sum(exps[ranks])
-        return np.array([-math.log(q) for q in (exps / z).tolist()])[ranks]
+        return np.array([-math.log(q) if q > 0.0 else math.inf for q in (exps / z).tolist()])[ranks]
 
     def _cost_tables(self) -> tuple:
         if self._tables is None:
             alpha = self.alpha
             prior_denom = self.total_positions + alpha * len(self.vocab)
             log_prior = np.array(
-                [math.log((self.target_counts.get(t, 0) + alpha) / prior_denom) for t in self.vocab]
+                [_log((self.target_counts.get(t, 0) + alpha) / prior_denom) for t in self.vocab]
             )
             index = {t: i for i, t in enumerate(self.vocab)}
             defaults, overrides = [], []
             for slot, by_target in enumerate(self.slot_counts):
                 size = len(self.slot_vocabs[slot])
                 defaults.append(np.array(
-                    [math.log(alpha / (self.target_counts.get(t, 0) + alpha * size)) for t in self.vocab]
+                    [_log(alpha / (self.target_counts.get(t, 0) + alpha * size)) for t in self.vocab]
                 ))
                 by_value: dict[str, tuple[list[int], list[float]]] = {}
                 for target, values in by_target.items():
@@ -302,7 +317,7 @@ class NaiveBayesModel:
                     for value, count in values.items():
                         idx, logs = by_value.setdefault(value, ([], []))
                         idx.append(index[target])
-                        logs.append(math.log((count + alpha) / denom))
+                        logs.append(_log((count + alpha) / denom))
                 overrides.append(
                     {v: (np.array(idx, dtype=np.intp), np.array(logs)) for v, (idx, logs) in by_value.items()}
                 )
@@ -334,10 +349,16 @@ class NaiveBayesModel:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "NaiveBayesModel":
-        n, alpha = _checked_settings(payload)
+        n, context_mode, alpha = (payload[key] for key in ("n", "context_mode", "alpha"))
+        check_settings(n, context_mode, alpha)
+        width = _n_slots(n, context_mode)
+        for key in ("slot_counts", "slot_vocabs"):
+            if len(payload[key]) != width:
+                raise DataError(f"model {key} do not fit n={n}, {context_mode}: "
+                                f"{len(payload[key])} entries, not {width}")
         return cls(
             n=n,
-            context_mode=payload["context_mode"],
+            context_mode=context_mode,
             alpha=alpha,
             target_counts={t: int(c) for t, c in payload["target_counts"].items()},
             total_positions=payload["total_positions"],
@@ -360,8 +381,9 @@ def train_naive_bayes(
     alpha: float = 1.0,
 ) -> NaiveBayesModel:
     """Estimate the target prior and the per-slot conditionals."""
-    _check_training(pairs, n, context_mode, alpha)
-    n_slots = 2 * n if context_mode == CONTEXT_ETT_ENG else n
+    _check_training(pairs)
+    check_settings(n, context_mode, alpha)
+    n_slots = _n_slots(n, context_mode)
     target_counts: dict[str, int] = {}
     slot_counts: list[dict[str, dict[str, int]]] = [{} for _ in range(n_slots)]
     src_vocab = {PAD}

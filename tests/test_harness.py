@@ -1,6 +1,7 @@
 import copy
 import json
 
+import numpy as np
 import pytest
 
 from ettmt.cli import cli_dispatch
@@ -325,6 +326,44 @@ class TestConfigChecks:
         assert [m["family"] for m in cfg.models] == list(FAMILIES)
 
 
+class TestModelFiles:
+    SOURCES = ["mi aveles", "itun turuce venel", "venel zilath tinas", "mi larthes clan itun", ""]
+
+    @pytest.mark.parametrize(
+        "model_cfg",
+        [
+            {"family": "random"},
+            {"family": "dict"},
+            {"family": "ngram"},
+            {"family": "ngram", "n": 2, "context_mode": "ett-eng", "ordered": False},
+            {"family": "naive-bayes"},
+            {"family": "naive-bayes", "n": 1, "context_mode": "ett-eng", "alpha": 0.5},
+            {"family": "ibm1", "iterations": 3, "use_lexicon": True},
+            {"family": "ibm2", "iterations": 3},
+        ],
+        ids=["random", "dict", "ngram", "ngram-ett-eng-unordered", "naive-bayes", "naive-bayes-ett-eng",
+             "ibm1-lexicon", "ibm2"],
+    )
+    def test_saved_model_translates_like_trained_one(self, tmp_path, corpus_file, lexicon_file, model_cfg):
+        # every file the trainers write passes the load checks and decodes as the model in memory does
+        from ettmt.corpus import load_corpus, load_lexicon
+        from ettmt.modelio import load_model, save_model, train_model, translate
+        from ettmt.tokenize import tokenizer
+
+        corpus, _ = load_corpus(corpus_file)
+        tok = tokenizer("whitespace")
+        pairs = [(tok(i.etruscan_norm), i.english.split()) for i in corpus.translated()]
+        family = model_cfg["family"]
+        model = train_model(model_cfg, pairs, load_lexicon(lexicon_file), tok)
+        path = tmp_path / "model.json"
+        save_model(family, model, path)
+        loaded_family, loaded = load_model(path)
+        assert loaded_family == family
+        for src in self.SOURCES:
+            expected = translate(family, model, src.split(), rng=np.random.default_rng(1))
+            assert translate(family, loaded, src.split(), rng=np.random.default_rng(1)) == expected, src
+
+
 class TestCli:
     def test_help_exits_zero(self, capsys):
         assert cli_dispatch(["--help"]) == 0
@@ -492,8 +531,14 @@ class TestCli:
     @pytest.mark.parametrize("family", ["ngram", "naive-bayes"])
     @pytest.mark.parametrize(
         "key, value, message",
-        [("alpha", 0, "smoothing parameter"), ("n", 0, "context size")],
-        ids=["alpha-0", "n-0"],
+        [
+            ("alpha", 0, "alpha must be a finite number > 0, got 0"),
+            ("n", 0, "n must be >= 1, got 0"),
+            # n-gram count contexts and naive-Bayes slot tables sized for another n or context_mode
+            ("n", 3, "do not fit n=3, ett:"),
+            ("context_mode", "ett-eng", "do not fit n="),
+        ],
+        ids=["alpha-0", "n-0", "n-3-shape", "ett-eng-shape"],
     )
     def test_model_with_bad_settings_exits_2(self, tmp_path, corpus_file, capsys, family, key, value, message):
         model = tmp_path / "model.json"
@@ -507,7 +552,7 @@ class TestCli:
         assert cli_dispatch(["translate", "--model", str(model), "--in", str(src)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error:")
+        assert captured.err.startswith(f"error: {model}: ")
         assert captured.err.count("\n") == 1 and message in captured.err
 
     def test_null_in_corpus_cannot_reach_training(self, tmp_path):
@@ -551,8 +596,21 @@ class TestCli:
             ('{"format": "ettmt-model", "version": 1, "family": "ibm1", "payload": {}}', "ibm1 model payload lacks key 'ttable'"),
             ('{"format": "ettmt-model", "version": 1, "family": "ibm2", "payload": {"ttable": {"entries": []}}}',
              "ibm2 model payload lacks key 'aligntable'"),
+            ('{"format": "ettmt-model", "version": 1, "family": "ibm1", "payload": {"ttable": {"entries": 5}}}',
+             "bad ibm1 model payload"),
+            ('{"format": "ettmt-model", "version": 1, "family": "ibm2", "payload": {"ttable": {"entries": []}, '
+             '"aligntable": {"blocks": [1]}}}', "bad ibm2 model payload"),
+            ('{"format": "ettmt-model", "version": 1, "family": "dict", "payload": {"table": 5}}',
+             "bad dict model payload"),
+            ('{"format": "ettmt-model", "version": 1, "family": "ngram", "payload": {"n": 1, "context_mode": "ett", '
+             '"ordered": true, "alpha": 1.0, "vocab": ["<eos>", "<pad>"], "counts": 5}}', "bad ngram model payload"),
+            ('{"format": "ettmt-model", "version": 1, "family": "naive-bayes", "payload": {"n": 1, '
+             '"context_mode": "ett", "alpha": 1.0, "target_counts": [1], "total_positions": 1, "slot_counts": [{}], '
+             '"slot_vocabs": [["<pad>"]], "vocab": ["<eos>", "<pad>"]}}', "bad naive-bayes model payload"),
         ],
-        ids=["invalid-json", "top-level-list", "no-payload", "payload-list", "ibm1-no-ttable", "ibm2-no-aligntable"],
+        ids=["invalid-json", "top-level-list", "no-payload", "payload-list", "ibm1-no-ttable", "ibm2-no-aligntable",
+             "ibm1-entries-int", "ibm2-blocks-list", "dict-table-int", "ngram-counts-int",
+             "naive-bayes-target-counts-list"],
     )
     def test_malformed_model_file_exits_2(self, tmp_path, capsys, text, message):
         model = tmp_path / "bad.json"

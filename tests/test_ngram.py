@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 import oracles
 import ettmt.ngram
+from ettmt import modelio
 from ettmt.errors import DataError
 from ettmt.ngram import (
     CONTEXT_ETT,
@@ -18,6 +20,7 @@ from ettmt.ngram import (
     NgramModel,
     align_pair,
     beam_translate,
+    check_settings,
     ngram_distribution,
     nb_posterior,
     train_naive_bayes,
@@ -187,6 +190,58 @@ class TestNaiveBayes:
         assert again.distribution(*ctx) == pytest.approx(model.distribution(*ctx))
 
 
+# (setting, bad value, the DataError message every entry point gives for it)
+BAD_NUMBERS = [
+    ("alpha", 0, "alpha must be a finite number > 0, got 0"),
+    ("alpha", -0.5, "alpha must be a finite number > 0, got -0.5"),
+    ("alpha", math.nan, "alpha must be a finite number > 0, got nan"),
+    ("alpha", math.inf, "alpha must be a finite number > 0, got inf"),
+    ("alpha", "1", "alpha must be float, not str '1'"),
+    ("alpha", True, "alpha must be float, not bool True"),
+    ("n", 0, "n must be >= 1, got 0"),
+    ("n", -1, "n must be >= 1, got -1"),
+    ("n", 1.5, "n must be int, not float 1.5"),
+    ("n", "1", "n must be int, not str '1'"),
+    ("n", True, "n must be int, not bool True"),
+]
+BAD_SETTINGS = BAD_NUMBERS + [
+    ("context_mode", "foo", "context_mode must be one of ett, ett-eng, got 'foo'"),
+    ("ordered", "no", "ordered must be bool, not str 'no'"),
+    ("ordered", 1, "ordered must be bool, not int 1"),
+]
+
+
+def _settings_entry_points(family):
+    """(name, call) pairs that each pass one setting, by key and value, to a model family."""
+    pairs = [(["a", "b"], ["x", "q"]), (["b"], ["y", "r"])]
+    train, cls = (train_ngram, NgramModel) if family == "ngram" else (train_naive_bayes, NaiveBayesModel)
+    yield "train", lambda key, value: train(pairs, **{"n": 1, key: value})
+    yield "from_dict", lambda key, value: cls.from_dict({**train(pairs, n=1).to_dict(), key: value})
+    yield "modelio.settings", lambda key, value: modelio.settings({"family": family, key: value})
+
+
+class TestOneSettingsRule:
+    """Training, model files and model configs share `check_settings`: same value, same DataError."""
+
+    @pytest.mark.parametrize("key, value, message", BAD_SETTINGS,
+                             ids=[f"{key}={value!r}" for key, value, _ in BAD_SETTINGS])
+    def test_same_error_at_every_entry_point(self, key, value, message):
+        families = ["ngram"] if key == "ordered" else ["ngram", "naive-bayes"]  # naive Bayes has no `ordered`
+        for family in families:
+            for name, call in _settings_entry_points(family):
+                with pytest.raises(DataError) as info:
+                    call(key, value)
+                assert isinstance(info.value, ValueError)
+                assert str(info.value) == message, (family, name)
+
+    @pytest.mark.parametrize("n, context_mode, alpha, ordered", [
+        (1, CONTEXT_ETT, 1.0, True), (3, CONTEXT_ETT_ENG, 2, False), (2, CONTEXT_ETT, 1e-300, True),
+        (1, CONTEXT_ETT, np.float64(0.5), True),
+    ])
+    def test_good_settings_accepted(self, n, context_mode, alpha, ordered):
+        check_settings(n, context_mode, alpha, ordered)
+
+
 class TestLoadChecks:
     """`from_dict` rejects models whose vocabulary breaks what decoding needs."""
 
@@ -221,24 +276,15 @@ class TestLoadChecks:
 
     @pytest.mark.parametrize(
         "key, value, message",
-        [
-            ("alpha", 0, "smoothing"),
-            ("alpha", -0.5, "smoothing"),
-            ("alpha", math.nan, "smoothing"),
-            ("alpha", math.inf, "smoothing"),
-            ("alpha", "1", "smoothing"),
-            ("alpha", True, "smoothing"),
-            ("n", 0, "context size"),
-            ("n", -1, "context size"),
-            ("n", 1.5, "context size"),
-            ("n", "1", "context size"),
-            ("n", True, "context size"),
-        ],
+        BAD_NUMBERS,
+        ids=["alpha-0-smoothing", "alpha--0.5-smoothing", "alpha-nan-smoothing", "alpha-inf-smoothing",
+             "alpha-1-smoothing", "alpha-True-smoothing", "n-0-context size", "n--1-context size",
+             "n-1.5-context size", "n-1-context size", "n-True-context size"],
     )
     def test_bad_settings_rejected(self, payload, key, value, message):
         cls, doc = payload
         doc[key] = value
-        with pytest.raises(DataError, match=message):
+        with pytest.raises(DataError, match=re.escape(message)):
             cls.from_dict(doc)
 
     def test_int_alpha_loads(self, payload):
@@ -253,12 +299,12 @@ class TestTrainingSettings:
 
     @pytest.mark.parametrize("alpha", [0, -1.0])
     def test_non_positive_alpha_rejected(self, train, alpha):
-        with pytest.raises(ValueError, match="smoothing parameter must be > 0"):
+        with pytest.raises(ValueError, match="alpha must be a finite number > 0"):
             train(self.PAIRS, n=1, alpha=alpha)
 
     @pytest.mark.parametrize("n", [0, -2])
     def test_context_size_below_one_rejected(self, train, n):
-        with pytest.raises(ValueError, match="context size must be >= 1"):
+        with pytest.raises(ValueError, match="n must be >= 1"):
             train(self.PAIRS, n=n)
 
 
@@ -634,3 +680,38 @@ class TestBeamTranslate:
         # both run the full length (no early EOS in this construction)
         if len(narrow) == len(wide) == len(source):
             assert cost(wide, source) <= cost(narrow, source) + 1e-12
+
+
+class TestUnderflow:
+    """A probability that underflows to 0.0 costs inf; decoding goes on with the others."""
+
+    @staticmethod
+    def _expected_costs(model, src, eng):
+        return [-math.log(p) if p > 0.0 else math.inf for p in model.distribution(src, eng).values()]
+
+    def test_naive_bayes_posterior_underflow(self):
+        model = train_naive_bayes([(["a", "b"], ["x", "y"]), (["c"], ["z"])], n=2,
+                                  context_mode=CONTEXT_ETT_ENG, alpha=1e-200)
+        for src, eng, _ in training_positions(["a", "b"], ["x", "y"], 2, CONTEXT_ETT_ENG):
+            costs = model.costs(src, eng).tolist()
+            assert math.inf in costs
+            assert costs == self._expected_costs(model, src, eng)
+        assert beam_translate(model, ["a", "b"]) == ["x", "y"]
+
+    def test_ngram_smoothed_probability_underflow(self):
+        model = train_ngram([(["a"], ["x"])] * 2 + [(["a"], ["y"])], n=1, alpha=5e-324)
+        costs = model.costs(("a",)).tolist()
+        assert costs[:2] == [math.inf, math.inf]  # <eos>, <pad>: smoothing alone, 5e-324 / 3 == 0.0
+        assert costs == self._expected_costs(model, ("a",), ())
+        assert beam_translate(model, ["a"]) == ["x"]
+
+    def test_ngram_denominator_overflow(self):
+        # alpha * len(vocab) overflows to inf, so every probability, seen or not, is 0.0
+        model = train_ngram([(["a"], ["x"])] * 2 + [(["a"], ["y"])], n=1, alpha=1e308)
+        assert model.costs(("a",)).tolist() == self._expected_costs(model, ("a",), ()) == [math.inf] * 4
+
+    def test_naive_bayes_likelihood_underflow(self):
+        # 5e-324 / 2 == 0.0: the smoothed likelihoods in the cost tables underflow themselves
+        model = train_naive_bayes([(["a"], ["x"])] * 2 + [(["a", "b"], ["y"])], n=1, alpha=5e-324)
+        assert math.inf in model.costs(("b",)).tolist()
+        assert beam_translate(model, ["a", "b"]) == ["x"]  # a -> x (2 of 3), b -> <eos>
