@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from .augment import AugmentConfig, augment_pairs
-from .corpus import load_corpus, load_lexicon, normalize, read_lines, save_corpus
+from .corpus import Inscription, ParallelCorpus, load_corpus, load_lexicon, normalize, read_lines, save_corpus
 from .errors import BenchmarkError
 from .fetch import fetch_dataset
 from .harness import BenchmarkConfig, format_table, run_benchmark
@@ -57,10 +57,9 @@ def cmd_augment(args) -> int:
     translated = corpus.translated()
     pairs = [(i.etruscan_norm.split(), i.english.split()) for i in translated]
     expanded = augment_pairs(pairs, lexicon, cfg)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("id\tsource\tetruscan\tenglish\tdate\tlocation\n")
-        for k, (ett, eng) in enumerate(expanded):
-            fh.write(f"aug{k}\tETP\t{' '.join(ett)}\t{' '.join(eng)}\t\t\n")
+    items = [Inscription(f"aug{k}", "ETP", etruscan_raw=" ".join(ett), etruscan_norm=" ".join(ett),
+                         english=" ".join(eng)) for k, (ett, eng) in enumerate(expanded)]
+    save_corpus(ParallelCorpus(tuple(items)), args.out, _corpus_format(args.out, None))
     print(f"{len(pairs)} pairs in, {len(expanded)} out", file=sys.stderr)
     return 0
 

@@ -331,6 +331,18 @@ def read_lines(path, newline: str | None = None) -> list[str]:
         raise
 
 
+def read_json(path, what: str, kind: type):
+    """The JSON document in a UTF-8 file; DataError "<path>: not <what> (...)" unless it parses to a `kind`."""
+    try:
+        doc = json.loads("".join(read_lines(path)))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: not {what} ({exc})") from exc
+    if not isinstance(doc, kind):
+        expected = "an object" if kind is dict else "an array"
+        raise DataError(f"{path}: not {what} (top level is {type(doc).__name__}, not {expected})")
+    return doc
+
+
 def load_corpus(path, fmt: str = "tsv", name: str = "") -> tuple[ParallelCorpus, LoadReport]:
     """Load a corpus file (TSV or JSON) and normalize every row.
 
@@ -354,13 +366,7 @@ def load_corpus(path, fmt: str = "tsv", name: str = "") -> tuple[ParallelCorpus,
             if item is not None:
                 items.append(item)
     elif fmt == "json":
-        try:
-            data = json.loads("".join(read_lines(path)))
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: not a JSON corpus ({exc})") from exc
-        if not isinstance(data, list):
-            raise DataError(f"{path}: JSON corpus must be an array of objects")
-        for line_no, row in enumerate(data, start=1):
+        for line_no, row in enumerate(read_json(path, "a JSON corpus", list), start=1):
             if not isinstance(row, dict):
                 raise DataError(f"entry {line_no}: not an object")
             report.rows_read += 1

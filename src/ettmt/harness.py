@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .augment import AugmentConfig, augment_pairs
-from .corpus import load_corpus, load_lexicon, split_corpus
+from .corpus import load_corpus, load_lexicon, read_json, split_corpus
 from .errors import BenchmarkError, DataError, check_type
 from .metrics import score_corpus
 from .modelio import model_label, needs_lexicon, overlay, settings, train_model, translate
@@ -75,13 +75,7 @@ class BenchmarkConfig:
 
     @classmethod
     def from_json(cls, path) -> "BenchmarkConfig":
-        with open(path, encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except ValueError as exc:  # invalid JSON or invalid UTF-8
-                raise DataError(f"{path}: not a benchmark config ({exc})") from exc
-        if not isinstance(raw, dict):
-            raise DataError(f"{path}: not a benchmark config (top level is {type(raw).__name__}, not an object)")
+        raw = read_json(path, "a benchmark config", dict)
         if "corpus" not in raw:
             raise DataError(f"{path}: no 'corpus' key")
         if "model" in raw and "models" not in raw:
@@ -149,7 +143,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     if cfg.lexicon and (cfg.augment or any(map(needs_lexicon, cfg.models))):
         lexicon = stage("setup", "load-lexicon", load_lexicon, cfg.lexicon)
     translated = corpus.translated()
-    beams = [settings(model_cfg).get("beams", 8) for model_cfg in cfg.models]
+    beams = [settings(model_cfg).get("beams") for model_cfg in cfg.models]
 
     runs: list[list[dict]] = [[] for _ in cfg.models]
     for r in range(cfg.repeats):

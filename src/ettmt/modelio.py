@@ -18,14 +18,13 @@ from .baselines import (
     translate_dict,
     translate_random,
 )
-from .corpus import Lexicon
+from .corpus import Lexicon, read_json
 from .errors import DataError, check_type
 from .ibm import AlignTable, TTable, train_ibm1, train_ibm2, translate_ibm
 from .ngram import NaiveBayesModel, NgramModel, beam_translate, check_settings, train_naive_bayes, train_ngram
 
 FORMAT = "ettmt-model"
 VERSION = 1
-PRUNE = 1e-6  # t-table and alignment probabilities below this are not saved
 
 # family -> {model config key: default}; a key's type is its default's type, and
 # every key but beams (a decoding setting) is a keyword of the family's trainer
@@ -123,10 +122,10 @@ def save_model(family: str, model, path):
         save_dict_tsv(model, path)
         return
     if family == "ibm1":
-        payload = {"ttable": model.to_dict(prune=PRUNE)}
+        payload = {"ttable": model.to_dict()}
     elif family == "ibm2":
         ttable, align = model
-        payload = {"ttable": ttable.to_dict(prune=PRUNE), "aligntable": align.to_dict(prune=PRUNE)}
+        payload = {"ttable": ttable.to_dict(), "aligntable": align.to_dict()}
     else:
         payload = model.to_dict()
     doc = {"format": FORMAT, "version": VERSION, "family": family, "payload": payload}
@@ -138,13 +137,7 @@ def load_model(path):
     """Returns (family, model); model is (TTable, AlignTable) for ibm2."""
     if str(path).endswith(".tsv"):
         return "dict", load_dict_tsv(path)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # invalid JSON or invalid UTF-8
-            raise DataError(f"{path}: not a model file ({exc})") from exc
-    if not isinstance(doc, dict):
-        raise DataError(f"{path}: not a model file (top level is {type(doc).__name__}, not an object)")
+    doc = read_json(path, "a model file", dict)
     if doc.get("format") != FORMAT:
         raise DataError(f"{path}: not a model file (format {doc.get('format')!r})")
     if doc.get("version") != VERSION:

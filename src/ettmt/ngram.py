@@ -356,12 +356,19 @@ class NaiveBayesModel:
             if len(payload[key]) != width:
                 raise DataError(f"model {key} do not fit n={n}, {context_mode}: "
                                 f"{len(payload[key])} entries, not {width}")
+        # training counts every position once in total_positions and once in target_counts
+        target_counts = {t: int(c) for t, c in payload["target_counts"].items()}
+        total = payload["total_positions"]
+        check_type("total_positions", total, 0)
+        counted = sum(target_counts.values())
+        if total != counted:
+            raise DataError(f"total_positions {total} is not the sum of target_counts, {counted}")
         return cls(
             n=n,
             context_mode=context_mode,
             alpha=alpha,
-            target_counts={t: int(c) for t, c in payload["target_counts"].items()},
-            total_positions=payload["total_positions"],
+            target_counts=target_counts,
+            total_positions=total,
             slot_counts=[
                 {t: {v: int(c) for v, c in vals.items()} for t, vals in slot.items()}
                 for slot in payload["slot_counts"]

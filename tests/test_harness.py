@@ -442,6 +442,13 @@ class TestCli:
         text = out.read_text()
         assert text.count("\n") > 12  # expanded beyond the originals
 
+    def test_augment_json_output_trains(self, tmp_path, corpus_file, lexicon_file):
+        out = tmp_path / "aug.json"
+        argv = ["augment", "--in", str(corpus_file), "--out", str(out), "--lexicon", str(lexicon_file)]
+        assert cli_dispatch(argv) == 0
+        assert out.read_text(encoding="utf-8").startswith("[")
+        assert cli_dispatch(["train", "--family", "ngram", "--in", str(out), "--out", str(tmp_path / "m.json")]) == 0
+
     def test_augment_flags_default_to_augment_config(self, tmp_path, corpus_file, lexicon_file):
         base = ["augment", "--in", str(corpus_file), "--lexicon", str(lexicon_file)]
         assert cli_dispatch(base + ["--out", str(tmp_path / "a.tsv")]) == 0
@@ -607,10 +614,18 @@ class TestCli:
             ('{"format": "ettmt-model", "version": 1, "family": "naive-bayes", "payload": {"n": 1, '
              '"context_mode": "ett", "alpha": 1.0, "target_counts": [1], "total_positions": 1, "slot_counts": [{}], '
              '"slot_vocabs": [["<pad>"]], "vocab": ["<eos>", "<pad>"]}}', "bad naive-bayes model payload"),
+            ('{"format": "ettmt-model", "version": 1, "family": "naive-bayes", "payload": {"n": 1, '
+             '"context_mode": "ett", "alpha": 1.0, "target_counts": {"<eos>": 3}, "total_positions": "3", '
+             '"slot_counts": [{}], "slot_vocabs": [["<pad>"]], "vocab": ["<eos>", "<pad>"]}}',
+             "total_positions must be int, not str '3'"),
+            ('{"format": "ettmt-model", "version": 1, "family": "naive-bayes", "payload": {"n": 1, '
+             '"context_mode": "ett", "alpha": 1.0, "target_counts": {"<eos>": 3}, "total_positions": 4, '
+             '"slot_counts": [{}], "slot_vocabs": [["<pad>"]], "vocab": ["<eos>", "<pad>"]}}',
+             "total_positions 4 is not the sum of target_counts, 3"),
         ],
         ids=["invalid-json", "top-level-list", "no-payload", "payload-list", "ibm1-no-ttable", "ibm2-no-aligntable",
              "ibm1-entries-int", "ibm2-blocks-list", "dict-table-int", "ngram-counts-int",
-             "naive-bayes-target-counts-list"],
+             "naive-bayes-target-counts-list", "naive-bayes-total-string", "naive-bayes-total-wrong"],
     )
     def test_malformed_model_file_exits_2(self, tmp_path, capsys, text, message):
         model = tmp_path / "bad.json"
@@ -683,7 +698,7 @@ class TestCli:
         assert str(cfg_path) in captured.err and message in captured.err
         assert not out_dir.exists()  # rejected before any run
 
-    @pytest.mark.parametrize("command", ["evaluate", "translate", "tokenize"])
+    @pytest.mark.parametrize("command", ["evaluate", "translate", "tokenize", "translate-model", "benchmark-config"])
     def test_non_utf8_input_exits_2(self, tmp_path, corpus_file, capsys, command):
         bad = tmp_path / "bad.txt"
         bad.write_bytes(b"mi aveles\nmi \xff larthes\n")
@@ -695,6 +710,8 @@ class TestCli:
             "evaluate": ["evaluate", "--hyp", str(bad), "--ref", str(good)],
             "translate": ["translate", "--model", str(model), "--in", str(bad)],
             "tokenize": ["tokenize", "--in", str(bad)],
+            "translate-model": ["translate", "--model", str(bad), "--in", str(good)],
+            "benchmark-config": ["benchmark", "--config", str(bad)],
         }[command]
         capsys.readouterr()
         assert cli_dispatch(argv) == 2
@@ -750,6 +767,13 @@ class TestCli:
         assert cli_dispatch(["train", "--family", "random", "--in", str(corpus), "--out", str(tmp_path / "m.json")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {corpus}: not a JSON corpus (") and err.count("\n") == 1
+
+    def test_json_corpus_object_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "o.json"
+        corpus.write_text('{"id": "a", "source": "ETP", "etruscan": "mi"}', encoding="utf-8")
+        assert cli_dispatch(["train", "--family", "random", "--in", str(corpus), "--out", str(tmp_path / "m.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {corpus}: not a JSON corpus (top level is dict") and err.count("\n") == 1
 
     def test_train_lexicon_pairs_flag(self, tmp_path, corpus_file, lexicon_file, capsys):
         from ettmt.modelio import load_model
