@@ -369,6 +369,11 @@ def load_corpus(path, fmt: str = "tsv", name: str = "") -> tuple[ParallelCorpus,
         for line_no, row in enumerate(read_json(path, "a JSON corpus", list), start=1):
             if not isinstance(row, dict):
                 raise DataError(f"entry {line_no}: not an object")
+            for key in _CORPUS_COLUMNS:  # null counts as absent, like a missing key
+                value = row.get(key)
+                if value is not None and not isinstance(value, str):
+                    raise DataError(f"entry {line_no}: {key} must be a string, "
+                                    f"not {type(value).__name__} {value!r}")
             report.rows_read += 1
             item = _row_to_inscription(row, line_no, report)
             if item is not None:

@@ -18,7 +18,8 @@ Two estimators share that alignment:
 ``check_settings`` holds the one rule for ``n``, ``context_mode``, ``alpha``
 and ``ordered``; both trainers, both ``from_dict`` loaders and the model
 configs of ``ettmt.modelio`` call it, so a value is accepted or rejected with
-the same message wherever it comes from.
+the same message wherever it comes from. The trainers and loaders also reject
+an ``alpha`` so large that ``alpha`` times a vocabulary size overflows.
 
 ``beam_translate`` decodes either model. Each model's ``costs`` method gives
 -log P(target | context) as one numpy vector over its sorted ``vocab``, and
@@ -118,6 +119,14 @@ def check_settings(n, context_mode, alpha, ordered=True) -> None:
         raise DataError(f"context_mode must be one of {', '.join(CONTEXT_MODES)}, got {context_mode!r}")
 
 
+def _check_alpha_scale(alpha: float, *vocabs) -> None:
+    """DataError if alpha times a vocabulary size overflows: the smoothed denominator would be inf
+    and every probability 0.0, so every cost would be inf."""
+    size = max(len(v) for v in vocabs)
+    if not math.isfinite(alpha * size):
+        raise DataError(f"alpha {alpha!r} is too large: alpha * {size} (vocabulary size) overflows")
+
+
 def _n_slots(n: int, context_mode: str) -> int:
     """Context slots per position: n source tokens, plus n English ones in ett-eng mode."""
     return 2 * n if context_mode == CONTEXT_ETT_ENG else n
@@ -199,6 +208,8 @@ class NgramModel:
                 raise DataError(f"model counts do not fit n={n}, {context_mode}: "
                                 f"{ctx!r} has {len(ctx)} slots, not {width}")
             counts[tuple(ctx)] = {t: int(c) for t, c in tgts}
+        vocab = _checked_vocab(payload["vocab"], (t for tgts in counts.values() for t in tgts))
+        _check_alpha_scale(alpha, vocab)
         return cls(
             n=n,
             context_mode=context_mode,
@@ -206,7 +217,7 @@ class NgramModel:
             alpha=alpha,
             counts=counts,
             context_totals={ctx: sum(t.values()) for ctx, t in counts.items()},
-            vocab=_checked_vocab(payload["vocab"], (t for tgts in counts.values() for t in tgts)),
+            vocab=vocab,
         )
 
 
@@ -230,6 +241,7 @@ def train_ngram(
             bucket = counts.setdefault(key, {})
             bucket[target] = bucket.get(target, 0) + 1
             totals[key] = totals.get(key, 0) + 1
+    _check_alpha_scale(alpha, vocab)
     return NgramModel(
         n=n,
         context_mode=context_mode,
@@ -289,7 +301,10 @@ class NaiveBayesModel:
                 idx, logs = override
                 summed[idx] = score[idx] + logs
             score = summed
-        shifted = score - score.max()
+        peak = score.max()
+        if peak == -math.inf:  # every target's score underflowed, so every probability is 0.0
+            return np.full(len(score), math.inf)
+        shifted = score - peak
         ranks, kinds = dense_rank(shifted)
         distinct = np.empty(kinds)
         distinct[ranks] = shifted
@@ -363,6 +378,12 @@ class NaiveBayesModel:
         counted = sum(target_counts.values())
         if total != counted:
             raise DataError(f"total_positions {total} is not the sum of target_counts, {counted}")
+        vocab = _checked_vocab(
+            payload["vocab"],
+            list(payload["target_counts"]) + [t for slot in payload["slot_counts"] for t in slot],
+        )
+        slot_vocabs = [tuple(v) for v in payload["slot_vocabs"]]
+        _check_alpha_scale(alpha, vocab, *slot_vocabs)
         return cls(
             n=n,
             context_mode=context_mode,
@@ -373,11 +394,8 @@ class NaiveBayesModel:
                 {t: {v: int(c) for v, c in vals.items()} for t, vals in slot.items()}
                 for slot in payload["slot_counts"]
             ],
-            slot_vocabs=[tuple(v) for v in payload["slot_vocabs"]],
-            vocab=_checked_vocab(
-                payload["vocab"],
-                list(payload["target_counts"]) + [t for slot in payload["slot_counts"] for t in slot],
-            ),
+            slot_vocabs=slot_vocabs,
+            vocab=vocab,
         )
 
 
@@ -407,6 +425,7 @@ def train_naive_bayes(
                 bucket[value] = bucket.get(value, 0) + 1
     src_sorted = tuple(sorted(src_vocab))
     tgt_sorted = tuple(sorted(tgt_vocab))
+    _check_alpha_scale(alpha, src_sorted, tgt_sorted)
     return NaiveBayesModel(
         n=n,
         context_mode=context_mode,
@@ -461,6 +480,19 @@ def beam_translate(model, source: list[str], beams: int = 8, max_len: int | None
     `distribution` to the last bit and near-ties resolve exactly as a
     per-expansion sort would; a naive-Bayes vector runs them once per
     distinct score value.
+
+    The search returns early, before the last position, once the lowest
+    finished cost is <= the lowest live score (the optimality stop of Huang,
+    Zhao & Ma 2017, "When to Finish? Optimal Beam Search for Neural Text
+    Generation (modulo beam size)"). This is exact: every cost is -log p with
+    p <= 1, so it is >= 0 (inf if p underflowed), and float addition of a
+    cost >= 0 never lowers a score. A live hypothesis can therefore only
+    finish at or above its current score, and any later finish has a larger
+    stop position, which loses a cost tie. Only English context finishes a
+    hypothesis early, so source-only decoding always runs every position.
+    A length rule would break the bound: with a per-token reward a live
+    hypothesis can still gain the reward at every position left, and a
+    length-normalized final score can fall as a hypothesis grows.
     """
     if beams < 1:
         raise ValueError(f"beam count must be >= 1, got {beams}")
@@ -475,7 +507,10 @@ def beam_translate(model, source: list[str], beams: int = 8, max_len: int | None
     alive: list[tuple[str, ...]] = [()]
     scores = np.zeros(1)
     done: list[tuple[float, float, tuple[str, ...]]] = []
+    best_done = math.inf  # lowest cost in `done`
     for i in range(n_positions):
+        if done and best_done <= float(scores.min()):
+            break  # no live hypothesis can still win
         src_slots = tuple(padded[i : i + n])
         shared: dict[tuple, np.ndarray] = {}
         rows = []
@@ -487,7 +522,9 @@ def beam_translate(model, source: list[str], beams: int = 8, max_len: int | None
         cand = scores[:, None] + np.stack(rows)
         n_open = cand.size
         if uses_history:
-            done.extend((cost, float(i), tokens) for cost, tokens in zip(cand[:, eos].tolist(), alive))
+            finished = cand[:, eos].tolist()
+            done.extend((cost, float(i), tokens) for cost, tokens in zip(finished, alive))
+            best_done = min(best_done, *finished)
             cand[:, eos] = math.inf
             n_open -= len(alive)
         flat = cand.ravel()

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -140,6 +141,23 @@ class TestLoadCorpus:
         again, _ = load_corpus(out)
         key = lambda c: [(i.id, i.source, i.etruscan_norm, i.english, i.date, i.location) for i in c]
         assert key(again) == key(corpus)
+
+    @pytest.mark.parametrize("key", ["id", "source", "etruscan", "english", "date", "location"])
+    @pytest.mark.parametrize("value", [7, True, ["mi"]], ids=["int", "bool", "list"])
+    def test_json_value_not_a_string(self, tmp_path, key, value):
+        p = tmp_path / "c.json"
+        rows = [{"id": "a1", "source": "ETP", "etruscan": "mi", "english": "", "date": "", "location": ""}] * 2
+        rows = [rows[0], {**rows[1], "id": "a2", key: value}]
+        p.write_text(json.dumps(rows), encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"entry 2: {key} must be a string, not {type(value).__name__}")):
+            load_corpus(p, fmt="json")
+
+    def test_json_null_value_counts_as_absent(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text('[{"id": "a1", "source": "ETP", "etruscan": "mi", "english": null, "date": null}]',
+                     encoding="utf-8")
+        corpus, _ = load_corpus(p, fmt="json")
+        assert [(i.english, i.date, i.location) for i in corpus] == [(None, None, None)]
 
     def test_unmappable_counted(self, tmp_path):
         p = tmp_path / "c.tsv"

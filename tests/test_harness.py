@@ -544,8 +544,9 @@ class TestCli:
             # n-gram count contexts and naive-Bayes slot tables sized for another n or context_mode
             ("n", 3, "do not fit n=3, ett:"),
             ("context_mode", "ett-eng", "do not fit n="),
+            ("alpha", 1e308, "alpha 1e+308 is too large"),
         ],
-        ids=["alpha-0", "n-0", "n-3-shape", "ett-eng-shape"],
+        ids=["alpha-0", "n-0", "n-3-shape", "ett-eng-shape", "alpha-overflow"],
     )
     def test_model_with_bad_settings_exits_2(self, tmp_path, corpus_file, capsys, family, key, value, message):
         model = tmp_path / "model.json"
@@ -774,6 +775,20 @@ class TestCli:
         assert cli_dispatch(["train", "--family", "random", "--in", str(corpus), "--out", str(tmp_path / "m.json")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {corpus}: not a JSON corpus (top level is dict") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ('{"id": 7, "source": "ETP", "etruscan": "mi"}', "entry 1: id must be a string, not int 7"),
+            ('{"id": "a", "source": "ETP", "etruscan": 5}', "entry 1: etruscan must be a string, not int 5"),
+        ],
+        ids=["int-id", "int-etruscan"],
+    )
+    def test_json_corpus_value_not_a_string_exits_2(self, tmp_path, capsys, entry, message):
+        corpus = tmp_path / "c.json"
+        corpus.write_text(f"[{entry}]", encoding="utf-8")
+        assert cli_dispatch(["train", "--family", "random", "--in", str(corpus), "--out", str(tmp_path / "m.json")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_train_lexicon_pairs_flag(self, tmp_path, corpus_file, lexicon_file, capsys):
         from ettmt.modelio import load_model

@@ -2,10 +2,13 @@ import itertools
 import math
 import random
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import ettmt.ngram
@@ -573,6 +576,151 @@ class TestDecoderMatchesOracle:
                     assert beam_translate(model, source, beams=beams) == want, (n, mode, alpha, source, beams)
 
 
+def _tie_heavy_ngram(rng, n, alpha, n_targets=20):
+    """An ett-eng n-gram model whose contexts share a few small counts, so many costs tie exactly.
+
+    Contexts count one to four of the first eight targets (<eos> and <pad>
+    among them), with histories drawn from the first six, so the histories
+    the decoder builds often hit a counted context and <eos> finishes
+    hypotheses at every position.
+    """
+    vocab = tuple(sorted({EOS, PAD} | {f"t{i:02d}" for i in range(n_targets)}))
+    src_values = [PAD, "s0", "s1", "s2"]
+    counts = {}
+    for _ in range(200):
+        key = tuple(rng.choices(src_values, k=n)) + tuple(rng.choices(vocab[:6], k=n))
+        counts[key] = {t: rng.choice((1, 2, 3)) for t in rng.sample(vocab[:8], rng.randint(1, 4))}
+    totals = {key: sum(bucket.values()) for key, bucket in counts.items()}
+    return NgramModel(n=n, context_mode=CONTEXT_ETT_ENG, ordered=True, alpha=alpha,
+                      counts=counts, context_totals=totals, vocab=vocab)
+
+
+def _assert_costs_non_negative(model, contexts):
+    for src, eng in contexts:
+        costs = model.costs(src, eng).tolist()
+        assert all(c >= 0.0 for c in costs), (model, src, eng, costs)  # inf passes, nan does not
+
+
+_PAIRS = st.lists(
+    st.tuples(st.lists(st.sampled_from(["a", "b", "c"]), max_size=4),
+              st.lists(st.sampled_from(["x", "y", "z"]), max_size=4)),
+    min_size=1, max_size=5,
+)
+_ALPHAS = st.sampled_from([5e-324, 1e-200, 0.01, 1.0, 1e300]) | st.floats(min_value=5e-324, max_value=1e300)
+
+
+def _count_costs_calls(model) -> list[int]:
+    """Count the model's `costs` calls in the returned one-element list."""
+    calls = [0]
+    costs = model.costs
+
+    def counted(*args):
+        calls[0] += 1
+        return costs(*args)
+
+    model.costs = counted
+    return calls
+
+
+class TestEarlyStop:
+    """The ett-eng search returns once the best finished cost is <= every live score."""
+
+    def test_tie_heavy_models_match_oracle(self):
+        rng = random.Random(21)
+        fired = compared = 0
+        for n, alpha in itertools.product((1, 2), (1.0, 0.1)):
+            for model in (_tie_heavy_ngram(rng, n, alpha), _tie_heavy_nb(rng, n, CONTEXT_ETT_ENG, alpha, 60)):
+                calls = _count_costs_calls(model)
+                for _ in range(4):
+                    source = rng.choices([PAD, "s0", "s1", "s2", "unseen"], k=rng.randint(1, 8))
+                    for beams in range(1, 10):
+                        calls[0] = 0
+                        got = beam_translate(model, source, beams=beams)
+                        assert got == oracles.oracle_beam_translate(model, source, beams=beams), (model, source, beams)
+                        # every position that runs makes at least one call
+                        fired += calls[0] < len(source)
+                        compared += 1
+        assert compared == 2 * 2 * 2 * 4 * 9
+        assert fired > compared // 4
+
+    # The stop is exact only because no cost is negative: a live score never falls.
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(pairs=_PAIRS, n=st.integers(1, 3), mode=st.sampled_from([CONTEXT_ETT, CONTEXT_ETT_ENG]),
+           alpha=_ALPHAS, data=st.data())
+    def test_costs_never_negative(self, pairs, n, mode, alpha, data):
+        for model in (train_ngram(pairs, n=n, context_mode=mode, alpha=alpha),
+                      train_naive_bayes(pairs, n=n, context_mode=mode, alpha=alpha)):
+            seen = [(src, eng) for ett, tokens in pairs for src, eng, _ in training_positions(ett, tokens, n, mode)]
+            values = st.sampled_from([PAD, EOS, "a", "x", "unseen"])
+            drawn = [(tuple(data.draw(st.lists(values, min_size=n, max_size=n))),
+                      tuple(data.draw(st.lists(values, min_size=n, max_size=n))) if mode == CONTEXT_ETT_ENG else ())
+                     for _ in range(3)]
+            _assert_costs_non_negative(model, seen + drawn)
+
+    def test_underflow_costs_never_negative(self):
+        # the TestUnderflow models, whose costs include inf
+        for model, eng in (
+            (train_naive_bayes([(["a", "b", "c"], [])] * 2 + [(["a"], ["0t"])] * 2, n=1, alpha=5e-324), [()]),
+            (train_naive_bayes([(["a", "b"], ["x", "y"]), (["c"], ["z"])], n=2, context_mode=CONTEXT_ETT_ENG,
+                               alpha=1e-200), [("x", "y"), ("q", "q"), (PAD, PAD)]),
+            (train_ngram([(["a"], ["x"])] * 2 + [(["a"], ["y"])], n=1, alpha=5e-324), [()]),
+            (train_naive_bayes([(["a"], ["x"])] * 2 + [(["a", "b"], ["y"])], n=1, alpha=5e-324), [()]),
+        ):
+            src_values = [PAD, "a", "b", "c", "q"]
+            contexts = [(src, e) for src in itertools.product(src_values, repeat=model.n) for e in eng]
+            _assert_costs_non_negative(model, contexts)
+
+    def test_finished_cost_equal_to_the_live_minimum_stops(self):
+        # after position 0, "" finished at cost 1 and "x" lives at cost 1: the
+        # stop fires on the tie. Going on would only find more hypotheses at
+        # cost 1, and the earlier stop wins that tie.
+        table = {
+            (("p0",), (PAD,)): {EOS: 1, "x": 1, "y": 2},
+            (("p1",), ("x",)): {"x": 0, EOS: 0},
+            (("p2",), ("x",)): {"x": 0, EOS: 0},
+        }
+        model = _IntegerCostModel(n=1, context_mode=CONTEXT_ETT_ENG, table=table)
+        calls = _count_costs_calls(model)
+        source = ["p0", "p1", "p2"]
+        for beams in range(1, 10):
+            calls[0] = 0
+            assert beam_translate(model, source, beams=beams) == [] == oracles.oracle_beam_translate(
+                model, source, beams=beams)
+            assert calls[0] == 1
+
+    @pytest.mark.parametrize("train, source, expected, n_calls", [
+        # an unseen context is uniform, so <eos> at position 0 ties the best
+        # live score and the search ends after one call
+        (train_ngram, ["q", "r", "s", "t", "u", "v"], [], 1),
+        (train_ngram, ["a", "b", "c", "a", "b", "c"], [], 5),
+        (train_naive_bayes, ["q", "r", "s", "t", "u", "v"], ["y"], 5),
+        (train_naive_bayes, ["a", "b", "c", "a", "b", "c"], ["z", "y"], 8),
+    ], ids=["ngram-unseen", "ngram-seen", "naive-bayes-unseen", "naive-bayes-seen"])
+    def test_stop_saves_costs_calls(self, train, source, expected, n_calls):
+        # without the stop every one of the six positions makes at least one
+        # call per distinct history, 8 beams wide
+        pairs = [(["a", "b"], ["x", "y"]), (["b", "c"], ["y"]), (["a"], ["z", "x"]), (["c", "a", "b"], ["x", "z", "y"])]
+        model = train(pairs, n=1, context_mode=CONTEXT_ETT_ENG)
+        calls = _count_costs_calls(model)
+        assert beam_translate(model, source, beams=8) == expected == oracles.oracle_beam_translate(model, source)
+        assert calls[0] == n_calls
+
+    @pytest.mark.parametrize("train", [train_ngram, train_naive_bayes])
+    @pytest.mark.parametrize("mode, beams", [(CONTEXT_ETT, 8), (CONTEXT_ETT_ENG, 1)])
+    def test_nothing_finishes_early(self, train, mode, beams):
+        # in ett mode <eos> finishes nothing; in ett-eng mode with alpha 0.01
+        # every <eos> costs more than the whole copied sentence. Either way
+        # each position runs, with one live hypothesis or one shared context
+        # per position, so one call per position.
+        pairs = [([f"s{i}", f"t{i}", f"u{i}"], [f"x{i}", f"y{i}", f"z{i}"]) for i in range(5)]
+        model = train(pairs, n=1, context_mode=mode, alpha=0.01)
+        calls = _count_costs_calls(model)
+        for src, ref in pairs:
+            calls[0] = 0
+            assert beam_translate(model, src, beams=beams) == ref == oracles.oracle_beam_translate(model, src, beams)
+            assert calls[0] == len(src)
+
+
 class TestBeamTranslate:
     def test_copy_corpus(self):
         model = train_ngram([(["a"], ["x"]), (["b"], ["y"])], n=1)
@@ -705,10 +853,40 @@ class TestUnderflow:
         assert costs == self._expected_costs(model, ("a",), ())
         assert beam_translate(model, ["a"]) == ["x"]
 
+    def test_naive_bayes_every_score_underflows(self):
+        # every target was seen at least twice, so with an unseen value each
+        # likelihood is 5e-324 / (2 + 1e-323) == 0.0 and no score is left
+        model = train_naive_bayes([(["a", "b", "c"], [])] * 2 + [(["a"], ["0t"])] * 2, n=1, alpha=5e-324)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert model.costs(("unseen",)).tolist() == [math.inf] * 3
+            # every hypothesis costs inf from position 0 on, so the smallest
+            # token sequence wins, and source-only decoding still runs both positions
+            assert beam_translate(model, ["unseen", "a"]) == ["0t", "0t"]
+
     def test_ngram_denominator_overflow(self):
-        # alpha * len(vocab) overflows to inf, so every probability, seen or not, is 0.0
-        model = train_ngram([(["a"], ["x"])] * 2 + [(["a"], ["y"])], n=1, alpha=1e308)
-        assert model.costs(("a",)).tolist() == self._expected_costs(model, ("a",), ()) == [math.inf] * 4
+        # alpha * len(vocab) would overflow to inf and make every probability, seen or not, 0.0
+        pairs = [(["a"], ["x"])] * 2 + [(["a"], ["y"])]
+        message = re.escape("alpha 1e+308 is too large: alpha * 4 (vocabulary size) overflows")
+        with pytest.raises(DataError, match=message):
+            train_ngram(pairs, n=1, alpha=1e308)
+        payload = train_ngram(pairs, n=1).to_dict() | {"alpha": 1e308}
+        with pytest.raises(DataError, match=message):
+            NgramModel.from_dict(payload)
+
+    @pytest.mark.parametrize("pairs", [
+        [(["a"], ["x", "y", "z"])],  # 5 target types ({<eos>, <pad>, x, y, z}), 2 source types
+        [(["a", "b", "c", "d"], ["x"])],  # 3 target types, 5 source types ({<pad>, a, b, c, d})
+    ], ids=["target-vocab", "source-vocab"])
+    def test_naive_bayes_denominator_overflow(self, pairs):
+        # 5e307 times 2 or 3 is finite, times 5 it is not; any slot's vocabulary counts
+        message = re.escape("alpha 5e+307 is too large: alpha * 5 (vocabulary size) overflows")
+        with pytest.raises(DataError, match=message):
+            train_naive_bayes(pairs, n=1, alpha=5e307)
+        payload = train_naive_bayes(pairs, n=1).to_dict() | {"alpha": 5e307}
+        with pytest.raises(DataError, match=message):
+            NaiveBayesModel.from_dict(payload)
+        assert max(train_naive_bayes(pairs, n=1, alpha=3e307).costs(("a",)).tolist()) < math.inf  # 3e307 * 5 is finite
 
     def test_naive_bayes_likelihood_underflow(self):
         # 5e-324 / 2 == 0.0: the smoothed likelihoods in the cost tables underflow themselves
