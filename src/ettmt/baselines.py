@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Lexicon, read_lines
-from .errors import DataError
+from .errors import DataError, check_type
 
 log = logging.getLogger(__name__)
 
@@ -33,11 +33,19 @@ class RandomModel:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RandomModel":
+        tokens, probs = payload["tokens"], payload["probs"]
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise DataError("tokens must be a list of strings")
+        if not isinstance(probs, list) or len(probs) != len(tokens):
+            raise DataError(f"probs must be a list as long as tokens ({len(tokens)})")
+        for key, value in [("length_mean", payload["length_mean"]), ("length_std", payload["length_std"]),
+                           *(("probs entry", p) for p in probs)]:
+            check_type(key, value, 1.0)
         return cls(
             length_mean=payload["length_mean"],
             length_std=payload["length_std"],
-            tokens=tuple(payload["tokens"]),
-            probs=np.asarray(payload["probs"], dtype=np.float64),
+            tokens=tuple(tokens),
+            probs=np.asarray(probs, dtype=np.float64),
         )
 
 
@@ -83,7 +91,10 @@ class DictModel:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "DictModel":
-        return cls(table=dict(payload["table"]))
+        table = payload["table"]
+        if not isinstance(table, dict) or not all(isinstance(v, str) for v in table.values()):
+            raise DataError("table must map strings to strings")
+        return cls(table=dict(table))
 
 
 def build_dict_model(lexicon: Lexicon) -> DictModel:

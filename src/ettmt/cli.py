@@ -23,61 +23,61 @@ from .ngram import CONTEXT_MODES
 from .tokenize import TOKENIZERS, tokenizer
 
 
-def _corpus_format(path: str, explicit: str | None) -> str:
-    if explicit:
-        return explicit
-    return "json" if str(path).endswith(".json") else "tsv"
+def _given(args, keys) -> dict:
+    """{key: value} for each option among keys that was given; an option's dest is its key, its default None."""
+    return {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
+
+
+def _write_lines(path: str | None, lines: list[str]) -> None:
+    """Write each line and a newline to path, or to stdout without one; called once all input is read,
+    so an input error leaves an existing file as it was."""
+    text = "".join(line + "\n" for line in lines)
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def cmd_normalize(args) -> int:
-    corpus, report = load_corpus(args.infile, _corpus_format(args.infile, args.format))
-    save_corpus(corpus, args.out, _corpus_format(args.out, None))
+    corpus, report = load_corpus(args.infile, args.format)
+    save_corpus(corpus, args.out)
     print(report.summary(), file=sys.stderr)
     return 0
 
 
 def cmd_tokenize(args) -> int:
     tok = tokenizer(args.tokenizer, args.suffixes)
-    out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
-    try:
-        for line in read_lines(args.infile):
-            print(" ".join(tok(normalize(line))), file=out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_lines(args.out, [" ".join(tok(normalize(line))) for line in read_lines(args.infile)])
     return 0
 
 
 def cmd_augment(args) -> int:
-    corpus, _ = load_corpus(args.infile, _corpus_format(args.infile, args.format))
+    corpus, _ = load_corpus(args.infile, args.format)
     lexicon = load_lexicon(args.lexicon) if args.lexicon else None
-    flags = {"max_name_replacements": args.name_replacements, "damage_prob": args.damage_prob,
-             "damage_geom_p": args.damage_geom_p, "damage_iterations": args.damage_iterations, "seed": args.seed}
-    cfg = AugmentConfig(**{k: v for k, v in flags.items() if v is not None})
-    translated = corpus.translated()
-    pairs = [(i.etruscan_norm.split(), i.english.split()) for i in translated]
+    cfg = AugmentConfig(**_given(args, ("max_name_replacements", "damage_prob", "damage_geom_p",
+                                        "damage_iterations", "seed")))
+    pairs = [(i.etruscan_norm.split(), i.english.split()) for i in corpus.translated()]
     expanded = augment_pairs(pairs, lexicon, cfg)
     items = [Inscription(f"aug{k}", "ETP", etruscan_raw=" ".join(ett), etruscan_norm=" ".join(ett),
                          english=" ".join(eng)) for k, (ett, eng) in enumerate(expanded)]
-    save_corpus(ParallelCorpus(tuple(items)), args.out, _corpus_format(args.out, None))
+    save_corpus(ParallelCorpus(tuple(items)), args.out)
     print(f"{len(pairs)} pairs in, {len(expanded)} out", file=sys.stderr)
     return 0
 
 
 def cmd_train(args) -> int:
-    corpus, _ = load_corpus(args.infile, _corpus_format(args.infile, args.format))
+    corpus, _ = load_corpus(args.infile, args.format)
     tok = tokenizer(args.tokenizer, args.suffixes)
     pairs = [(tok(i.etruscan_norm), i.english.split()) for i in corpus.translated()]
     lexicon = load_lexicon(args.lexicon) if args.lexicon else None
-
-    flags = {"n": args.n, "context_mode": args.context, "ordered": not args.unordered, "alpha": args.alpha,
-             "iterations": args.iterations, "use_lexicon": args.with_lexicon_pairs}
-    family = args.family
-    model_cfg = {"family": family, **{k: v for k, v in flags.items() if k in FAMILIES[family] and v is not None}}
+    # every flag given goes into the config, so `settings` rejects one the family lacks
+    model_cfg = {"family": args.family,
+                 **_given(args, ("n", "context_mode", "ordered", "alpha", "iterations", "use_lexicon"))}
     model = train_model(model_cfg, pairs, lexicon, tok)
-    save_model(family, model, args.out)
+    save_model(args.family, model, args.out)
     n_pairs = len(pairs) + len(lexicon_entries(model_cfg, lexicon))
-    print(f"trained {family} model on {n_pairs} pairs -> {args.out}", file=sys.stderr)
+    print(f"trained {args.family} model on {n_pairs} pairs -> {args.out}", file=sys.stderr)
     return 0
 
 
@@ -85,14 +85,8 @@ def cmd_translate(args) -> int:
     family, model = load_model(args.model)
     tok = tokenizer(args.tokenizer, args.suffixes)
     rng = np.random.default_rng(args.seed)
-    out = sys.stdout if args.out is None else open(args.out, "w", encoding="utf-8")
-    try:
-        for line in read_lines(args.infile):
-            tokens = tok(normalize(line))
-            print(" ".join(translate(family, model, tokens, rng=rng, beams=args.beams)), file=out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_lines(args.out, [" ".join(translate(family, model, tok(normalize(line)), rng=rng, beams=args.beams))
+                            for line in read_lines(args.infile)])
     return 0
 
 
@@ -124,6 +118,14 @@ def cmd_fetch(args) -> int:
     return 0
 
 
+def _files(out_required: bool) -> argparse.ArgumentParser:
+    """--in and --out, as a parent parser; --out may be left out only where the output can go to stdout."""
+    p = argparse.ArgumentParser(add_help=False)
+    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--out", required=out_required, help=None if out_required else "output file (default: stdout)")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ettmt",
@@ -131,54 +133,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    p = sub.add_parser("normalize", help="normalize a corpus file")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("tsv", "json"))
+    # option groups shared between commands
+    corpus_files, text_files = _files(out_required=True), _files(out_required=False)
+    corpus_files.add_argument("--format", choices=("tsv", "json"),
+                              help="corpus format of --in (default: json for a .json file, else tsv)")
+    lexicon = argparse.ArgumentParser(add_help=False)
+    lexicon.add_argument("--lexicon")
+    tokens = argparse.ArgumentParser(add_help=False)
+    tokens.add_argument("--tokenizer", choices=TOKENIZERS, default="whitespace")
+    tokens.add_argument("--suffixes", help="suffix file for the suffix tokenizer")
+
+    p = sub.add_parser("normalize", help="normalize a corpus file", parents=[corpus_files])
     p.set_defaults(fn=cmd_normalize)
 
-    p = sub.add_parser("tokenize", help="tokenize text, one segment per line")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out")
-    p.add_argument("--tokenizer", choices=TOKENIZERS, default="whitespace")
-    p.add_argument("--suffixes", help="suffix file for the suffix tokenizer")
+    p = sub.add_parser("tokenize", help="tokenize text, one segment per line", parents=[text_files, tokens])
     p.set_defaults(fn=cmd_tokenize)
 
-    p = sub.add_parser("augment", help="expand the translated pairs of a corpus")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("tsv", "json"))
-    p.add_argument("--lexicon")
-    p.add_argument("--name-replacements", type=int)
+    p = sub.add_parser("augment", help="expand the translated pairs of a corpus", parents=[corpus_files, lexicon])
+    p.add_argument("--name-replacements", dest="max_name_replacements", type=int)
     p.add_argument("--damage-prob", type=float)
     p.add_argument("--damage-geom-p", type=float)
     p.add_argument("--damage-iterations", type=int)
     p.add_argument("--seed", type=int)
     p.set_defaults(fn=cmd_augment)
 
-    p = sub.add_parser("train", help="train a model on a corpus")
+    p = sub.add_parser("train", help="train a model on a corpus", parents=[corpus_files, lexicon, tokens])
     p.add_argument("--family", choices=FAMILIES, required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("tsv", "json"))
-    p.add_argument("--lexicon")
-    p.add_argument("--suffixes")
-    p.add_argument("--tokenizer", choices=TOKENIZERS, default="whitespace")
     p.add_argument("--n", type=int, help="context size for ngram/naive-bayes")
-    p.add_argument("--context", choices=CONTEXT_MODES)
-    p.add_argument("--unordered", action="store_true", help="ignore source slot order (ngram)")
+    p.add_argument("--context", dest="context_mode", choices=CONTEXT_MODES)
+    p.add_argument("--unordered", dest="ordered", action="store_false", default=None,
+                   help="ignore source slot order (ngram)")
     p.add_argument("--alpha", type=float, help="additive smoothing")
     p.add_argument("--iterations", type=int, help="EM iterations (ibm1/ibm2)")
-    p.add_argument("--with-lexicon-pairs", action="store_true",
+    p.add_argument("--with-lexicon-pairs", dest="use_lexicon", action="store_true", default=None,
                    help="add lexicon entries as training pairs (ibm1/ibm2)")
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("translate", help="translate text with a trained model")
+    p = sub.add_parser("translate", help="translate text with a trained model", parents=[text_files, tokens])
     p.add_argument("--model", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out")
-    p.add_argument("--tokenizer", choices=TOKENIZERS, default="whitespace")
-    p.add_argument("--suffixes")
     p.add_argument("--beams", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_translate)

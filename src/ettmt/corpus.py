@@ -343,8 +343,13 @@ def read_json(path, what: str, kind: type):
     return doc
 
 
-def load_corpus(path, fmt: str = "tsv", name: str = "") -> tuple[ParallelCorpus, LoadReport]:
-    """Load a corpus file (TSV or JSON) and normalize every row.
+def _corpus_format(path, fmt: str | None) -> str:
+    """fmt when given, else "json" for a .json path and "tsv" for any other."""
+    return fmt if fmt is not None else "json" if str(path).endswith(".json") else "tsv"
+
+
+def load_corpus(path, fmt: str | None = None) -> tuple[ParallelCorpus, LoadReport]:
+    """Load a corpus file (fmt "tsv" or "json"; by default json for a .json path) and normalize every row.
 
     Rows whose Etruscan field normalizes to the empty string are dropped and
     counted in the returned LoadReport. Malformed rows and duplicate ids
@@ -352,6 +357,7 @@ def load_corpus(path, fmt: str = "tsv", name: str = "") -> tuple[ParallelCorpus,
     """
     report = LoadReport(path=str(path))
     items: list[Inscription] = []
+    fmt = _corpus_format(path, fmt)
     if fmt == "tsv":
         reader = csv.DictReader(read_lines(path, newline=""), delimiter="\t", quoting=csv.QUOTE_NONE)
         if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != list(_CORPUS_COLUMNS):
@@ -380,13 +386,13 @@ def load_corpus(path, fmt: str = "tsv", name: str = "") -> tuple[ParallelCorpus,
                 items.append(item)
     else:
         raise ValueError(f"unknown corpus format {fmt!r}")
-    corpus = ParallelCorpus(tuple(items), name=name or str(path))
+    corpus = ParallelCorpus(tuple(items), name=str(path))
     report.rows_kept = len(items)
     return corpus, report
 
 
-def save_corpus(corpus: ParallelCorpus, path, fmt: str = "tsv"):
-    """Write a corpus with normalized fields; inverse of load_corpus up to normalization."""
+def save_corpus(corpus: ParallelCorpus, path, fmt: str | None = None):
+    """Write a corpus with normalized fields; inverse of load_corpus (same format rule) up to normalization."""
     rows = [
         {
             "id": i.id,
@@ -398,6 +404,7 @@ def save_corpus(corpus: ParallelCorpus, path, fmt: str = "tsv"):
         }
         for i in corpus
     ]
+    fmt = _corpus_format(path, fmt)
     if fmt == "tsv":
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\t".join(_CORPUS_COLUMNS) + "\n")

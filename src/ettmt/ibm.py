@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .errors import DataError
+from .errors import DataError, check_type
 
 NULL_TOKEN = "<null>"
 
@@ -100,6 +100,10 @@ class TTable:
     @classmethod
     def from_dict(cls, payload: dict) -> "TTable":
         entries = payload["entries"]
+        for entry in entries:
+            if not (isinstance(entry, list) and len(entry) == 3 and all(isinstance(t, str) for t in entry[:2])):
+                raise DataError(f"t-table entry {entry!r} is not [source, target, probability]")
+            check_type("t-table probability", entry[2], 1.0)
         source_vocab = (NULL_TOKEN,) + tuple(sorted({f for f, _, _ in entries} - {NULL_TOKEN}))
         target_vocab = tuple(sorted({e for _, e, _ in entries}))
         src_index = {t: i for i, t in enumerate(source_vocab)}
@@ -155,7 +159,10 @@ class AlignTable:
         blocks = {}
         for key, rows in payload["blocks"].items():
             l_e, l_f = (int(x) for x in key.split(","))
-            blocks[(l_e, l_f)] = np.asarray(rows, dtype=np.float64)
+            block = np.asarray(rows, dtype=np.float64)
+            if block.shape != (l_e, l_f + 1):
+                raise DataError(f"alignment block {key!r} has shape {block.shape}, not {(l_e, l_f + 1)}")
+            blocks[(l_e, l_f)] = block
         return cls(blocks=blocks)
 
 

@@ -27,7 +27,8 @@ FORMAT = "ettmt-model"
 VERSION = 1
 
 # family -> {model config key: default}; a key's type is its default's type, and
-# every key but beams (a decoding setting) is a keyword of the family's trainer
+# every key is a keyword of the family's trainer but beams (a decoding setting)
+# and use_lexicon (train_model adds the lexicon entries as training pairs)
 FAMILIES = {
     "random": {},
     "dict": {},

@@ -439,17 +439,20 @@ def train_naive_bayes(
 
 
 def nb_posterior(model: NaiveBayesModel, src_slots: tuple, eng_slots: tuple = ()) -> dict[str, float]:
-    """Normalized posterior over the target vocabulary, computed in log space."""
+    """Normalized posterior over the target vocabulary, computed in log space; a probability that
+    underflows to 0.0 scores -inf, and when every score does, every target gets 0.0."""
     _check_arity(model, src_slots)
     context = tuple(src_slots) + tuple(eng_slots)
     prior_denom = model.total_positions + model.alpha * len(model.vocab)
     log_scores = []
     for target in model.vocab:
-        score = math.log((model.target_counts.get(target, 0) + model.alpha) / prior_denom)
+        score = _log((model.target_counts.get(target, 0) + model.alpha) / prior_denom)
         for slot, value in enumerate(context):
-            score += math.log(model.slot_likelihood(slot, target, value))
+            score += _log(model.slot_likelihood(slot, target, value))
         log_scores.append(score)
     peak = max(log_scores)
+    if peak == -math.inf:
+        return dict.fromkeys(model.vocab, 0.0)
     weights = [math.exp(s - peak) for s in log_scores]
     z = _left_sum(weights)
     return {t: w / z for t, w in zip(model.vocab, weights)}

@@ -142,6 +142,15 @@ class TestLoadCorpus:
         key = lambda c: [(i.id, i.source, i.etruscan_norm, i.english, i.date, i.location) for i in c]
         assert key(again) == key(corpus)
 
+    def test_format_follows_json_extension(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text('[{"id": "a1", "source": "ETP", "etruscan": "mi", "english": "me"}]', encoding="utf-8")
+        corpus, _ = load_corpus(p)
+        assert [(i.id, i.etruscan_norm, i.english) for i in corpus] == [("a1", "mi", "me")]
+        out = tmp_path / "o.json"
+        save_corpus(corpus, out)
+        assert json.loads(out.read_text(encoding="utf-8"))[0]["etruscan"] == "mi"
+
     @pytest.mark.parametrize("key", ["id", "source", "etruscan", "english", "date", "location"])
     @pytest.mark.parametrize("value", [7, True, ["mi"]], ids=["int", "bool", "list"])
     def test_json_value_not_a_string(self, tmp_path, key, value):

@@ -623,10 +623,26 @@ class TestCli:
              '"context_mode": "ett", "alpha": 1.0, "target_counts": {"<eos>": 3}, "total_positions": 4, '
              '"slot_counts": [{}], "slot_vocabs": [["<pad>"]], "vocab": ["<eos>", "<pad>"]}}',
              "total_positions 4 is not the sum of target_counts, 3"),
+            ('{"format": "ettmt-model", "version": 1, "family": "ibm2", "payload": {"ttable": {"entries": '
+             '[["mi", "i", 1.0]]}, "aligntable": {"blocks": {"2,2": [[0.5]]}}}}',
+             "alignment block '2,2' has shape (1, 1), not (2, 3)"),
+            ('{"format": "ettmt-model", "version": 1, "family": "ibm2", "payload": {"ttable": {"entries": '
+             '[["mi", "i", 1.0]]}, "aligntable": {"blocks": {"2,2": [0.5, 0.5]}}}}',
+             "alignment block '2,2' has shape (2,), not (2, 3)"),
+            ('{"format": "ettmt-model", "version": 1, "family": "random", "payload": {"length_mean": "3", '
+             '"length_std": 1.0, "tokens": ["i"], "probs": [1.0]}}', "length_mean must be float, not str '3'"),
+            ('{"format": "ettmt-model", "version": 1, "family": "random", "payload": {"length_mean": 3, '
+             '"length_std": 1.0, "tokens": [1], "probs": [1.0]}}', "tokens must be a list of strings"),
+            ('{"format": "ettmt-model", "version": 1, "family": "dict", "payload": {"table": {"mi": 5}}}',
+             "table must map strings to strings"),
+            ('{"format": "ettmt-model", "version": 1, "family": "ibm1", "payload": {"ttable": {"entries": '
+             '[["mi", 5, 0.5]]}}}', "t-table entry ['mi', 5, 0.5] is not [source, target, probability]"),
         ],
         ids=["invalid-json", "top-level-list", "no-payload", "payload-list", "ibm1-no-ttable", "ibm2-no-aligntable",
              "ibm1-entries-int", "ibm2-blocks-list", "dict-table-int", "ngram-counts-int",
-             "naive-bayes-target-counts-list", "naive-bayes-total-string", "naive-bayes-total-wrong"],
+             "naive-bayes-target-counts-list", "naive-bayes-total-string", "naive-bayes-total-wrong",
+             "ibm2-block-too-small", "ibm2-block-flat", "random-length-mean-string", "random-token-int",
+             "dict-gloss-int", "ibm1-target-int"],
     )
     def test_malformed_model_file_exits_2(self, tmp_path, capsys, text, message):
         model = tmp_path / "bad.json"
@@ -720,6 +736,22 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"error: {bad}, line 2: not valid UTF-8 (invalid start byte)\n"
 
+    @pytest.mark.parametrize("command", ["tokenize", "translate"])
+    @pytest.mark.parametrize("source", ["missing", "non-utf8"])
+    def test_input_error_keeps_existing_out(self, tmp_path, corpus_file, capsys, command, source):
+        model = tmp_path / "model.json"
+        assert cli_dispatch(["train", "--family", "ngram", "--in", str(corpus_file), "--out", str(model)]) == 0
+        src = tmp_path / "src.txt"
+        if source == "non-utf8":
+            src.write_bytes(b"mi aveles\nmi \xff larthes\n")
+        out = tmp_path / "out.txt"
+        out.write_bytes(b"earlier output\n")
+        argv = {"tokenize": ["tokenize"], "translate": ["translate", "--model", str(model)]}[command]
+        capsys.readouterr()
+        assert cli_dispatch(argv + ["--in", str(src), "--out", str(out)]) == 2
+        assert capsys.readouterr().out == ""
+        assert out.read_bytes() == b"earlier output\n"
+
     def test_non_utf8_corpus_exits_2(self, tmp_path, corpus_file, capsys):
         bad = tmp_path / "bad.tsv"
         bad.write_bytes(corpus_file.read_bytes().replace(b"mi aveles", b"mi \xffaveles"))
@@ -753,8 +785,15 @@ class TestCli:
             (["--family", "ibm1", "--iterations", "0"], "iterations must be >= 1, got 0"),
             (["--family", "ngram", "--n", "0"], "n must be >= 1, got 0"),
             (["--family", "naive-bayes", "--alpha", "-1"], "alpha must be a finite number > 0, got -1.0"),
+            # a flag the family lacks is rejected like the same key in a benchmark config
+            (["--family", "ibm1", "--n", "3"], "ibm1 has no key 'n' (keys: iterations, use_lexicon)"),
+            (["--family", "naive-bayes", "--unordered"],
+             "naive-bayes has no key 'ordered' (keys: n, context_mode, alpha, beams)"),
+            (["--family", "random", "--with-lexicon-pairs"], "random has no key 'use_lexicon' (keys: none)"),
+            (["--family", "ibm2", "--alpha", "0.5"], "ibm2 has no key 'alpha' (keys: iterations, use_lexicon)"),
         ],
-        ids=["iterations-0", "n-0", "alpha-negative"],
+        ids=["iterations-0", "n-0", "alpha-negative", "ibm1-n", "naive-bayes-unordered", "random-lexicon-pairs",
+             "ibm2-alpha"],
     )
     def test_train_out_of_range_flag_exits_2(self, tmp_path, corpus_file, capsys, flags, message):
         model = tmp_path / "m.json"

@@ -20,6 +20,7 @@ from ettmt.ngram import (
     EOS,
     PAD,
     NaiveBayesModel,
+    _log,
     NgramModel,
     align_pair,
     beam_translate,
@@ -863,6 +864,18 @@ class TestUnderflow:
             # every hypothesis costs inf from position 0 on, so the smallest
             # token sequence wins, and source-only decoding still runs both positions
             assert beam_translate(model, ["unseen", "a"]) == ["0t", "0t"]
+
+    @pytest.mark.parametrize("pairs, src, zeros", [
+        ([(["a", "b", "c"], [])] * 2 + [(["a"], ["x"])] * 2, ("zz",), 3),  # every score underflows
+        ([(["a"], ["x"])] * 2 + [(["a", "b"], ["y"])], ("b",), 2),  # the b likelihoods of <pad> and x underflow
+    ], ids=["every-target", "some-targets"])
+    def test_naive_bayes_reference_underflow(self, pairs, src, zeros):
+        # the reference posterior scores an underflowed probability -inf, as the cost tables do
+        model = train_naive_bayes(pairs, n=1, alpha=5e-324)
+        dist = model.distribution(src)
+        assert list(dist.values()).count(0.0) == zeros
+        expected = np.array([-_log(p) for p in dist.values()])
+        assert model.costs(src).tobytes() == expected.tobytes()
 
     def test_ngram_denominator_overflow(self):
         # alpha * len(vocab) would overflow to inf and make every probability, seen or not, 0.0
