@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import Lexicon, read_lines
+from .corpus import Lexicon, read_tsv, write_tsv
 from .errors import DataError, check_type
 
 log = logging.getLogger(__name__)
@@ -41,6 +42,13 @@ class RandomModel:
         for key, value in [("length_mean", payload["length_mean"]), ("length_std", payload["length_std"]),
                            *(("probs entry", p) for p in probs)]:
             check_type(key, value, 1.0)
+            if not math.isfinite(value):
+                raise DataError(f"{key} must be finite, got {value!r}")
+            if value < 0 and key != "length_mean":
+                raise DataError(f"{key} must be >= 0, got {value!r}")
+        total = math.fsum(probs)  # 0.0 for no tokens
+        if abs(total - 1.0) > np.sqrt(np.finfo(np.float64).eps):  # Generator.choice's own tolerance
+            raise DataError(f"probs must sum to 1, got {total!r}")
         return cls(
             length_mean=payload["length_mean"],
             length_std=payload["length_std"],
@@ -121,26 +129,20 @@ def translate_dict(model: DictModel, tokens: list[str]) -> list[str]:
     return out
 
 
+_DICT_COLUMNS = ("etruscan", "english")
+
+
 def save_dict_tsv(model: DictModel, path):
     """Write the lookup table as a two-column TSV (etruscan, english)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("etruscan\tenglish\n")
-        for key in sorted(model.table):
-            fh.write(f"{key}\t{model.table[key]}\n")
+    write_tsv(path, _DICT_COLUMNS, sorted(model.table.items()))
 
 
 def load_dict_tsv(path) -> DictModel:
-    table: dict[str, str] = {}
-    header, *rows = read_lines(path) or [""]
-    header = header.rstrip("\n").split("\t")
-    if header[:2] != ["etruscan", "english"]:
+    """Read a two-column dictionary TSV; a repeated Etruscan form keeps its first gloss."""
+    header, rows = read_tsv(path, len(_DICT_COLUMNS))
+    if tuple(header) != _DICT_COLUMNS:
         raise DataError(f"{path}: expected header etruscan<TAB>english, got {header}")
-    for line_no, line in enumerate(rows, start=2):
-        if not line.strip():
-            continue
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) < 2:
-            raise DataError(f"{path} line {line_no}: expected two tab-separated columns")
-        if parts[0] not in table:
-            table[parts[0]] = parts[1]
+    table: dict[str, str] = {}
+    for _, (etruscan, english) in rows:
+        table.setdefault(etruscan, english)
     return DictModel(table=table)

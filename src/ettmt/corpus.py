@@ -273,9 +273,9 @@ class LoadReport:
     dropped_chars: int = 0
     reasons: list[str] = field(default_factory=list)
 
-    def drop(self, line_no: int, reason: str):
+    def drop(self, where: str, reason: str):
         self.rows_dropped += 1
-        self.reasons.append(f"line {line_no}: {reason}")
+        self.reasons.append(f"{where}: {reason}")
 
     def summary(self) -> str:
         lines = [
@@ -289,18 +289,19 @@ class LoadReport:
 _CORPUS_COLUMNS = ("id", "source", "etruscan", "english", "date", "location")
 
 
-def _row_to_inscription(row: dict, line_no: int, report: LoadReport) -> Inscription | None:
+def _row_to_inscription(row: dict, where: str, report: LoadReport) -> Inscription | None:
+    """The inscription in one corpus row; `where` ("line N" / "entry N") locates the row in report.path."""
     ident = (row.get("id") or "").strip()
     if not ident:
-        raise DataError(f"line {line_no}: missing id")
+        raise DataError(f"{report.path}, {where}: missing id")
     source = (row.get("source") or "").strip().upper()
     if source not in SOURCES:
-        raise DataError(f"line {line_no}: unknown source {row.get('source')!r}")
+        raise DataError(f"{report.path}, {where}: unknown source {row.get('source')!r}")
     raw = row.get("etruscan") or ""
     norm, dropped = _normalize_with_stats(raw)
     report.dropped_chars += dropped
     if not norm:
-        report.drop(line_no, f"id {ident!r}: empty after normalization")
+        report.drop(where, f"id {ident!r}: empty after normalization")
         return None
     english = normalize_english(row.get("english") or "") or None
     return Inscription(
@@ -343,6 +344,39 @@ def read_json(path, what: str, kind: type):
     return doc
 
 
+def read_tsv(path, width: int) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """The header (line 1) and the (line number, cells) rows of a tab-separated UTF-8 file.
+
+    Lines that hold only whitespace are skipped; every other line must have
+    exactly `width` cells, else DataError "<path>, line N: ...".
+    """
+    reader = csv.reader(read_lines(path, newline=""), delimiter="\t", quoting=csv.QUOTE_NONE)
+    rows: list[tuple[int, list[str]]] = []
+    try:
+        header = next(reader, [])
+        if len(header) != width:
+            raise DataError(f"{path}, line 1: expected a header of {width} columns, got {len(header)}")
+        for cells in reader:
+            if not "".join(cells).strip():
+                continue
+            if len(cells) != width:
+                raise DataError(f"{path}, line {reader.line_num}: expected {width} columns, got {len(cells)}")
+            rows.append((reader.line_num, cells))
+    except csv.Error as exc:  # e.g. a cell over csv.field_size_limit()
+        raise DataError(f"{path}, line {reader.line_num}: {exc}") from exc
+    return header, rows
+
+
+_NO_TABS_OR_LINE_BREAKS = str.maketrans("\t\r\n", "   ")
+
+
+def write_tsv(path, header, rows) -> None:
+    """Write a header and rows of string cells as tab-separated UTF-8; a tab or line break in a cell becomes a space."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for cells in (header, *rows):
+            fh.write("\t".join(cell.translate(_NO_TABS_OR_LINE_BREAKS) for cell in cells) + "\n")
+
+
 def _corpus_format(path, fmt: str | None) -> str:
     """fmt when given, else "json" for a .json path and "tsv" for any other."""
     return fmt if fmt is not None else "json" if str(path).endswith(".json") else "tsv"
@@ -353,39 +387,30 @@ def load_corpus(path, fmt: str | None = None) -> tuple[ParallelCorpus, LoadRepor
 
     Rows whose Etruscan field normalizes to the empty string are dropped and
     counted in the returned LoadReport. Malformed rows and duplicate ids
-    raise DataError with the offending line.
+    raise DataError naming the file and the offending line (TSV) or entry (JSON).
     """
     report = LoadReport(path=str(path))
-    items: list[Inscription] = []
     fmt = _corpus_format(path, fmt)
     if fmt == "tsv":
-        reader = csv.DictReader(read_lines(path, newline=""), delimiter="\t", quoting=csv.QUOTE_NONE)
-        if reader.fieldnames is None or [c.strip() for c in reader.fieldnames] != list(_CORPUS_COLUMNS):
-            raise DataError(
-                f"{path}: expected header {' '.join(_CORPUS_COLUMNS)}, got {reader.fieldnames}"
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if None in row or None in row.values():
-                raise DataError(f"line {line_no}: wrong column count")
-            report.rows_read += 1
-            item = _row_to_inscription(row, line_no, report)
-            if item is not None:
-                items.append(item)
+        header, lines = read_tsv(path, len(_CORPUS_COLUMNS))
+        if [c.strip() for c in header] != list(_CORPUS_COLUMNS):
+            raise DataError(f"{path}: expected header {' '.join(_CORPUS_COLUMNS)}, got {header}")
+        rows = [(f"line {n}", dict(zip(_CORPUS_COLUMNS, cells))) for n, cells in lines]
     elif fmt == "json":
-        for line_no, row in enumerate(read_json(path, "a JSON corpus", list), start=1):
+        rows = []
+        for n, row in enumerate(read_json(path, "a JSON corpus", list), start=1):
             if not isinstance(row, dict):
-                raise DataError(f"entry {line_no}: not an object")
+                raise DataError(f"{path}, entry {n}: not an object")
             for key in _CORPUS_COLUMNS:  # null counts as absent, like a missing key
                 value = row.get(key)
                 if value is not None and not isinstance(value, str):
-                    raise DataError(f"entry {line_no}: {key} must be a string, "
+                    raise DataError(f"{path}, entry {n}: {key} must be a string, "
                                     f"not {type(value).__name__} {value!r}")
-            report.rows_read += 1
-            item = _row_to_inscription(row, line_no, report)
-            if item is not None:
-                items.append(item)
+            rows.append((f"entry {n}", row))
     else:
         raise ValueError(f"unknown corpus format {fmt!r}")
+    report.rows_read = len(rows)
+    items = [item for where, row in rows if (item := _row_to_inscription(row, where, report)) is not None]
     corpus = ParallelCorpus(tuple(items), name=str(path))
     report.rows_kept = len(items)
     return corpus, report
@@ -393,27 +418,13 @@ def load_corpus(path, fmt: str | None = None) -> tuple[ParallelCorpus, LoadRepor
 
 def save_corpus(corpus: ParallelCorpus, path, fmt: str | None = None):
     """Write a corpus with normalized fields; inverse of load_corpus (same format rule) up to normalization."""
-    rows = [
-        {
-            "id": i.id,
-            "source": i.source,
-            "etruscan": i.etruscan_norm,
-            "english": i.english or "",
-            "date": i.date or "",
-            "location": i.location or "",
-        }
-        for i in corpus
-    ]
+    rows = [(i.id, i.source, i.etruscan_norm, i.english or "", i.date or "", i.location or "") for i in corpus]
     fmt = _corpus_format(path, fmt)
     if fmt == "tsv":
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\t".join(_CORPUS_COLUMNS) + "\n")
-            for row in rows:
-                cells = [row[c].replace("\t", " ").replace("\n", " ") for c in _CORPUS_COLUMNS]
-                fh.write("\t".join(cells) + "\n")
+        write_tsv(path, _CORPUS_COLUMNS, rows)
     elif fmt == "json":
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, ensure_ascii=False, indent=1)
+            json.dump([dict(zip(_CORPUS_COLUMNS, row)) for row in rows], fh, ensure_ascii=False, indent=1)
     else:
         raise ValueError(f"unknown corpus format {fmt!r}")
 
@@ -425,33 +436,17 @@ def load_lexicon(path, suffix_path=None) -> Lexicon:
     they still serve feature lookups.
     """
     entries: list[LexiconEntry] = []
-    reader = csv.reader(read_lines(path, newline=""), delimiter="\t", quoting=csv.QUOTE_NONE)
-    header = next(reader, None)
-    if header is None or len(header) != 2 + N_FEATURES:
-        got = 0 if header is None else len(header)
-        raise DataError(
-            f"{path}: lexicon header must have {2 + N_FEATURES} columns, got {got}"
-        )
-    for line_no, row in enumerate(reader, start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != 2 + N_FEATURES:
-            raise DataError(
-                f"{path} line {line_no}: expected {2 + N_FEATURES} columns, got {len(row)}"
-            )
+    for line_no, row in read_tsv(path, 2 + N_FEATURES)[1]:
         feats = []
         for k, cell in enumerate(row[2:], start=1):
             cell = cell.strip()
             if cell not in ("0", "1"):
-                raise DataError(f"{path} line {line_no}: feature f{k} must be 0/1, got {cell!r}")
+                raise DataError(f"{path}, line {line_no}: feature f{k} must be 0/1, got {cell!r}")
             feats.append(int(cell))
-        entries.append(
-            LexiconEntry(
-                etruscan=normalize(row[0]),
-                english=normalize_english(row[1]),
-                features=tuple(feats),
-            )
-        )
+        try:
+            entries.append(LexiconEntry(normalize(row[0]), normalize_english(row[1]), tuple(feats)))
+        except DataError as exc:  # an Etruscan form that normalizes to nothing
+            raise DataError(f"{path}, line {line_no}: {exc}") from exc
     suffixes: tuple[str, ...] = ()
     if suffix_path is not None:
         suffixes = load_suffixes(suffix_path)

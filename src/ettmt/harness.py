@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .augment import AugmentConfig, augment_pairs
-from .corpus import load_corpus, load_lexicon, read_json, split_corpus
+from .corpus import _corpus_format, load_corpus, load_lexicon, read_json, split_corpus
 from .errors import BenchmarkError, DataError, check_type
 from .metrics import score_corpus
 from .modelio import model_label, needs_lexicon, overlay, settings, train_model, translate
@@ -33,7 +33,7 @@ AUGMENT_DEFAULTS = {f.name: f.default for f in fields(AugmentConfig) if f.name !
 @dataclass
 class BenchmarkConfig:
     corpus: str
-    corpus_format: str = "tsv"
+    corpus_format: str | None = None  # None: the load_corpus rule (json for a .json path, else tsv)
     lexicon: str | None = None
     suffix_file: str | None = None
     models: list[dict] = field(default_factory=lambda: [{"family": "dict"}])
@@ -50,6 +50,9 @@ class BenchmarkConfig:
             if f.default not in (MISSING, None):
                 check_type(f.name, getattr(self, f.name), f.default)
         check_type("corpus", self.corpus, "")
+        self.corpus_format = _corpus_format(self.corpus, self.corpus_format)
+        if self.corpus_format not in ("tsv", "json"):
+            raise DataError(f"corpus_format must be tsv or json, got {self.corpus_format!r}")
         for name, empty in (("lexicon", ""), ("suffix_file", ""), ("output_dir", ""), ("augment", {})):
             if getattr(self, name) is not None:
                 check_type(name, getattr(self, name), empty)

@@ -462,16 +462,16 @@ def nb_posterior(model: NaiveBayesModel, src_slots: tuple, eng_slots: tuple = ()
 # Decoding
 # ---------------------------------------------------------------------------
 
-def beam_translate(model, source: list[str], beams: int = 8, max_len: int | None = None) -> list[str]:
+def beam_translate(model, source: list[str], beams: int = 8) -> list[str]:
     """Decode position by position, keeping the `beams` best hypotheses.
 
-    Generation runs for at most len(source) positions (or max_len, if
-    smaller). With English context a hypothesis finishes early when it emits
-    EOS; with source-only context EOS is just another dropped emission, so
-    the output covers every source position. The winner is the completed
-    hypothesis with the highest summed log-probability, ties going to the
-    one that stopped earlier and then to the lexicographically smaller token
-    sequence. PAD emissions never reach the output.
+    Generation runs for at most len(source) positions. With English context
+    a hypothesis finishes early when it emits EOS; with source-only context
+    EOS is just another dropped emission, so the output covers every source
+    position. The winner is the completed hypothesis with the highest summed
+    log-probability, ties going to the one that stopped earlier and then to
+    the lexicographically smaller token sequence. PAD emissions never reach
+    the output.
 
     At each position the live hypotheses' summed costs plus their contexts'
     cost vectors (`model.costs`, one per distinct context) form a
@@ -500,7 +500,6 @@ def beam_translate(model, source: list[str], beams: int = 8, max_len: int | None
     if beams < 1:
         raise ValueError(f"beam count must be >= 1, got {beams}")
     n = model.n
-    n_positions = len(source) if max_len is None else min(len(source), max_len)
     padded = [PAD] * (n - 1) + list(source)
     uses_history = model.context_mode == CONTEXT_ETT_ENG
     vocab = model.vocab
@@ -511,7 +510,7 @@ def beam_translate(model, source: list[str], beams: int = 8, max_len: int | None
     scores = np.zeros(1)
     done: list[tuple[float, float, tuple[str, ...]]] = []
     best_done = math.inf  # lowest cost in `done`
-    for i in range(n_positions):
+    for i in range(len(source)):
         if done and best_done <= float(scores.min()):
             break  # no live hypothesis can still win
         src_slots = tuple(padded[i : i + n])

@@ -925,31 +925,30 @@ def former_nb_costs(self, src_slots: tuple, eng_slots: tuple = ()) -> np.ndarray
 # Beam decoding
 # ---------------------------------------------------------------------------
 
-def oracle_beam_translate(model, source: list[str], beams: int = 8, max_len: int | None = None) -> list[str]:
+def oracle_beam_translate(model, source: list[str], beams: int = 8) -> list[str]:
     """The n-gram / naive-Bayes beam decoder as a loop over Python tuples.
 
     One (cost, tokens) tuple per expansion, sorted in full at every position;
     the reference that `ettmt.ngram.beam_translate` must match exactly.
 
-    Generation runs for at most len(source) positions (or max_len, if
-    smaller). With English context a hypothesis finishes early when it emits
-    EOS; with source-only context EOS is just another dropped emission, so
-    the output covers every source position. The winner is the completed
-    hypothesis with the highest summed log-probability, ties going to the
-    one that stopped earlier and then to the lexicographically smaller token
-    sequence. PAD emissions never reach the output.
+    Generation runs for at most len(source) positions. With English context
+    a hypothesis finishes early when it emits EOS; with source-only context
+    EOS is just another dropped emission, so the output covers every source
+    position. The winner is the completed hypothesis with the highest summed
+    log-probability, ties going to the one that stopped earlier and then to
+    the lexicographically smaller token sequence. PAD emissions never reach
+    the output.
     """
     if beams < 1:
         raise ValueError(f"beam count must be >= 1, got {beams}")
     n = model.n
-    n_positions = len(source) if max_len is None else min(len(source), max_len)
     padded = [PAD] * (n - 1) + list(source)
     uses_history = model.context_mode == CONTEXT_ETT_ENG
 
     # hypothesis: (summed -log p, emitted tokens)
     alive: list[tuple[float, tuple[str, ...]]] = [(0.0, ())]
     done: list[tuple[float, float, tuple[str, ...]]] = []
-    for i in range(n_positions):
+    for i in range(len(source)):
         src_slots = tuple(padded[i : i + n])
         expansions: list[tuple[float, tuple[str, ...]]] = []
         shared = None if uses_history else model.distribution(src_slots)

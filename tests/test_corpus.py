@@ -15,8 +15,10 @@ from ettmt.corpus import (
     load_suffixes,
     normalize,
     normalize_english,
+    read_tsv,
     save_corpus,
     split_corpus,
+    write_tsv,
 )
 from ettmt.errors import DataError
 
@@ -224,6 +226,38 @@ class TestLoadLexicon:
         feats = [0] * 54
         feats[FEATURE_NAMES.index("praenomen")] = 1
         assert LexiconEntry("x", "y", tuple(feats)).is_name
+
+
+class TestTsv:
+    def test_whitespace_only_lines_skipped(self, tmp_path):
+        p = tmp_path / "t.tsv"
+        p.write_text("a\tb\n\n\t\n \t \t\n1\t2\r\n\n3\t\"4\\\n", encoding="utf-8")
+        assert read_tsv(p, 2) == (["a", "b"], [(5, ["1", "2"]), (7, ["3", '"4\\'])])
+
+    def test_tabs_only_corpus_line_skipped(self, tmp_path):
+        p = tmp_path / "c.tsv"
+        _write_corpus_tsv(p, [("a1", "ETP", "mi", "me", "", ""), ("", "", "", "", "", ""), ("a2", "ETP", "zi", "", "", "")])
+        corpus, report = load_corpus(p)
+        assert [i.id for i in corpus] == ["a1", "a2"] and report.rows_read == 2
+
+    @pytest.mark.parametrize("text", ["", "a\n", "a\tb\tc\n"], ids=["empty", "narrow", "wide"])
+    def test_header_width(self, tmp_path, text):
+        p = tmp_path / "t.tsv"
+        p.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{p}, line 1: expected a header of 2 columns, got ")):
+            read_tsv(p, 2)
+
+    def test_oversized_cell_is_data_error(self, tmp_path):
+        p = tmp_path / "t.tsv"
+        p.write_text("a\tb\n1\t" + "x" * 200_000 + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{p}, line 2: field larger than field limit")):
+            read_tsv(p, 2)
+
+    def test_write_replaces_tabs_and_line_breaks(self, tmp_path):
+        p = tmp_path / "t.tsv"
+        write_tsv(p, ("a", "b"), [("x\ty", "1\n2\r3"), ("", "z")])
+        assert p.read_bytes() == b"a\tb\nx y\t1 2 3\n\tz\n"
+        assert read_tsv(p, 2) == (["a", "b"], [(2, ["x y", "1 2 3"]), (3, ["", "z"])])
 
 
 def _corpus(n, translated=True):

@@ -637,12 +637,27 @@ class TestCli:
              "table must map strings to strings"),
             ('{"format": "ettmt-model", "version": 1, "family": "ibm1", "payload": {"ttable": {"entries": '
              '[["mi", 5, 0.5]]}}}', "t-table entry ['mi', 5, 0.5] is not [source, target, probability]"),
+            ('{"format": "ettmt-model", "version": 1, "family": "random", "payload": {"length_mean": 3, '
+             '"length_std": 1.0, "tokens": [], "probs": []}}', "probs must sum to 1, got 0.0"),
+            ('{"format": "ettmt-model", "version": 1, "family": "random", "payload": {"length_mean": 3, '
+             '"length_std": 1.0, "tokens": ["i", "am"], "probs": [1.5, -0.5]}}', "probs entry must be >= 0, got -0.5"),
+            ('{"format": "ettmt-model", "version": 1, "family": "random", "payload": {"length_mean": 3, '
+             '"length_std": 1.0, "tokens": ["i", "am"], "probs": [NaN, 1.0]}}', "probs entry must be finite, got nan"),
+            ('{"format": "ettmt-model", "version": 1, "family": "random", "payload": {"length_mean": 3, '
+             '"length_std": 1.0, "tokens": ["i", "am"], "probs": [0.9, 0.9]}}', "probs must sum to 1, got 1.8"),
+            ('{"format": "ettmt-model", "version": 1, "family": "random", "payload": {"length_mean": Infinity, '
+             '"length_std": 1.0, "tokens": ["i"], "probs": [1.0]}}', "length_mean must be finite, got inf"),
+            ('{"format": "ettmt-model", "version": 1, "family": "random", "payload": {"length_mean": 3, '
+             '"length_std": -1, "tokens": ["i"], "probs": [1.0]}}', "length_std must be >= 0, got -1"),
+            ('{"format": "ettmt-model", "version": 1, "family": "random", "payload": {"length_mean": 3, '
+             '"length_std": NaN, "tokens": ["i"], "probs": [1.0]}}', "length_std must be finite, got nan"),
         ],
         ids=["invalid-json", "top-level-list", "no-payload", "payload-list", "ibm1-no-ttable", "ibm2-no-aligntable",
              "ibm1-entries-int", "ibm2-blocks-list", "dict-table-int", "ngram-counts-int",
              "naive-bayes-target-counts-list", "naive-bayes-total-string", "naive-bayes-total-wrong",
              "ibm2-block-too-small", "ibm2-block-flat", "random-length-mean-string", "random-token-int",
-             "dict-gloss-int", "ibm1-target-int"],
+             "dict-gloss-int", "ibm1-target-int", "random-no-tokens", "random-prob-negative", "random-prob-nan",
+             "random-probs-sum", "random-length-mean-inf", "random-length-std-negative", "random-length-std-nan"],
     )
     def test_malformed_model_file_exits_2(self, tmp_path, capsys, text, message):
         model = tmp_path / "bad.json"
@@ -695,13 +710,14 @@ class TestCli:
              "damage_iterations must be int, not float 1.5"),
             (lambda cfg: json.dumps({**cfg, "augment": {"damage_prob": 2}}), "damage_prob must be in [0, 1]"),
             (lambda cfg: json.dumps({**cfg, "tokenizer": "suffix"}), "the suffix tokenizer needs a suffix_file"),
+            (lambda cfg: json.dumps({**cfg, "corpus_format": "xml"}), "corpus_format must be tsv or json, got 'xml'"),
         ],
         ids=["invalid-json", "top-level-list", "models-object", "models-empty", "model-string",
              "no-family", "unknown-family", "no-corpus", "repeats-0", "unknown-model-key",
              "n-string", "use-lexicon-int", "beams-on-dict", "repeats-string", "full-eval-string",
              "seed-float", "augment-string", "corpus-int", "lexicon-list", "iterations-0", "n-0",
              "beams-0", "alpha-0", "context-mode-unknown", "augment-unknown-key", "augment-seed",
-             "augment-iterations-float", "augment-prob-2", "suffix-without-file"],
+             "augment-iterations-float", "augment-prob-2", "suffix-without-file", "corpus-format-xml"],
     )
     def test_malformed_benchmark_config_exits_2(self, tmp_path, corpus_file, lexicon_file, capsys, edit, message):
         cfg = {"corpus": str(corpus_file), "lexicon": str(lexicon_file), "repeats": 1, "full_eval": True}
@@ -827,7 +843,53 @@ class TestCli:
         corpus = tmp_path / "c.json"
         corpus.write_text(f"[{entry}]", encoding="utf-8")
         assert cli_dispatch(["train", "--family", "random", "--in", str(corpus), "--out", str(tmp_path / "m.json")]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {corpus}, {message}\n"
+
+    @pytest.mark.parametrize(
+        "kind, text, message",
+        [
+            ("corpus", "id\tsource\tetruscan\tenglish\tdate\tlocation\n\n\t\t\ne1\tETP\tmi\ti\t\t\n"
+             "e2\tXYZ\tmi\ti\t\t\n", "line 5: unknown source 'XYZ'"),
+            ("corpus", "id\tsource\tetruscan\tenglish\tdate\tlocation\n \n\ne1\tETP\tmi\ti\t\n",
+             "line 4: expected 6 columns, got 5"),
+            ("lexicon", "etruscan\tenglish\t" + "\t".join(f"f{k}" for k in range(1, 55)) + "\n\n"
+             "mi\ti\t" + "\t".join(["0"] * 54) + "\nclan\tson\t2\t" + "\t".join(["0"] * 53) + "\n",
+             "line 4: feature f1 must be 0/1, got '2'"),
+            ("lexicon", "etruscan\tenglish\t" + "\t".join(f"f{k}" for k in range(1, 55)) + "\n\t\n"
+             "···\tnothing\t" + "\t".join(["0"] * 54) + "\n", "line 3: lexicon entry with empty Etruscan form"),
+            ("dict", "etruscan\tenglish\n\n\nmi\n", "line 4: expected 2 columns, got 1"),
+            ("dict", "etruscan\tenglish\n\t\nmi\ti am\tfirst person\n", "line 3: expected 2 columns, got 3"),
+            ("dict", "etruscan\tenglish\tnotes\nmi\ti am\t\n", "line 1: expected a header of 2 columns, got 3"),
+        ],
+        ids=["corpus-source", "corpus-short-row", "lexicon-feature", "lexicon-empty-form", "dict-short-row",
+             "dict-third-column", "dict-notes-header"],
+    )
+    def test_tsv_row_error_names_file_and_line_exits_2(self, tmp_path, corpus_file, capsys, kind, text, message):
+        bad = tmp_path / f"bad-{kind}.tsv"
+        bad.write_text(text, encoding="utf-8")
+        src = tmp_path / "src.txt"
+        src.write_text("mi\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = {
+            "corpus": ["train", "--family", "random", "--in", str(bad), "--out", str(out)],
+            "lexicon": ["train", "--family", "dict", "--in", str(corpus_file), "--lexicon", str(bad), "--out", str(out)],
+            "dict": ["translate", "--model", str(bad), "--in", str(src), "--out", str(out)],
+        }[kind]
+        assert cli_dispatch(argv) == 2
+        assert capsys.readouterr().err == f"error: {bad}, {message}\n"
+        assert not out.exists()
+
+    def test_json_corpus_config_runs(self, tmp_path, corpus_file, capsys):
+        from ettmt.corpus import load_corpus, save_corpus
+
+        corpus = tmp_path / "c.json"
+        save_corpus(load_corpus(corpus_file)[0], corpus)
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({"corpus": str(corpus), "models": [{"family": "random"}], "repeats": 1}),
+                       encoding="utf-8")
+        assert cli_dispatch(["benchmark", "--config", str(cfg)]) == 0
+        assert BenchmarkConfig.from_json(cfg).to_dict()["corpus_format"] == "json"
+        assert BenchmarkConfig(corpus=str(corpus_file)).to_dict()["corpus_format"] == "tsv"
 
     def test_train_lexicon_pairs_flag(self, tmp_path, corpus_file, lexicon_file, capsys):
         from ettmt.modelio import load_model
