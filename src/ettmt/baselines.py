@@ -13,6 +13,12 @@ from .errors import DataError, check_type
 
 log = logging.getLogger(__name__)
 
+# The largest length_mean and length_std a random model may hold. The mean and
+# the sample spread of sentence lengths never exceed the longest sentence, so
+# training on sentences of at most MAX_LENGTH tokens always meets the bound,
+# and a translation never asks for an array too large to draw.
+MAX_LENGTH = 10_000
+
 
 @dataclass(frozen=True)
 class RandomModel:
@@ -46,6 +52,8 @@ class RandomModel:
                 raise DataError(f"{key} must be finite, got {value!r}")
             if value < 0 and key != "length_mean":
                 raise DataError(f"{key} must be >= 0, got {value!r}")
+            if value > MAX_LENGTH and key != "probs entry":
+                raise DataError(f"{key} must be <= {MAX_LENGTH} tokens, got {value!r}")
         total = math.fsum(probs)  # 0.0 for no tokens
         if abs(total - 1.0) > np.sqrt(np.finfo(np.float64).eps):  # Generator.choice's own tolerance
             raise DataError(f"probs must sum to 1, got {total!r}")
@@ -62,6 +70,8 @@ def train_random(sequences: list[list[str]]) -> RandomModel:
     if len(sequences) < 2:
         raise ValueError(f"need at least 2 sequences to estimate a spread, got {len(sequences)}")
     lengths = np.array([len(s) for s in sequences], dtype=np.float64)
+    if lengths.max() > MAX_LENGTH:
+        raise DataError(f"sentences must have at most {MAX_LENGTH} tokens, got {int(lengths.max())}")
     counts: dict[str, int] = {}
     for seq in sequences:
         for tok in seq:

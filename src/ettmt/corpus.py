@@ -410,7 +410,15 @@ def load_corpus(path, fmt: str | None = None) -> tuple[ParallelCorpus, LoadRepor
     else:
         raise ValueError(f"unknown corpus format {fmt!r}")
     report.rows_read = len(rows)
-    items = [item for where, row in rows if (item := _row_to_inscription(row, where, report)) is not None]
+    items, first = [], {}  # first: kept id -> where it was read
+    for where, row in rows:
+        item = _row_to_inscription(row, where, report)
+        if item is None:
+            continue
+        if item.id in first:
+            raise DataError(f"{path}, {where}: duplicate inscription id {item.id!r} (first on {first[item.id]})")
+        first[item.id] = where
+        items.append(item)
     corpus = ParallelCorpus(tuple(items), name=str(path))
     report.rows_kept = len(items)
     return corpus, report

@@ -25,9 +25,13 @@ an ``alpha`` so large that ``alpha`` times a vocabulary size overflows.
 -log P(target | context) as one numpy vector over its sorted ``vocab``, and
 the decoder scores every expansion of every live hypothesis as one array
 addition, then keeps the best with a partition and an exact sort. With a
-source-only context every live hypothesis sees the same distribution, so any
-beam width reproduces greedy search; with English context the hypotheses
-diverge and the beam matters.
+source-only context every live hypothesis sees the same cost row, so the
+decoder first follows each row's lowest-index minimum. It returns that greedy
+sequence when a running bound shows no other sequence can reach its cost at
+any beam width; when a float rounding tie leaves that open (or a row is all
+``inf``), it runs the beam search on that sentence. Each model caches the
+greedy summary of every source context it has decoded. With English context
+the hypotheses diverge and the beam matters.
 
 Every cost value is built with the same ``math.log`` / ``math.exp`` calls
 on the same arguments as ``ngram_distribution`` and ``nb_posterior``, though
@@ -168,6 +172,8 @@ class NgramModel:
     vocab: tuple[str, ...]  # sorted; always contains EOS and PAD
     # token -> position in vocab, built on the first `costs` call
     _index: dict[str, int] | None = field(default=None, init=False, repr=False, compare=False)
+    # source slots -> `_row_summary` of their ett-mode costs, filled by `beam_translate`
+    _summaries: dict[tuple, tuple] | None = field(default=None, init=False, repr=False, compare=False)
 
     def distribution(self, src_slots: tuple, eng_slots: tuple = ()) -> dict[str, float]:
         return ngram_distribution(self, src_slots, eng_slots)
@@ -279,6 +285,8 @@ class NaiveBayesModel:
     # log-prior vector, per-slot default log-likelihood vectors and per-slot
     # {value: (target indices, log-likelihoods)} overrides; built on first use
     _tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # source slots -> `_row_summary` of their ett-mode costs, filled by `beam_translate`
+    _summaries: dict[tuple, tuple] | None = field(default=None, init=False, repr=False, compare=False)
 
     def distribution(self, src_slots: tuple, eng_slots: tuple = ()) -> dict[str, float]:
         return nb_posterior(self, src_slots, eng_slots)
@@ -462,6 +470,42 @@ def nb_posterior(model: NaiveBayesModel, src_slots: tuple, eng_slots: tuple = ()
 # Decoding
 # ---------------------------------------------------------------------------
 
+def _row_summary(row: np.ndarray) -> tuple[int, float, float]:
+    """(t*, m, m_lt): the row's lowest-index argmin, its cost, and the least cost before it (inf if none)."""
+    t = int(row.argmin())
+    return t, float(row[t]), float(row[:t].min()) if t else math.inf
+
+
+def _greedy_translate(model, source: list[str]) -> list[str] | None:
+    """The source-only decode as greedy search, or None when another sequence might win.
+
+    Every hypothesis expands with the same row, so no score is below the
+    greedy score g. A sibling before the greedy child scores >= g + m_lt, and
+    a child of a sequence before the greedy one >= b + m, because float
+    addition is monotone. So if g' < b' at every position, the greedy
+    sequence comes first in (cost, token sequence) order at every position,
+    and every beam width keeps it and returns it.
+    """
+    summaries = getattr(model, "_summaries", None)
+    if summaries is None:
+        summaries = model._summaries = {}
+    n = model.n
+    padded = [PAD] * (n - 1) + list(source)
+    g, b = 0.0, math.inf
+    tokens = []
+    for i in range(len(source)):
+        src_slots = tuple(padded[i : i + n])
+        summary = summaries.get(src_slots)
+        if summary is None:
+            summary = summaries[src_slots] = _row_summary(model.costs(src_slots, ()))
+        t, m, m_lt = summary
+        g, b = g + m, min(g + m_lt, b + m)
+        if not g < b:
+            return None
+        tokens.append(model.vocab[t])
+    return [tok for tok in tokens if tok not in (PAD, EOS)]
+
+
 def beam_translate(model, source: list[str], beams: int = 8) -> list[str]:
     """Decode position by position, keeping the `beams` best hypotheses.
 
@@ -496,9 +540,23 @@ def beam_translate(model, source: list[str], beams: int = 8) -> list[str]:
     A length rule would break the bound: with a per-token reward a live
     hypothesis can still gain the reward at every position left, and a
     length-normalized final score can fall as a hypothesis grows.
+
+    Source-only decoding first tries `_greedy_translate`, which needs one
+    `costs` call per distinct source context and model. It returns the
+    greedy sequence when, at every position, the greedy score g' = g + m
+    stays below b' = min(g + m_lt, b + m), the bound on every sequence that
+    sorts before it (m is the row's least cost, m_lt the least cost at a
+    lower vocabulary index; g starts at 0 and b at inf). The greedy sequence
+    is then what the beam search would return at any width. Otherwise, after
+    a float rounding tie or an all-inf row, the beam search below decodes
+    the sentence.
     """
     if beams < 1:
         raise ValueError(f"beam count must be >= 1, got {beams}")
+    if model.context_mode == CONTEXT_ETT:
+        greedy = _greedy_translate(model, source)
+        if greedy is not None:
+            return greedy
     n = model.n
     padded = [PAD] * (n - 1) + list(source)
     uses_history = model.context_mode == CONTEXT_ETT_ENG

@@ -937,7 +937,7 @@ def oracle_beam_translate(model, source: list[str], beams: int = 8) -> list[str]
     position. The winner is the completed hypothesis with the highest summed
     log-probability, ties going to the one that stopped earlier and then to
     the lexicographically smaller token sequence. PAD emissions never reach
-    the output.
+    the output. A probability that underflowed to 0.0 costs inf.
     """
     if beams < 1:
         raise ValueError(f"beam count must be >= 1, got {beams}")
@@ -959,7 +959,7 @@ def oracle_beam_translate(model, source: list[str], beams: int = 8) -> list[str]
             else:
                 dist = shared
             for tok, p in dist.items():
-                cost = score - math.log(p)
+                cost = score - math.log(p) if p > 0.0 else math.inf
                 if tok == EOS and uses_history:
                     done.append((cost, float(i), tokens))
                 else:

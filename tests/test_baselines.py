@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ettmt.baselines import (
+    MAX_LENGTH,
     DictModel,
     RandomModel,
     build_dict_model,
@@ -11,6 +12,7 @@ from ettmt.baselines import (
     translate_dict,
     translate_random,
 )
+from ettmt.errors import DataError
 from ettmt.tokenize import tokenize_suffix, tokenize_whitespace
 
 
@@ -27,6 +29,13 @@ class TestTrainRandom:
     def test_single_sequence_errors(self):
         with pytest.raises(ValueError):
             train_random([["a", "b"]])
+
+    def test_longest_sentence_bounds_the_model_file(self):
+        # the widest spread two sentences can give still loads
+        model = train_random([["a"] * MAX_LENGTH, []])
+        assert RandomModel.from_dict(model.to_dict()).length_std > MAX_LENGTH / 2
+        with pytest.raises(DataError, match=f"at most {MAX_LENGTH} tokens, got {MAX_LENGTH + 1}"):
+            train_random([["a"] * (MAX_LENGTH + 1), []])
 
     def test_unigram_distribution(self):
         model = train_random([["a", "a", "b"], ["b", "c", "b"]])

@@ -121,8 +121,22 @@ class TestLoadCorpus:
     def test_duplicate_id(self, tmp_path):
         p = tmp_path / "c.tsv"
         _write_corpus_tsv(p, [("a1", "ETP", "mi", "", "", ""), ("a1", "ETP", "zi", "", "", "")])
-        with pytest.raises(DataError, match="a1"):
+        with pytest.raises(DataError, match=re.escape(f"{p}, line 3: duplicate inscription id 'a1' (first on line 2)")):
             load_corpus(p)
+
+    def test_duplicate_id_json(self, tmp_path):
+        p = tmp_path / "c.json"
+        rows = [{"id": i, "source": "ETP", "etruscan": e} for i, e in (("a1", "mi"), ("b2", "zi"), ("a1", "ca"))]
+        p.write_text(json.dumps(rows), encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{p}, entry 3: duplicate inscription id 'a1' (first on entry 1)")):
+            load_corpus(p)
+
+    def test_duplicate_id_of_a_dropped_row_loads(self, tmp_path):
+        # only kept rows count: a row that normalizes to nothing may share an id
+        p = tmp_path / "c.tsv"
+        _write_corpus_tsv(p, [("a1", "ETP", "mi", "", "", ""), ("a1", "ETP", "···", "", "", "")])
+        corpus, report = load_corpus(p)
+        assert [i.id for i in corpus] == ["a1"] and report.rows_dropped == 1
 
     def test_bad_source(self, tmp_path):
         p = tmp_path / "c.tsv"

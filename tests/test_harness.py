@@ -651,13 +651,18 @@ class TestCli:
              '"length_std": -1, "tokens": ["i"], "probs": [1.0]}}', "length_std must be >= 0, got -1"),
             ('{"format": "ettmt-model", "version": 1, "family": "random", "payload": {"length_mean": 3, '
              '"length_std": NaN, "tokens": ["i"], "probs": [1.0]}}', "length_std must be finite, got nan"),
+            ('{"format": "ettmt-model", "version": 1, "family": "random", "payload": {"length_mean": 1e20, '
+             '"length_std": 0.0, "tokens": ["i"], "probs": [1.0]}}', "length_mean must be <= 10000 tokens, got 1e+20"),
+            ('{"format": "ettmt-model", "version": 1, "family": "random", "payload": {"length_mean": 3, '
+             '"length_std": 10001, "tokens": ["i"], "probs": [1.0]}}', "length_std must be <= 10000 tokens, got 10001"),
         ],
         ids=["invalid-json", "top-level-list", "no-payload", "payload-list", "ibm1-no-ttable", "ibm2-no-aligntable",
              "ibm1-entries-int", "ibm2-blocks-list", "dict-table-int", "ngram-counts-int",
              "naive-bayes-target-counts-list", "naive-bayes-total-string", "naive-bayes-total-wrong",
              "ibm2-block-too-small", "ibm2-block-flat", "random-length-mean-string", "random-token-int",
              "dict-gloss-int", "ibm1-target-int", "random-no-tokens", "random-prob-negative", "random-prob-nan",
-             "random-probs-sum", "random-length-mean-inf", "random-length-std-negative", "random-length-std-nan"],
+             "random-probs-sum", "random-length-mean-inf", "random-length-std-negative", "random-length-std-nan",
+             "random-length-mean-huge", "random-length-std-huge"],
     )
     def test_malformed_model_file_exits_2(self, tmp_path, capsys, text, message):
         model = tmp_path / "bad.json"

@@ -576,22 +576,24 @@ class TestDecoderMatchesOracle:
                     assert beam_translate(model, source, beams=beams) == want, (n, mode, alpha, source, beams)
 
 
-def _tie_heavy_ngram(rng, n, alpha, n_targets=20):
-    """An ett-eng n-gram model whose contexts share a few small counts, so many costs tie exactly.
+def _tie_heavy_ngram(rng, n, alpha, n_targets=20, context_mode=CONTEXT_ETT_ENG):
+    """An n-gram model whose contexts share a few small counts, so many costs tie exactly.
 
     Contexts count one to four of the first eight targets (<eos> and <pad>
-    among them), with histories drawn from the first six, so the histories
-    the decoder builds often hit a counted context and <eos> finishes
-    hypotheses at every position.
+    among them). In ett-eng mode their histories are drawn from the first
+    six, so the histories the decoder builds often hit a counted context and
+    <eos> finishes hypotheses at every position.
     """
     vocab = tuple(sorted({EOS, PAD} | {f"t{i:02d}" for i in range(n_targets)}))
     src_values = [PAD, "s0", "s1", "s2"]
     counts = {}
     for _ in range(200):
-        key = tuple(rng.choices(src_values, k=n)) + tuple(rng.choices(vocab[:6], k=n))
+        key = tuple(rng.choices(src_values, k=n))
+        if context_mode == CONTEXT_ETT_ENG:
+            key += tuple(rng.choices(vocab[:6], k=n))
         counts[key] = {t: rng.choice((1, 2, 3)) for t in rng.sample(vocab[:8], rng.randint(1, 4))}
     totals = {key: sum(bucket.values()) for key, bucket in counts.items()}
-    return NgramModel(n=n, context_mode=CONTEXT_ETT_ENG, ordered=True, alpha=alpha,
+    return NgramModel(n=n, context_mode=context_mode, ordered=True, alpha=alpha,
                       counts=counts, context_totals=totals, vocab=vocab)
 
 
@@ -719,6 +721,94 @@ class TestEarlyStop:
             calls[0] = 0
             assert beam_translate(model, src, beams=beams) == ref == oracles.oracle_beam_translate(model, src, beams)
             assert calls[0] == len(src)
+
+
+@dataclass
+class _ProbabilityModel:
+    """A source-only stand-in: `table` maps a source token to {token: probability}, 1e-305 for the rest."""
+
+    table: dict
+    n: int = 1
+    context_mode: str = CONTEXT_ETT
+    vocab: tuple = (EOS, PAD, "x", "y")
+
+    def distribution(self, src_slots, eng_slots=()):
+        return {t: self.table[src_slots[-1]].get(t, 1e-305) for t in self.vocab}
+
+    def costs(self, src_slots, eng_slots=()):
+        return np.array([-math.log(p) for p in self.distribution(src_slots, eng_slots).values()])
+
+
+class TestGreedyPath:
+    """Source-only decoding returns the greedy sequence only when the bound proves every beam would."""
+
+    def test_matches_oracle(self):
+        rng = random.Random(29)
+        cases = [(model, [[], ["unseen"], ["a", "unseen", "b"]]
+                  + [rng.choices(["a", "b", "c", "Ab", "0s", "q"], k=rng.randint(1, 5)) for _ in range(3)])
+                 for model in _random_models(rng) if model.context_mode == CONTEXT_ETT]
+        for n, alpha in itertools.product((1, 2), (1.0, 0.01)):
+            tie_heavy = (_tie_heavy_nb(rng, n, CONTEXT_ETT, alpha, n_targets=120),
+                         _tie_heavy_ngram(rng, n, alpha, context_mode=CONTEXT_ETT))
+            cases += [(model, [["unseen"] * 3] + [rng.choices([PAD, "s0", "s1", "s2", "s5", "unseen"], k=4)
+                                                 for _ in range(3)]) for model in tie_heavy]
+        for seed, n in itertools.product(range(10), (1, 2)):
+            cases.append((_IntegerCostModel(n=n, context_mode=CONTEXT_ETT, seed=seed),
+                          [rng.choices(["a", "b", "q"], k=rng.randint(0, 6)) for _ in range(3)]))
+        # uniform rows: every cost is 3, or every context is unseen
+        cases.append((_IntegerCostModel(n=1, context_mode=CONTEXT_ETT, table={}), [["a", "b"]]))
+        cases.append((train_ngram([(["a"], ["x"])], n=2), [["q", "r", "s"]]))
+        # the TestUnderflow models; the naive-Bayes one gives "unseen" an all-inf row
+        cases += [(model, [["a"], ["a", "b"], ["unseen", "a"], ["c", "unseen", "b"]]) for model in (
+            train_naive_bayes([(["a", "b", "c"], [])] * 2 + [(["a"], ["0t"])] * 2, n=1, alpha=5e-324),
+            train_naive_bayes([(["a", "b"], ["x", "y"]), (["c"], ["z"])], n=2, alpha=1e-200),
+            train_ngram([(["a"], ["x"])] * 2 + [(["a"], ["y"])], n=1, alpha=5e-324),
+            train_naive_bayes([(["a"], ["x"])] * 2 + [(["a", "b"], ["y"])], n=1, alpha=5e-324),
+        )]
+        greedy = fell_back = 0
+        for model, sources in cases:
+            for source in sources:
+                if ettmt.ngram._greedy_translate(model, source) is None:
+                    fell_back += 1
+                else:
+                    greedy += 1
+                for beams in range(1, 10):
+                    want = oracles.oracle_beam_translate(model, source, beams=beams)
+                    assert beam_translate(model, source, beams=beams) == want, (model, source, beams)
+        assert fell_back >= 2 and greedy > 10 * fell_back
+
+    def test_rounding_tie_falls_back(self):
+        # "y" costs 690.8 at position 0. At position 1 "x" costs one ulp more
+        # than "y" and sorts before it, and adding either to 690.8 rounds to
+        # the same score: "y x" ties "y y" and wins on token order, so
+        # following the row minima would be wrong.
+        p_y = math.exp(-1.5)
+        p_x = p_y
+        while -math.log(p_x) <= 1.5:
+            p_x = math.nextafter(p_x, 0.0)
+        assert -math.log(p_x) == math.nextafter(1.5, math.inf)
+        assert -math.log(1e-300) + 1.5 == -math.log(1e-300) - math.log(p_x)
+        model = _ProbabilityModel({"p0": {"y": 1e-300}, "p1": {"x": p_x, "y": p_y}})
+        source = ["p0", "p1"]
+        assert ettmt.ngram._greedy_translate(model, source) is None
+        for beams in range(1, 10):
+            assert beam_translate(model, source, beams=beams) == ["y", "x"] == oracles.oracle_beam_translate(
+                model, source, beams=beams)
+
+    @pytest.mark.parametrize("train", [train_ngram, train_naive_bayes])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_costs_call_per_distinct_source_context(self, train, n):
+        pairs = [(["a", "b"], ["x", "y"]), (["b", "c"], ["y"]), (["a"], ["z", "x"]), (["c", "a", "b"], ["x", "z", "y"])]
+        model = train(pairs, n=n)
+        sources = [["a", "b", "a"], ["b", "a"], ["a", "b", "a"], ["q", "a", "c"], [], ["c"]]
+        contexts = {tuple(([PAD] * (n - 1) + s)[i : i + n]) for s in sources for i in range(len(s))}
+        calls = _count_costs_calls(model)
+        decoded = [beam_translate(model, s) for s in sources]
+        assert decoded == [oracles.oracle_beam_translate(model, s) for s in sources]
+        assert calls[0] == len(contexts)
+        # a second pass reads every row summary from the model
+        assert [beam_translate(model, s, beams=1) for s in sources] == decoded
+        assert calls[0] == len(contexts)
 
 
 class TestBeamTranslate:
