@@ -3,7 +3,15 @@
 The edit distance is evaluated thousands of times per sentence while
 searching for block shifts.  It runs Myers' bit-parallel algorithm (Myers
 1999, JACM 46(3), in Hyyrö's 2001 formulation) on Python ints, so one
-column of the DP matrix is a pair of integers whatever the sentence length.
+column of the DP matrix is a pair of integers whatever the sentence length,
+and the bit counts of the last column give the distance.  The shift search
+steps a changing sequence (the hypothesis) against a fixed one (the
+reference), whose bit masks it builds once.  ``columns`` keeps the column
+after every prefix together with each step's horizontal deltas.  That is
+enough to trace an alignment back from the bits (Hyyrö 2004, "A note on
+bit-parallel alignment computation") and to resume ``levenshtein`` from any
+prefix, so a sequence that shares a prefix with one already stepped costs
+only the steps after it.
 The expected-count steps of the alignment-model EM training are numpy array
 operations over link tables built once per training.
 
@@ -25,39 +33,72 @@ import numpy as np
 # Word-level Levenshtein distance (unit costs)
 # ---------------------------------------------------------------------------
 
-def levenshtein(a, b) -> int:
+def bitmasks(a) -> dict:
+    """Each token of ``a`` with the bit mask of its positions in ``a``."""
+    peq: dict = {}
+    for i, token in enumerate(a):
+        peq[token] = peq.get(token, 0) | (1 << i)
+    return peq
+
+
+def levenshtein(a, b, start=None) -> int:
     """Edit distance between two sequences of hashable tokens.
 
     Bit i of ``pv`` / ``mv`` says whether the DP value in row i + 1 of the
     current column is one more / one less than in row i; one step of
-    integer arithmetic advances the whole column by one token of ``b``.
+    integer arithmetic advances the whole column by one token of ``b``, and
+    the last column's bits add up to the distance.  ``start`` resumes from a
+    column that ``columns`` gave for a sequence whose first k tokens are
+    ``b[:k]``: ``(k, bitmasks(a), pv[k], mv[k])``.  Only ``b[k:]`` is then
+    stepped, and the distance is the same.
     """
     m = len(a)
-    if m == 0:
-        return len(b)
-    peq: dict = {}
-    for i, token in enumerate(a):
-        peq[token] = peq.get(token, 0) | (1 << i)
+    if start is None:
+        if m == 0:
+            return len(b)
+        peq = bitmasks(a)
+        pv, mv = (1 << m) - 1, 0
+        steps = b
+    else:
+        k, peq, pv, mv = start
+        steps = b[k:]
     mask = (1 << m) - 1
-    last = 1 << (m - 1)
-    pv = mask
-    mv = 0
-    dist = m
-    for token in b:
+    for token in steps:
         eq = peq.get(token, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ~(xh | pv)
-        mh = pv & xh
-        if ph & last:
-            dist += 1
-        elif mh & last:
-            dist -= 1
-        ph = (ph << 1) | 1
-        mh <<= 1
+        ph = (mv | ~(xh | pv)) << 1 | 1
+        mh = (pv & xh) << 1
         pv = (mh | ~(xv | ph)) & mask
         mv = ph & xv
-    return dist
+    return len(b) + pv.bit_count() - mv.bit_count()
+
+
+def columns(peq: dict, m: int, b) -> tuple[list[int], list[int], list[int]]:
+    """The column of every prefix of ``b`` against a sequence ``a`` of length m >= 1.
+
+    ``peq`` is ``bitmasks(a)``.  Returns lists ``pv``, ``mv`` and ``mh``
+    indexed by the prefix length k = 0 .. len(b): ``pv[k]`` / ``mv[k]`` are
+    the vertical deltas after ``b[:k]`` as in ``levenshtein``, so the
+    distance of ``b[:k]`` to ``a`` is k + their bit count difference, and
+    bit j of ``mh[k]`` (k >= 1) says that the DP value of the first j tokens
+    of ``a`` falls by one from ``b[:k - 1]`` to ``b[:k]``.
+    """
+    mask = (1 << m) - 1
+    pv, mv = mask, 0
+    pvs, mvs, mhs = [pv], [mv], [0]
+    for token in b:  # levenshtein's step, keeping every column
+        eq = peq.get(token, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = (mv | ~(xh | pv)) << 1 | 1
+        mh = (pv & xh) << 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+        pvs.append(pv)
+        mvs.append(mv)
+        mhs.append(mh)
+    return pvs, mvs, mhs
 
 
 # ---------------------------------------------------------------------------

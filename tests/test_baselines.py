@@ -106,6 +106,20 @@ class TestDictModel:
         assert model.table["itun"] == "this"
         assert any("duplicate" in r.message for r in caplog.records)
 
+    def test_duplicates_give_one_warning(self, caplog):
+        from ettmt.corpus import Lexicon, LexiconEntry
+
+        z = tuple([0] * 54)
+        keys = [f"k{i}" for i in range(8)]
+        entries = [LexiconEntry(k, "first", z) for k in keys]
+        entries += [LexiconEntry(k, "again", z) for k in keys + keys[:2]]
+        with caplog.at_level(logging.WARNING):
+            model = build_dict_model(Lexicon(tuple(entries)))
+        assert set(model.table.values()) == {"first"}
+        assert [r.getMessage() for r in caplog.records] == [
+            "8 duplicate dictionary keys kept their first gloss: 'k0', 'k1', 'k2', 'k3', 'k4', ..."
+        ]
+
     def test_worked_sentence(self, lexicon):
         model = build_dict_model(lexicon)
         tokens = tokenize_whitespace("itun turuce venel atelinas tinas dlniiaras")

@@ -1,5 +1,6 @@
-"""Kernel checks: the bit-parallel edit distance equals the former loop and a
-full-matrix DP, and the E-steps match the former per-pair kernels kept in
+"""Kernel checks: the bit-parallel edit distance, fresh or resumed after a
+prefix, and its per-prefix columns equal the former loop and a full-matrix
+DP, and the E-steps match the former per-pair kernels kept in
 tests/oracles.py."""
 
 import numpy as np
@@ -68,6 +69,42 @@ class TestLevenshtein:
         for _ in range(100):
             a, b = random_id_lists(rnd, max_len=int(rnd.choice(WORD_EDGES)))
             assert _kernels.levenshtein(a, b) == _kernels.levenshtein(b, a)
+
+    def test_resume_from_every_prefix(self):
+        """Resuming after b[:p] with the column ``columns`` gave for b, for
+        any tail after it, equals a fresh distance, also past 64 and 128 words."""
+        rnd = np.random.default_rng(2)
+        for k in range(60):
+            a, b = random_id_lists(rnd, max_len=int(rnd.choice(WORD_EDGES)), vocab=int(rnd.integers(1, 6)))
+            if not a:
+                continue
+            peq = _kernels.bitmasks(a)
+            pv, mv, _ = _kernels.columns(peq, len(a), b)
+            for p in range(len(b) + 1):
+                moved = b[:p] + rnd.permutation(b[p:]).tolist()[: int(rnd.integers(0, len(b) - p + 2))]
+                want = _kernels.levenshtein(a, moved)
+                assert _kernels.levenshtein(a, moved, (p, peq, pv[p], mv[p])) == want
+                if k < 15:
+                    assert want == oracles.levenshtein_loop(as_int32(a), as_int32(moved))
+
+    def test_columns_hold_every_prefix(self):
+        """Each prefix's distance comes from its column's bits, and bit j of
+        ``mh[k]`` marks D[k][j] = D[k - 1][j] - 1, checked against the full DP."""
+        rnd = np.random.default_rng(3)
+        for _ in range(150):
+            a, b = random_id_lists(rnd, max_len=12, vocab=int(rnd.integers(1, 4)))
+            if not a:
+                continue
+            pv, mv, mh = _kernels.columns(_kernels.bitmasks(a), len(a), b)
+            assert len(pv) == len(mv) == len(mh) == len(b) + 1
+            dp = [[oracles._edit_trace(b[:k], a[:j])[0] for j in range(len(a) + 1)] for k in range(len(b) + 1)]
+            for k in range(len(b) + 1):
+                assert dp[k][-1] == k + pv[k].bit_count() - mv[k].bit_count()
+                for j in range(1, len(a) + 1):
+                    assert (pv[k] >> (j - 1) & 1, mv[k] >> (j - 1) & 1) == (
+                        dp[k][j] - dp[k][j - 1] == 1, dp[k][j] - dp[k][j - 1] == -1)
+                    if k:
+                        assert bool(mh[k] >> j & 1) == (dp[k][j] - dp[k - 1][j] == -1)
 
 
 def _random_em_problem(rnd, n_pairs=6, src_vocab=5, tgt_vocab=7, max_src=4, max_tgt=4):

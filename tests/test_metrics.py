@@ -1,4 +1,5 @@
 import json
+import logging
 import random
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from ettmt.metrics import (
     MetricReport,
     _edit_ops,
     _pair_edits,
-    _shift_candidates,
+    _shifts,
     bleu,
     chrf,
     score_corpus,
@@ -159,6 +160,21 @@ class TestTer:
     def test_pair_order_invariant(self):
         assert ter(HYPS, REFS) == pytest.approx(ter(HYPS[::-1], REFS[::-1]), abs=1e-12)
 
+    def test_candidate_cap_is_logged(self, caplog):
+        # the 30-word "ab" pair of test_candidate_cap_equal, twice
+        rnd = random.Random(3)
+        hyp = " ".join(rnd.choice("ab") for _ in range(30))
+        ref = " ".join(rnd.choice("ab") for _ in range(30))
+        with caplog.at_level(logging.WARNING, logger="ettmt.metrics"):
+            ter([hyp, "a b", hyp], [ref, "a b", ref])
+        assert [r.getMessage() for r in caplog.records] == [
+            f"TER: the shift search of 2 of 3 segments stopped at MAX_SHIFT_CANDIDATES ({MAX_SHIFT_CANDIDATES} candidates)"
+        ]
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="ettmt.metrics"):
+            ter(HYPS + ["a b c d"], REFS + ["c d a b"])
+        assert not caplog.records
+
 
 class TestRanges:
     segments = st.lists(
@@ -243,6 +259,26 @@ def _random_pair(rnd):
     else:
         hyp = rnd.choices(WORDS, k=rnd.randint(0, 14))
     return " ".join(hyp), " ".join(ref)
+
+
+def _former_shifts(hyp, ref):
+    """The (hyp start, length, target) shifts of one round of
+    ``oracles.former_pair_edits``, in the order it scores them."""
+    _, path = oracles.former_edit_ops(hyp, ref)
+    align, hyp_err, ref_err = oracles._former_path_alignment(path)
+    shifts = []
+    for sh, sr, length in oracles.former_shift_candidates(hyp, ref):
+        if not any(hyp_err[sh : sh + length]) or not any(ref_err[sr : sr + length]):
+            continue
+        if sh <= align[sr] < sh + length:
+            continue
+        prev_target = -1
+        for offset in range(-1, length):
+            target = 0 if sr + offset == -1 else align[sr + offset] + 1
+            if target != prev_target:
+                shifts.append((sh, length, target))
+            prev_target = target
+    return shifts
 
 
 class TestMatchesFormerImplementation:
@@ -337,19 +373,87 @@ class TestMatchesFormerImplementation:
             max_len = 25 if k < 400 else 70
             hyp = [rnd.randrange(vocab) for _ in range(rnd.randint(0, max_len))]
             ref = [rnd.randrange(vocab) for _ in range(rnd.randint(0, max_len))]
-            distance, path = oracles.former_edit_ops(hyp, ref)
-            align, hyp_err, ref_err = oracles._former_path_alignment(path)
-            after = [0] + [align[r] + 1 for r in range(len(ref))]
-            assert _edit_ops(hyp, ref) == (distance, after, hyp_err, ref_err)
+            self._assert_edit_ops_equal(hyp, ref)
+
+    def test_edit_ops_equal_on_ties(self):
+        # with one or two word types nearly every cell is a tie
+        rnd = random.Random(14)
+        for _ in range(400):
+            vocab = rnd.randint(1, 2)
+            hyp = [rnd.randrange(vocab) for _ in range(rnd.randint(0, 25))]
+            ref = [rnd.randrange(vocab) for _ in range(rnd.randint(0, 25))]
+            self._assert_edit_ops_equal(hyp, ref)
+
+    def test_edit_ops_equal_past_machine_words(self):
+        # the bit vectors of a reference past 64 and 128 words span several machine words
+        rnd = random.Random(15)
+        for n, m in [(64, 65), (65, 64), (70, 130), (129, 128), (128, 140), (0, 130), (130, 1), (1, 129)]:
+            for vocab in (1, 2, 5, 40):
+                hyp = [rnd.randrange(vocab) for _ in range(n)]
+                ref = [rnd.randrange(vocab) for _ in range(m)]
+                self._assert_edit_ops_equal(hyp, ref)
+
+    @staticmethod
+    def _assert_edit_ops_equal(hyp, ref):
+        distance, path = oracles.former_edit_ops(hyp, ref)
+        align, hyp_err, ref_err = oracles._former_path_alignment(path)
+        after = [0] + [align[r] + 1 for r in range(len(ref))]
+        assert _edit_ops(hyp, ref) == (distance, after, hyp_err, ref_err)
+
+    def test_pair_edits_equal_past_machine_words(self):
+        rnd = random.Random(16)
+        for n in (66, 130):
+            ref = [f"w{i}" for i in range(n)]
+            # two swapped blocks and a substitution, so the search shifts
+            hyp = ref[:20] + ref[50:58] + ref[20:50] + ref[58:]
+            hyp[rnd.randrange(n)] = "x"
+            assert _pair_edits(hyp, ref) == oracles.former_pair_edits(hyp, ref)
 
     def test_shift_candidates_equal(self):
+        # the shifts scored in one round, in the former search's order;
         # lengths past MAX_SHIFT_DIST exercise the distance bound
         rnd = random.Random(13)
         for _ in range(60):
             vocab = rnd.randint(1, 5)
             hyp = [rnd.randrange(vocab) for _ in range(rnd.randint(0, 70))]
             ref = [rnd.randrange(vocab) for _ in range(rnd.randint(0, 70))]
-            assert list(_shift_candidates(hyp, ref)) == list(oracles.former_shift_candidates(hyp, ref))
+            starts = {}
+            for sr, word in enumerate(ref):
+                starts.setdefault(word, []).append(sr)
+            _, after, hyp_err, ref_err = _edit_ops(hyp, ref)
+            assert list(_shifts(hyp, ref, starts, after, hyp_err, ref_err)) == _former_shifts(hyp, ref)
+
+    def test_repeated_pairs_equal(self):
+        # repeated (hypothesis, reference) pairs, one hypothesis against
+        # several references, and a cache shared by two calls
+        rnd = random.Random(17)
+        for _ in range(60):
+            pool = [_random_pair(rnd) for _ in range(3)] + [("a", "a b")]
+            pairs = [rnd.choice(pool) for _ in range(rnd.randint(1, 10))] + [("a", "a b")]
+            hyp = rnd.choice(pool)[0]
+            pairs += [(hyp, ref) for _, ref in pool]
+            rnd.shuffle(pairs)
+            hyps = [h for h, _ in pairs]
+            refs = [r for _, r in pairs]
+            assert ter(hyps, refs) == oracles.former_ter(hyps, refs)
+            cache = {}
+            for lo, hi in ((0, 3), (3, None)):
+                part_h, part_r = hyps[lo:hi] + ["a"], refs[lo:hi] + ["a b"]
+                assert ter(part_h, part_r, cache) == oracles.former_ter(part_h, part_r)
+            assert len(cache) == len(set(pairs))
+
+    def test_each_distinct_pair_searched_once(self, monkeypatch):
+        rnd = random.Random(18)
+        pairs = [_random_pair(rnd) for _ in range(6)] + [("a", "a b")]
+        calls = []
+        distance = _kernels.levenshtein
+        monkeypatch.setattr(_kernels, "levenshtein", lambda *args: calls.append(1) or distance(*args))
+        ter([h for h, _ in pairs], [r for _, r in pairs])
+        once = len(calls)
+        assert once > 0
+        calls.clear()
+        ter([h for h, _ in pairs * 3], [r for _, r in pairs * 3])
+        assert len(calls) == once
 
     def test_candidate_cap_equal(self, monkeypatch):
         rnd = random.Random(3)
@@ -357,6 +461,6 @@ class TestMatchesFormerImplementation:
         ref = [rnd.choice("ab") for _ in range(30)]
         calls = []
         distance = _kernels.levenshtein
-        monkeypatch.setattr(_kernels, "levenshtein", lambda a, b: calls.append(1) or distance(a, b))
+        monkeypatch.setattr(_kernels, "levenshtein", lambda *args: calls.append(1) or distance(*args))
         assert _pair_edits(hyp, ref) == oracles.former_pair_edits(hyp, ref)
         assert len(calls) == MAX_SHIFT_CANDIDATES
