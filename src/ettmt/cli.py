@@ -18,7 +18,7 @@ from .errors import BenchmarkError
 from .fetch import fetch_dataset
 from .harness import BenchmarkConfig, format_table, run_benchmark
 from .metrics import score_corpus
-from .modelio import FAMILIES, lexicon_entries, load_model, save_model, train_model, translate
+from .modelio import FAMILIES, lexicon_entries, load_model, save_model, train_model, translate, tsv_model_file
 from .ngram import CONTEXT_MODES
 from .tokenize import TOKENIZERS, tokenizer
 
@@ -67,6 +67,7 @@ def cmd_augment(args) -> int:
 
 
 def cmd_train(args) -> int:
+    tsv_model_file(args.out, args.family)  # a .tsv path for a family without a TSV model file fails before training
     corpus, _ = load_corpus(args.infile, args.format)
     tok = tokenizer(args.tokenizer, args.suffixes)
     pairs = [(tok(i.etruscan_norm), i.english.split()) for i in corpus.translated()]

@@ -146,7 +146,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     if cfg.lexicon and (cfg.augment or any(map(needs_lexicon, cfg.models))):
         lexicon = stage("setup", "load-lexicon", load_lexicon, cfg.lexicon)
     translated = corpus.translated()
-    beams = [settings(model_cfg).get("beams") for model_cfg in cfg.models]
+    beams = [settings(model_cfg).get("beams", 8) for model_cfg in cfg.models]  # 8: translate's default
 
     runs: list[list[dict]] = [[] for _ in cfg.models]
     ter_cache: dict = {}  # a pair that recurs across splits or configs is searched once

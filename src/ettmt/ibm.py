@@ -35,6 +35,13 @@ NULL_TOKEN = "<null>"
 Pair = tuple[list[str], list[str]]
 
 
+def _check_prob(key: str, value) -> None:
+    """DataError unless value is a number in [0, 1] (so not NaN)."""
+    check_type(key, value, 1.0)
+    if not 0.0 <= value <= 1.0:
+        raise DataError(f"{key} must be in [0, 1], got {value!r}")
+
+
 @dataclass
 class TTable:
     source_vocab: tuple[str, ...]  # index 0 is the virtual empty token
@@ -100,10 +107,19 @@ class TTable:
     @classmethod
     def from_dict(cls, payload: dict) -> "TTable":
         entries = payload["entries"]
+        seen = set()
         for entry in entries:
             if not (isinstance(entry, list) and len(entry) == 3 and all(isinstance(t, str) for t in entry[:2])):
                 raise DataError(f"t-table entry {entry!r} is not [source, target, probability]")
-            check_type("t-table probability", entry[2], 1.0)
+            _check_prob("t-table probability", entry[2])
+            if (entry[0], entry[1]) in seen:
+                raise DataError(f"t-table entry {entry[:2]!r} is repeated")
+            seen.add((entry[0], entry[1]))
+        history = payload.get("loglik_history", [])
+        if not isinstance(history, list):
+            raise DataError(f"loglik_history must be a list of numbers, not {type(history).__name__}")
+        for value in history:
+            check_type("loglik_history entry", value, 1.0)
         source_vocab = (NULL_TOKEN,) + tuple(sorted({f for f, _, _ in entries} - {NULL_TOKEN}))
         target_vocab = tuple(sorted({e for _, e, _ in entries}))
         src_index = {t: i for i, t in enumerate(source_vocab)}
@@ -121,6 +137,7 @@ class TTable:
             probs.extend(p for _, p in row)
         drop = np.zeros(len(source_vocab))
         for f, d in payload.get("drop_probs", {}).items():
+            _check_prob("drop probability", d)
             if f in src_index:
                 drop[src_index[f]] = d
         return cls(
@@ -130,7 +147,7 @@ class TTable:
             cols=np.asarray(cols, dtype=np.int32),
             probs=np.asarray(probs, dtype=np.float64),
             drop_probs=drop,
-            loglik_history=list(payload.get("loglik_history", [])),
+            loglik_history=list(history),
         )
 
 
@@ -162,8 +179,31 @@ class AlignTable:
             block = np.asarray(rows, dtype=np.float64)
             if block.shape != (l_e, l_f + 1):
                 raise DataError(f"alignment block {key!r} has shape {block.shape}, not {(l_e, l_f + 1)}")
+            for row in rows:
+                for p in row:
+                    _check_prob(f"alignment block {key!r} probability", p)
             blocks[(l_e, l_f)] = block
         return cls(blocks=blocks)
+
+
+@dataclass
+class IbmModel:
+    """An IBM Model 1 (a t-table) or Model 2 (a t-table and a position table)."""
+
+    ttable: TTable
+    align: AlignTable | None = None
+
+    def to_dict(self) -> dict:
+        payload = {"ttable": self.ttable.to_dict()}
+        if self.align is not None:
+            payload["aligntable"] = self.align.to_dict()
+        return payload
+
+    @classmethod
+    def from_dict(cls, payload: dict, positional: bool) -> "IbmModel":
+        """Model 2 when positional, else Model 1 (which ignores any position table)."""
+        ttable = TTable.from_dict(payload["ttable"])
+        return cls(ttable, AlignTable.from_dict(payload["aligntable"]) if positional else None)
 
 
 # ---------------------------------------------------------------------------

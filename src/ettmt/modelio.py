@@ -1,10 +1,11 @@
-"""Every per-family decision: config defaults, labels, training, versioned JSON
-persistence and a uniform translate dispatch used by the CLI and the
-benchmark runner."""
+"""Every per-family decision, in one table (`FAMILIES`), and the family-agnostic calls the CLI
+and the benchmark runner make: settings, training, versioned JSON persistence and translating."""
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -20,22 +21,50 @@ from .baselines import (
 )
 from .corpus import Lexicon, read_json
 from .errors import DataError, check_type
-from .ibm import AlignTable, TTable, train_ibm1, train_ibm2, translate_ibm
+from .ibm import IbmModel, train_ibm1, train_ibm2, translate_ibm
 from .ngram import NaiveBayesModel, NgramModel, beam_translate, check_settings, train_naive_bayes, train_ngram
 
 FORMAT = "ettmt-model"
 VERSION = 1
 
-# family -> {model config key: default}; a key's type is its default's type, and
-# every key is a keyword of the family's trainer but beams (a decoding setting)
-# and use_lexicon (train_model adds the lexicon entries as training pairs)
+
+@dataclass(frozen=True)
+class Family:
+    """One model family. The callables call trainers and decoders by their module-global
+    names when they run, so a wrapper put in a function's place (perfbench's tracer) is called."""
+
+    defaults: dict  # {model config key: default}; a key's type is its default's type
+    train: Callable  # (pairs, lexicon, **settings but beams and use_lexicon) -> model
+    load: Callable  # model file payload -> model, checked
+    translate: Callable  # (model, tokens, rng, beams) -> tokens
+    lexicon: bool = False  # whether training needs the lexicon whatever the settings
+
+
+def _translate_random(model: RandomModel, tokens: list[str], rng: np.random.Generator | None, beams: int):
+    if rng is None:
+        raise ValueError("the random model needs an explicit RNG")
+    return translate_random(model, tokens, rng)
+
+
 FAMILIES = {
-    "random": {},
-    "dict": {},
-    "ngram": {"n": 1, "context_mode": "ett", "alpha": 1.0, "beams": 8, "ordered": True},
-    "naive-bayes": {"n": 2, "context_mode": "ett", "alpha": 1.0, "beams": 8},
-    "ibm1": {"iterations": 10, "use_lexicon": False},
-    "ibm2": {"iterations": 10, "use_lexicon": False},
+    "random": Family({}, lambda pairs, lexicon: train_random([eng for _, eng in pairs]),
+                     RandomModel.from_dict, _translate_random),
+    "dict": Family({}, lambda pairs, lexicon: build_dict_model(lexicon), DictModel.from_dict,
+                   lambda model, tokens, rng, beams: translate_dict(model, tokens), lexicon=True),
+    "ngram": Family({"n": 1, "context_mode": "ett", "alpha": 1.0, "beams": 8, "ordered": True},
+                    lambda pairs, lexicon, **opts: train_ngram(pairs, **opts), NgramModel.from_dict,
+                    lambda model, tokens, rng, beams: beam_translate(model, tokens, beams=beams)),
+    "naive-bayes": Family({"n": 2, "context_mode": "ett", "alpha": 1.0, "beams": 8},
+                          lambda pairs, lexicon, **opts: train_naive_bayes(pairs, **opts), NaiveBayesModel.from_dict,
+                          lambda model, tokens, rng, beams: beam_translate(model, tokens, beams=beams)),
+    "ibm1": Family({"iterations": 10, "use_lexicon": False},
+                   lambda pairs, lexicon, **opts: IbmModel(train_ibm1(pairs, **opts)),
+                   lambda payload: IbmModel.from_dict(payload, positional=False),
+                   lambda model, tokens, rng, beams: translate_ibm(model.ttable, tokens, model.align)),
+    "ibm2": Family({"iterations": 10, "use_lexicon": False},
+                   lambda pairs, lexicon, **opts: IbmModel(*train_ibm2(pairs, **opts)),
+                   lambda payload: IbmModel.from_dict(payload, positional=True),
+                   lambda model, tokens, rng, beams: translate_ibm(model.ttable, tokens, model.align)),
 }
 
 
@@ -58,7 +87,7 @@ def settings(model_cfg: dict) -> dict:
     family = model_cfg["family"]
     if not isinstance(family, str) or family not in FAMILIES:
         raise DataError(f"unknown family {family!r} (one of {', '.join(FAMILIES)})")
-    out = overlay(family, FAMILIES[family], {k: v for k, v in model_cfg.items() if k != "family"})
+    out = overlay(family, FAMILIES[family].defaults, {k: v for k, v in model_cfg.items() if k != "family"})
     for key in ("iterations", "beams"):
         if out.get(key, 1) < 1:
             raise DataError(f"{key} must be >= 1, got {out[key]!r}")
@@ -69,7 +98,7 @@ def settings(model_cfg: dict) -> dict:
 
 def needs_lexicon(model_cfg: dict) -> bool:
     """Whether training the model config reads the lexicon."""
-    return model_cfg["family"] == "dict" or settings(model_cfg).get("use_lexicon", False)
+    return settings(model_cfg).get("use_lexicon", False) or FAMILIES[model_cfg["family"]].lexicon
 
 
 def model_label(model_cfg: dict) -> str:
@@ -101,85 +130,55 @@ def training_pairs(model_cfg: dict, pairs, lexicon: Lexicon | None, tok) -> list
 
 def train_model(model_cfg: dict, pairs, lexicon: Lexicon | None, tok):
     """Train one model config on training_pairs(model_cfg, pairs, lexicon, tok)."""
-    family = model_cfg["family"]
-    opts = settings(model_cfg)
-    if family == "random":
-        return train_random([eng for _, eng in pairs])
-    if family == "dict":
-        if lexicon is None:
-            raise DataError("the dict family needs a lexicon")
-        return build_dict_model(lexicon)
-    opts.pop("beams", None)
-    if family == "ngram":
-        return train_ngram(pairs, **opts)
-    if family == "naive-bayes":
-        return train_naive_bayes(pairs, **opts)
-    train = train_ibm1 if family == "ibm1" else train_ibm2
-    return train(training_pairs(model_cfg, pairs, lexicon, tok), iterations=opts["iterations"])
+    opts = {k: v for k, v in settings(model_cfg).items() if k not in ("beams", "use_lexicon")}
+    family = FAMILIES[model_cfg["family"]]
+    if family.lexicon and lexicon is None:
+        raise DataError(f"the {model_cfg['family']} family needs a lexicon")
+    return family.train(training_pairs(model_cfg, pairs, lexicon, tok), lexicon, **opts)
+
+
+def tsv_model_file(path, family: str = "dict") -> bool:
+    """Whether path ends in .tsv; only the dict family has a TSV model file, so DataError for another family."""
+    if not str(path).endswith(".tsv"):
+        return False
+    if family != "dict":
+        raise DataError(f"{path}: only the dict family has a TSV model file, not {family}")
+    return True
 
 
 def save_model(family: str, model, path):
-    if family == "dict" and str(path).endswith(".tsv"):
+    if tsv_model_file(path, family):
         save_dict_tsv(model, path)
         return
-    if family == "ibm1":
-        payload = {"ttable": model.to_dict()}
-    elif family == "ibm2":
-        ttable, align = model
-        payload = {"ttable": ttable.to_dict(), "aligntable": align.to_dict()}
-    else:
-        payload = model.to_dict()
-    doc = {"format": FORMAT, "version": VERSION, "family": family, "payload": payload}
+    doc = {"format": FORMAT, "version": VERSION, "family": family, "payload": model.to_dict()}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
 
 
 def load_model(path):
-    """Returns (family, model); model is (TTable, AlignTable) for ibm2."""
-    if str(path).endswith(".tsv"):
+    """Returns (family, model)."""
+    if tsv_model_file(path):
         return "dict", load_dict_tsv(path)
     doc = read_json(path, "a model file", dict)
     if doc.get("format") != FORMAT:
         raise DataError(f"{path}: not a model file (format {doc.get('format')!r})")
     if doc.get("version") != VERSION:
         raise DataError(f"{path}: unsupported model version {doc.get('version')!r}")
-    family = doc.get("family")
-    payload = doc.get("payload")
+    family, payload = doc.get("family"), doc.get("payload")
     if not isinstance(payload, dict):
         raise DataError(f"{path}: model payload is missing or not an object")
+    if not isinstance(family, str) or family not in FAMILIES:
+        raise DataError(f"{path}: unknown model family {family!r}")
     try:
-        if family == "random":
-            return family, RandomModel.from_dict(payload)
-        if family == "dict":
-            return family, DictModel.from_dict(payload)
-        if family == "ngram":
-            return family, NgramModel.from_dict(payload)
-        if family == "naive-bayes":
-            return family, NaiveBayesModel.from_dict(payload)
-        if family == "ibm1":
-            return family, TTable.from_dict(payload["ttable"])
-        if family == "ibm2":
-            return family, (TTable.from_dict(payload["ttable"]), AlignTable.from_dict(payload["aligntable"]))
+        return family, FAMILIES[family].load(payload)
     except KeyError as exc:
         raise DataError(f"{path}: {family} model payload lacks key {exc}") from exc
     except (TypeError, ValueError, AttributeError, IndexError) as exc:  # ValueError includes DataError
         raise DataError(f"{path}: bad {family} model payload: {exc}") from exc
-    raise DataError(f"{path}: unknown model family {family!r}")
 
 
-def translate(family: str, model, tokens: list[str], rng: np.random.Generator | None = None,
-              beams: int = 8) -> list[str]:
+def translate(family: str, model, tokens: list[str], rng: np.random.Generator | None = None, beams: int = 8):
     """Family-agnostic translate call."""
-    if family == "random":
-        if rng is None:
-            raise ValueError("the random model needs an explicit RNG")
-        return translate_random(model, tokens, rng)
-    if family == "dict":
-        return translate_dict(model, tokens)
-    if family in ("ngram", "naive-bayes"):
-        return beam_translate(model, tokens, beams=beams)
-    if family == "ibm1":
-        return translate_ibm(model, tokens)
-    if family == "ibm2":
-        return translate_ibm(model[0], tokens, model[1])
-    raise ValueError(f"unknown model family {family!r}")
+    if beams < 1:
+        raise DataError(f"beam count must be >= 1, got {beams}")
+    return FAMILIES[family].translate(model, tokens, rng, beams)

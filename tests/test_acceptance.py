@@ -20,7 +20,7 @@ from ettmt.augment import AugmentConfig, augment_damage
 from ettmt.baselines import build_dict_model, train_random, translate_dict
 from ettmt.corpus import normalize
 from ettmt.harness import BenchmarkConfig, run_benchmark
-from ettmt.ibm import train_ibm1
+from ettmt.ibm import IbmModel, train_ibm1
 from ettmt.metrics import bleu, chrf, score_corpus, ter
 from ettmt.modelio import translate
 from ettmt.ngram import beam_translate, ngram_distribution, train_naive_bayes, train_ngram
@@ -116,8 +116,8 @@ def test_criterion_4_copy_corpus_perfection():
     ngram_hyps = [" ".join(beam_translate(ngram_model, src)) for src in sources]
     assert bleu(ngram_hyps, refs) == pytest.approx(100.0, abs=0.01)
 
-    ttable = train_ibm1(pairs, iterations=10)
-    ibm_hyps = [" ".join(translate("ibm1", ttable, src)) for src in sources]
+    ibm_model = IbmModel(train_ibm1(pairs, iterations=10))
+    ibm_hyps = [" ".join(translate("ibm1", ibm_model, src)) for src in sources]
     assert bleu(ibm_hyps, refs) == pytest.approx(100.0, abs=0.01)
 
     elapsed = time.perf_counter() - started

@@ -314,7 +314,7 @@ class TestConfigChecks:
     def test_settings_lay_config_over_defaults(self):
         from ettmt.modelio import FAMILIES, settings
 
-        assert settings({"family": "ngram", "n": 3}) == {**FAMILIES["ngram"], "n": 3}
+        assert settings({"family": "ngram", "n": 3}) == {**FAMILIES["ngram"].defaults, "n": 3}
         assert settings({"family": "dict"}) == {}
         with pytest.raises(DataError, match="ibm1 has no key 'iteration'"):
             settings({"family": "ibm1", "iteration": 1})
@@ -345,7 +345,8 @@ class TestModelFiles:
              "ibm1-lexicon", "ibm2"],
     )
     def test_saved_model_translates_like_trained_one(self, tmp_path, corpus_file, lexicon_file, model_cfg):
-        # every file the trainers write passes the load checks and decodes as the model in memory does
+        # every file the trainers write passes the load checks, decodes as the model in memory does,
+        # and is written again byte for byte from the loaded model
         from ettmt.corpus import load_corpus, load_lexicon
         from ettmt.modelio import load_model, save_model, train_model, translate
         from ettmt.tokenize import tokenizer
@@ -355,13 +356,16 @@ class TestModelFiles:
         pairs = [(tok(i.etruscan_norm), i.english.split()) for i in corpus.translated()]
         family = model_cfg["family"]
         model = train_model(model_cfg, pairs, load_lexicon(lexicon_file), tok)
-        path = tmp_path / "model.json"
-        save_model(family, model, path)
-        loaded_family, loaded = load_model(path)
-        assert loaded_family == family
-        for src in self.SOURCES:
-            expected = translate(family, model, src.split(), rng=np.random.default_rng(1))
-            assert translate(family, loaded, src.split(), rng=np.random.default_rng(1)) == expected, src
+        for suffix in (".json", ".tsv") if family == "dict" else (".json",):
+            path, again = tmp_path / f"model{suffix}", tmp_path / f"again{suffix}"
+            save_model(family, model, path)
+            loaded_family, loaded = load_model(path)
+            assert loaded_family == family
+            for src in self.SOURCES:
+                expected = translate(family, model, src.split(), rng=np.random.default_rng(1))
+                assert translate(family, loaded, src.split(), rng=np.random.default_rng(1)) == expected, src
+            save_model(family, loaded, again)
+            assert again.read_bytes() == path.read_bytes()
 
 
 class TestCli:
@@ -463,14 +467,26 @@ class TestCli:
         assert capsys.readouterr().err == "error: damage_prob must be in [0, 1]\n"
         assert not out.exists()
 
-    def test_translate_beams_0_exits_2(self, tmp_path, corpus_file, capsys):
-        model = tmp_path / "ngram.json"
-        assert cli_dispatch(["train", "--family", "ngram", "--in", str(corpus_file), "--out", str(model)]) == 0
+    @pytest.mark.parametrize("family", ["ngram", "random"])  # a beam family and one without beams
+    def test_translate_beams_0_exits_2(self, tmp_path, corpus_file, capsys, family):
+        model = tmp_path / "model.json"
+        assert cli_dispatch(["train", "--family", family, "--in", str(corpus_file), "--out", str(model)]) == 0
         src = tmp_path / "src.txt"
         src.write_text("mi aveles\n", encoding="utf-8")
         capsys.readouterr()
         assert cli_dispatch(["translate", "--model", str(model), "--in", str(src), "--beams", "0"]) == 2
         assert capsys.readouterr().err == "error: beam count must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize("family", ["random", "ngram", "naive-bayes", "ibm1", "ibm2"])
+    def test_train_non_dict_to_tsv_exits_2(self, tmp_path, corpus_file, capsys, family, monkeypatch):
+        # only a dict model has a TSV file; any other family's .tsv path fails before training
+        import ettmt.cli
+
+        monkeypatch.setattr(ettmt.cli, "train_model", lambda *args: pytest.fail("trained"))
+        model = tmp_path / "m.tsv"
+        assert cli_dispatch(["train", "--family", family, "--in", str(corpus_file), "--out", str(model)]) == 2
+        assert capsys.readouterr().err == f"error: {model}: only the dict family has a TSV model file, not {family}\n"
+        assert not model.exists()
 
     def test_empty_suffix_file_exits_2(self, tmp_path, capsys):
         text = tmp_path / "text.txt"
@@ -577,7 +593,7 @@ class TestCli:
         from ettmt.modelio import load_model
 
         _, loaded = load_model(model)
-        assert loaded.source_vocab == ("<null>", "mi", "null")
+        assert loaded.ttable.source_vocab == ("<null>", "mi", "null")
 
     def test_ibm2_model_file_flow(self, tmp_path, corpus_file):
         model = tmp_path / "m2.json"
@@ -590,9 +606,8 @@ class TestCli:
 
         family, loaded = load_model(model)
         assert family == "ibm2"
-        ttable, align = loaded
-        assert ttable.prob("mi", "i") >= 0.0
-        assert align.blocks
+        assert loaded.ttable.prob("mi", "i") >= 0.0
+        assert loaded.align.blocks
 
     @pytest.mark.parametrize(
         "text, message",
@@ -655,6 +670,24 @@ class TestCli:
              '"length_std": 0.0, "tokens": ["i"], "probs": [1.0]}}', "length_mean must be <= 10000 tokens, got 1e+20"),
             ('{"format": "ettmt-model", "version": 1, "family": "random", "payload": {"length_mean": 3, '
              '"length_std": 10001, "tokens": ["i"], "probs": [1.0]}}', "length_std must be <= 10000 tokens, got 10001"),
+            ('{"format": "ettmt-model", "version": 1, "family": "ibm1", "payload": {"ttable": {"entries": '
+             '[["mi", "i", NaN]]}}}', "t-table probability must be in [0, 1], got nan"),
+            ('{"format": "ettmt-model", "version": 1, "family": "ibm1", "payload": {"ttable": {"entries": '
+             '[["mi", "i", -5.0]]}}}', "t-table probability must be in [0, 1], got -5.0"),
+            ('{"format": "ettmt-model", "version": 1, "family": "ibm1", "payload": {"ttable": {"entries": '
+             '[["mi", "i", 1e300]]}}}', "t-table probability must be in [0, 1], got 1e+300"),
+            ('{"format": "ettmt-model", "version": 1, "family": "ibm1", "payload": {"ttable": {"entries": '
+             '[["mi", "i", 1.0]], "drop_probs": {"mi": NaN}}}}', "drop probability must be in [0, 1], got nan"),
+            ('{"format": "ettmt-model", "version": 1, "family": "ibm1", "payload": {"ttable": {"entries": '
+             '[["mi", "i", 1.0]], "loglik_history": "abc"}}}', "loglik_history must be a list of numbers, not str"),
+            ('{"format": "ettmt-model", "version": 1, "family": "ibm1", "payload": {"ttable": {"entries": '
+             '[["mi", "i", 0.5], ["mi", "i", 0.5]]}}}', "t-table entry ['mi', 'i'] is repeated"),
+            ('{"format": "ettmt-model", "version": 1, "family": "ibm2", "payload": {"ttable": {"entries": '
+             '[["mi", "i", 1.0]]}, "aligntable": {"blocks": {"1,1": [[0.5, NaN]]}}}}',
+             "alignment block '1,1' probability must be in [0, 1], got nan"),
+            ('{"format": "ettmt-model", "version": 1, "family": "ibm2", "payload": {"ttable": {"entries": '
+             '[["mi", "i", 1.0]]}, "aligntable": {"blocks": {"1,1": [[0.5, true]]}}}}',
+             "alignment block '1,1' probability must be float, not bool True"),
         ],
         ids=["invalid-json", "top-level-list", "no-payload", "payload-list", "ibm1-no-ttable", "ibm2-no-aligntable",
              "ibm1-entries-int", "ibm2-blocks-list", "dict-table-int", "ngram-counts-int",
@@ -662,7 +695,9 @@ class TestCli:
              "ibm2-block-too-small", "ibm2-block-flat", "random-length-mean-string", "random-token-int",
              "dict-gloss-int", "ibm1-target-int", "random-no-tokens", "random-prob-negative", "random-prob-nan",
              "random-probs-sum", "random-length-mean-inf", "random-length-std-negative", "random-length-std-nan",
-             "random-length-mean-huge", "random-length-std-huge"],
+             "random-length-mean-huge", "random-length-std-huge", "ibm1-prob-nan", "ibm1-prob-negative",
+             "ibm1-prob-huge", "ibm1-drop-nan", "ibm1-history-string", "ibm1-entry-repeated", "ibm2-block-nan",
+             "ibm2-block-bool"],
     )
     def test_malformed_model_file_exits_2(self, tmp_path, capsys, text, message):
         model = tmp_path / "bad.json"
@@ -905,7 +940,7 @@ class TestCli:
                                     "--with-lexicon-pairs"]) == 0
         _, plain = load_model(tmp_path / "plain.json")
         _, lex = load_model(tmp_path / "lex.json")
-        assert "-s" not in plain.source_vocab and "-s" in lex.source_vocab  # a lexicon-only entry
+        assert "-s" not in plain.ttable.source_vocab and "-s" in lex.ttable.source_vocab  # a lexicon-only entry
         capsys.readouterr()
         assert cli_dispatch(base + ["--out", str(tmp_path / "x.json"), "--with-lexicon-pairs"]) == 2
         assert capsys.readouterr().err.startswith("error: use_lexicon requires a lexicon")
