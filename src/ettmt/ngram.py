@@ -18,8 +18,11 @@ Two estimators share that alignment:
 ``check_settings`` holds the one rule for ``n``, ``context_mode``, ``alpha``
 and ``ordered``; both trainers, both ``from_dict`` loaders and the model
 configs of ``ettmt.modelio`` call it, so a value is accepted or rejected with
-the same message wherever it comes from. The trainers and loaders also reject
-an ``alpha`` so large that ``alpha`` times a vocabulary size overflows.
+the same message wherever it comes from. Each model stores only the counts
+training makes; totals are derived from them, never read from a file. The
+loaders take each count only as an int >= 1, and the trainers and loaders
+reject an ``alpha`` or counts so large that a smoothed denominator (a count
+total plus ``alpha`` times a vocabulary size) overflows.
 
 ``beam_translate`` decodes either model. Each model's ``costs`` method gives
 -log P(target | context) as one numpy vector over its sorted ``vocab``, and
@@ -48,7 +51,9 @@ failing ``math.log``, so the decoder picks it only when nothing else is left.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -109,31 +114,42 @@ def _check_training(pairs: list[Pair]) -> None:
         raise DataError("cannot train on an empty pair list")
 
 
-def check_settings(n, context_mode, alpha, ordered=True) -> None:
-    """DataError unless n is an int >= 1, context_mode one of CONTEXT_MODES, alpha a finite
-    number > 0 and ordered a bool (a bool is no number): the rule for training, model files and configs."""
+def check_settings(n, context_mode, alpha, ordered=True) -> int:
+    """The context slots per position: n source tokens, plus n English ones in ett-eng mode.
+
+    DataError unless n is an int >= 1, context_mode one of CONTEXT_MODES, alpha a finite number > 0
+    (an int too large for a float is not) and ordered a bool (a bool is no number): the rule for
+    training, model files and configs."""
     for key, value, default in (("n", n, 1), ("context_mode", context_mode, CONTEXT_ETT),
                                 ("alpha", alpha, 1.0), ("ordered", ordered, True)):
         check_type(key, value, default)
     if n < 1:
         raise DataError(f"n must be >= 1, got {n!r}")
-    if not 0 < alpha < math.inf:
+    if not 0 < alpha <= sys.float_info.max:
         raise DataError(f"alpha must be a finite number > 0, got {alpha!r}")
     if context_mode not in CONTEXT_MODES:
         raise DataError(f"context_mode must be one of {', '.join(CONTEXT_MODES)}, got {context_mode!r}")
+    return 2 * n if context_mode == CONTEXT_ETT_ENG else n
 
 
-def _check_alpha_scale(alpha: float, *vocabs) -> None:
-    """DataError if alpha times a vocabulary size overflows: the smoothed denominator would be inf
-    and every probability 0.0, so every cost would be inf."""
+def _check_scale(alpha: float, total: int, *vocabs) -> None:
+    """DataError if a smoothed denominator, at most total (the largest count total) plus alpha times
+    a vocabulary size, overflows: it would be inf and every probability 0.0, so every cost inf."""
     size = max(len(v) for v in vocabs)
     if not math.isfinite(alpha * size):
         raise DataError(f"alpha {alpha!r} is too large: alpha * {size} (vocabulary size) overflows")
+    if total > sys.float_info.max or not math.isfinite(total + alpha * size):  # a larger int is no float
+        raise DataError(f"model counts are too large: their total plus alpha * {size} overflows")
 
 
-def _n_slots(n: int, context_mode: str) -> int:
-    """Context slots per position: n source tokens, plus n English ones in ett-eng mode."""
-    return 2 * n if context_mode == CONTEXT_ETT_ENG else n
+def _counts(items) -> dict:
+    """{key: count} from (key, count) pairs; DataError unless each count is an int >= 1, as training writes."""
+    out = {}
+    for key, count in items:
+        if not isinstance(count, int) or isinstance(count, bool) or count < 1:
+            raise DataError(f"model count must be an int >= 1, not {type(count).__name__} {count!r}")
+        out[key] = count
+    return out
 
 
 def _log(p: float) -> float:
@@ -168,12 +184,22 @@ class NgramModel:
     ordered: bool
     alpha: float
     counts: dict[tuple, dict[str, int]]
-    context_totals: dict[tuple, int]
     vocab: tuple[str, ...]  # sorted; always contains EOS and PAD
-    # token -> position in vocab, built on the first `costs` call
-    _index: dict[str, int] | None = field(default=None, init=False, repr=False, compare=False)
-    # source slots -> `_row_summary` of their ett-mode costs, filled by `beam_translate`
-    _summaries: dict[tuple, tuple] | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _check_scale(self.alpha, max(self.context_totals.values(), default=0), self.vocab)
+
+    # Derived from the fields once and cached. They are not dataclass fields,
+    # so equality, repr and to_dict ignore them; do not mutate the fields after.
+
+    @cached_property
+    def context_totals(self) -> dict[tuple, int]:
+        return {ctx: sum(bucket.values()) for ctx, bucket in self.counts.items()}
+
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        """token -> position in vocab."""
+        return {tok: i for i, tok in enumerate(self.vocab)}
 
     def distribution(self, src_slots: tuple, eng_slots: tuple = ()) -> dict[str, float]:
         return ngram_distribution(self, src_slots, eng_slots)
@@ -181,8 +207,6 @@ class NgramModel:
     def costs(self, src_slots: tuple, eng_slots: tuple = ()) -> np.ndarray:
         """-log of `distribution` over `vocab`, equal to it bit for bit."""
         _check_arity(self, src_slots)
-        if self._index is None:
-            self._index = {tok: i for i, tok in enumerate(self.vocab)}
         key = _context_key(tuple(src_slots), tuple(eng_slots), self.ordered)
         bucket = self.counts.get(key, {})
         denom = self.context_totals.get(key, 0) + self.alpha * len(self.vocab)
@@ -206,25 +230,15 @@ class NgramModel:
     @classmethod
     def from_dict(cls, payload: dict) -> "NgramModel":
         n, context_mode, ordered, alpha = (payload[key] for key in ("n", "context_mode", "ordered", "alpha"))
-        check_settings(n, context_mode, alpha, ordered)
-        width = _n_slots(n, context_mode)
+        width = check_settings(n, context_mode, alpha, ordered)
         counts = {}
         for ctx, tgts in payload["counts"]:
             if len(ctx) != width:
                 raise DataError(f"model counts do not fit n={n}, {context_mode}: "
                                 f"{ctx!r} has {len(ctx)} slots, not {width}")
-            counts[tuple(ctx)] = {t: int(c) for t, c in tgts}
+            counts[tuple(ctx)] = _counts(tgts)
         vocab = _checked_vocab(payload["vocab"], (t for tgts in counts.values() for t in tgts))
-        _check_alpha_scale(alpha, vocab)
-        return cls(
-            n=n,
-            context_mode=context_mode,
-            ordered=ordered,
-            alpha=alpha,
-            counts=counts,
-            context_totals={ctx: sum(t.values()) for ctx, t in counts.items()},
-            vocab=vocab,
-        )
+        return cls(n=n, context_mode=context_mode, ordered=ordered, alpha=alpha, counts=counts, vocab=vocab)
 
 
 def train_ngram(
@@ -238,7 +252,6 @@ def train_ngram(
     _check_training(pairs)
     check_settings(n, context_mode, alpha, ordered)
     counts: dict[tuple, dict[str, int]] = {}
-    totals: dict[tuple, int] = {}
     vocab = {EOS, PAD}
     for ett, eng in pairs:
         vocab.update(eng)
@@ -246,17 +259,8 @@ def train_ngram(
             key = _context_key(src_slots, eng_slots, ordered)
             bucket = counts.setdefault(key, {})
             bucket[target] = bucket.get(target, 0) + 1
-            totals[key] = totals.get(key, 0) + 1
-    _check_alpha_scale(alpha, vocab)
-    return NgramModel(
-        n=n,
-        context_mode=context_mode,
-        ordered=ordered,
-        alpha=alpha,
-        counts=counts,
-        context_totals=totals,
-        vocab=tuple(sorted(vocab)),
-    )
+    return NgramModel(n=n, context_mode=context_mode, ordered=ordered, alpha=alpha, counts=counts,
+                      vocab=tuple(sorted(vocab)))
 
 
 def ngram_distribution(model: NgramModel, src_slots: tuple, eng_slots: tuple = ()) -> dict[str, float]:
@@ -277,16 +281,19 @@ class NaiveBayesModel:
     context_mode: str
     alpha: float
     target_counts: dict[str, int]
-    total_positions: int
     # one map per context slot: target -> {value -> count}
     slot_counts: list[dict[str, dict[str, int]]] = field(repr=False)
     slot_vocabs: list[tuple[str, ...]] = field(default_factory=list, repr=False)
     vocab: tuple[str, ...] = ()
-    # log-prior vector, per-slot default log-likelihood vectors and per-slot
-    # {value: (target indices, log-likelihoods)} overrides; built on first use
-    _tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
-    # source slots -> `_row_summary` of their ett-mode costs, filled by `beam_translate`
-    _summaries: dict[tuple, tuple] | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _check_scale(self.alpha, self.total_positions, self.vocab, *self.slot_vocabs)
+
+    # Derived from the fields once and cached, as in NgramModel.
+
+    @cached_property
+    def total_positions(self) -> int:
+        return sum(self.target_counts.values())
 
     def distribution(self, src_slots: tuple, eng_slots: tuple = ()) -> dict[str, float]:
         return nb_posterior(self, src_slots, eng_slots)
@@ -300,7 +307,7 @@ class NaiveBayesModel:
         score value, not once per target: equal scores give equal results.
         """
         _check_arity(self, src_slots)
-        log_prior, defaults, overrides = self._cost_tables()
+        log_prior, defaults, overrides = self._cost_tables
         score = log_prior
         for slot, value in enumerate(tuple(src_slots) + tuple(eng_slots)):
             summed = score + defaults[slot]
@@ -320,32 +327,31 @@ class NaiveBayesModel:
         z = _left_sum(exps[ranks])
         return np.array([-math.log(q) if q > 0.0 else math.inf for q in (exps / z).tolist()])[ranks]
 
+    @cached_property
     def _cost_tables(self) -> tuple:
-        if self._tables is None:
-            alpha = self.alpha
-            prior_denom = self.total_positions + alpha * len(self.vocab)
-            log_prior = np.array(
-                [_log((self.target_counts.get(t, 0) + alpha) / prior_denom) for t in self.vocab]
+        """The log-prior vector, per-slot default log-likelihood vectors and per-slot
+        {value: (target indices, log-likelihoods)} overrides."""
+        alpha = self.alpha
+        prior_denom = self.total_positions + alpha * len(self.vocab)
+        log_prior = np.array([_log((self.target_counts.get(t, 0) + alpha) / prior_denom) for t in self.vocab])
+        index = {t: i for i, t in enumerate(self.vocab)}
+        defaults, overrides = [], []
+        for slot, by_target in enumerate(self.slot_counts):
+            size = len(self.slot_vocabs[slot])
+            defaults.append(np.array(
+                [_log(alpha / (self.target_counts.get(t, 0) + alpha * size)) for t in self.vocab]
+            ))
+            by_value: dict[str, tuple[list[int], list[float]]] = {}
+            for target, values in by_target.items():
+                denom = self.target_counts.get(target, 0) + alpha * size
+                for value, count in values.items():
+                    idx, logs = by_value.setdefault(value, ([], []))
+                    idx.append(index[target])
+                    logs.append(_log((count + alpha) / denom))
+            overrides.append(
+                {v: (np.array(idx, dtype=np.intp), np.array(logs)) for v, (idx, logs) in by_value.items()}
             )
-            index = {t: i for i, t in enumerate(self.vocab)}
-            defaults, overrides = [], []
-            for slot, by_target in enumerate(self.slot_counts):
-                size = len(self.slot_vocabs[slot])
-                defaults.append(np.array(
-                    [_log(alpha / (self.target_counts.get(t, 0) + alpha * size)) for t in self.vocab]
-                ))
-                by_value: dict[str, tuple[list[int], list[float]]] = {}
-                for target, values in by_target.items():
-                    denom = self.target_counts.get(target, 0) + alpha * size
-                    for value, count in values.items():
-                        idx, logs = by_value.setdefault(value, ([], []))
-                        idx.append(index[target])
-                        logs.append(_log((count + alpha) / denom))
-                overrides.append(
-                    {v: (np.array(idx, dtype=np.intp), np.array(logs)) for v, (idx, logs) in by_value.items()}
-                )
-            self._tables = (log_prior, defaults, overrides)
-        return self._tables
+        return log_prior, defaults, overrides
 
     def prior(self) -> dict[str, float]:
         denom = self.total_positions + self.alpha * len(self.vocab)
@@ -373,38 +379,28 @@ class NaiveBayesModel:
     @classmethod
     def from_dict(cls, payload: dict) -> "NaiveBayesModel":
         n, context_mode, alpha = (payload[key] for key in ("n", "context_mode", "alpha"))
-        check_settings(n, context_mode, alpha)
-        width = _n_slots(n, context_mode)
+        width = check_settings(n, context_mode, alpha)
         for key in ("slot_counts", "slot_vocabs"):
             if len(payload[key]) != width:
                 raise DataError(f"model {key} do not fit n={n}, {context_mode}: "
                                 f"{len(payload[key])} entries, not {width}")
-        # training counts every position once in total_positions and once in target_counts
-        target_counts = {t: int(c) for t, c in payload["target_counts"].items()}
+        # training counts every position once in total_positions, in target_counts and in each slot
+        target_counts = _counts(payload["target_counts"].items())
         total = payload["total_positions"]
         check_type("total_positions", total, 0)
         counted = sum(target_counts.values())
         if total != counted:
             raise DataError(f"total_positions {total} is not the sum of target_counts, {counted}")
-        vocab = _checked_vocab(
-            payload["vocab"],
-            list(payload["target_counts"]) + [t for slot in payload["slot_counts"] for t in slot],
-        )
+        slot_counts = [{t: _counts(vals.items()) for t, vals in slot.items()} for slot in payload["slot_counts"]]
+        for slot, by_target in enumerate(slot_counts):
+            if {t: sum(vals.values()) for t, vals in by_target.items()} != target_counts:
+                raise DataError(f"model slot_counts[{slot}] do not sum to target_counts")
+        vocab = _checked_vocab(payload["vocab"], target_counts)
         slot_vocabs = [tuple(v) for v in payload["slot_vocabs"]]
-        _check_alpha_scale(alpha, vocab, *slot_vocabs)
-        return cls(
-            n=n,
-            context_mode=context_mode,
-            alpha=alpha,
-            target_counts=target_counts,
-            total_positions=total,
-            slot_counts=[
-                {t: {v: int(c) for v, c in vals.items()} for t, vals in slot.items()}
-                for slot in payload["slot_counts"]
-            ],
-            slot_vocabs=slot_vocabs,
-            vocab=vocab,
-        )
+        if not all(PAD in v for v in slot_vocabs):  # as training writes; an empty one would divide by zero
+            raise DataError("model slot_vocabs must each hold <pad>")
+        return cls(n=n, context_mode=context_mode, alpha=alpha, target_counts=target_counts,
+                   slot_counts=slot_counts, slot_vocabs=slot_vocabs, vocab=vocab)
 
 
 def train_naive_bayes(
@@ -415,35 +411,24 @@ def train_naive_bayes(
 ) -> NaiveBayesModel:
     """Estimate the target prior and the per-slot conditionals."""
     _check_training(pairs)
-    check_settings(n, context_mode, alpha)
-    n_slots = _n_slots(n, context_mode)
+    n_slots = check_settings(n, context_mode, alpha)
     target_counts: dict[str, int] = {}
     slot_counts: list[dict[str, dict[str, int]]] = [{} for _ in range(n_slots)]
     src_vocab = {PAD}
     tgt_vocab = {EOS, PAD}
-    total = 0
     for ett, eng in pairs:
         src_vocab.update(ett)
         tgt_vocab.update(eng)
         for src_slots, eng_slots, target in training_positions(ett, eng, n, context_mode):
-            total += 1
             target_counts[target] = target_counts.get(target, 0) + 1
             for slot, value in enumerate(src_slots + eng_slots):
                 bucket = slot_counts[slot].setdefault(target, {})
                 bucket[value] = bucket.get(value, 0) + 1
     src_sorted = tuple(sorted(src_vocab))
     tgt_sorted = tuple(sorted(tgt_vocab))
-    _check_alpha_scale(alpha, src_sorted, tgt_sorted)
-    return NaiveBayesModel(
-        n=n,
-        context_mode=context_mode,
-        alpha=alpha,
-        target_counts=target_counts,
-        total_positions=total,
-        slot_counts=slot_counts,
-        slot_vocabs=[src_sorted] * n + [tgt_sorted] * (n_slots - n),
-        vocab=tgt_sorted,
-    )
+    return NaiveBayesModel(n=n, context_mode=context_mode, alpha=alpha, target_counts=target_counts,
+                           slot_counts=slot_counts, slot_vocabs=[src_sorted] * n + [tgt_sorted] * (n_slots - n),
+                           vocab=tgt_sorted)
 
 
 def nb_posterior(model: NaiveBayesModel, src_slots: tuple, eng_slots: tuple = ()) -> dict[str, float]:
@@ -470,6 +455,12 @@ def nb_posterior(model: NaiveBayesModel, src_slots: tuple, eng_slots: tuple = ()
 # Decoding
 # ---------------------------------------------------------------------------
 
+def _source_slots(source: list[str], n: int):
+    """Each position's source slots: the n source tokens ending at it, left-padded with PAD."""
+    padded = [PAD] * (n - 1) + list(source)
+    return (tuple(padded[i : i + n]) for i in range(len(source)))
+
+
 def _row_summary(row: np.ndarray) -> tuple[int, float, float]:
     """(t*, m, m_lt): the row's lowest-index argmin, its cost, and the least cost before it (inf if none)."""
     t = int(row.argmin())
@@ -488,13 +479,10 @@ def _greedy_translate(model, source: list[str]) -> list[str] | None:
     """
     summaries = getattr(model, "_summaries", None)
     if summaries is None:
-        summaries = model._summaries = {}
-    n = model.n
-    padded = [PAD] * (n - 1) + list(source)
+        summaries = model._summaries = {}  # source slots -> `_row_summary` of their ett-mode costs
     g, b = 0.0, math.inf
     tokens = []
-    for i in range(len(source)):
-        src_slots = tuple(padded[i : i + n])
+    for src_slots in _source_slots(source, model.n):
         summary = summaries.get(src_slots)
         if summary is None:
             summary = summaries[src_slots] = _row_summary(model.costs(src_slots, ()))
@@ -558,7 +546,6 @@ def beam_translate(model, source: list[str], beams: int = 8) -> list[str]:
         if greedy is not None:
             return greedy
     n = model.n
-    padded = [PAD] * (n - 1) + list(source)
     uses_history = model.context_mode == CONTEXT_ETT_ENG
     vocab = model.vocab
     eos = vocab.index(EOS)
@@ -568,10 +555,9 @@ def beam_translate(model, source: list[str], beams: int = 8) -> list[str]:
     scores = np.zeros(1)
     done: list[tuple[float, float, tuple[str, ...]]] = []
     best_done = math.inf  # lowest cost in `done`
-    for i in range(len(source)):
+    for i, src_slots in enumerate(_source_slots(source, n)):
         if done and best_done <= float(scores.min()):
             break  # no live hypothesis can still win
-        src_slots = tuple(padded[i : i + n])
         shared: dict[tuple, np.ndarray] = {}
         rows = []
         for tokens in alive:

@@ -907,7 +907,7 @@ def former_nb_costs(self, src_slots: tuple, eng_slots: tuple = ()) -> np.ndarray
     """`NaiveBayesModel.costs` as it was before it worked per distinct score:
     one `math.exp` and one `math.log` per target. `self` is the model."""
     _check_arity(self, src_slots)
-    log_prior, defaults, overrides = self._cost_tables()
+    log_prior, defaults, overrides = self._cost_tables
     score = log_prior
     for slot, value in enumerate(tuple(src_slots) + tuple(eng_slots)):
         summed = score + defaults[slot]

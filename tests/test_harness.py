@@ -1,8 +1,13 @@
+import contextlib
 import copy
+import io
 import json
+import math
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ettmt.cli import cli_dispatch
 from ettmt.errors import BenchmarkError, DataError
@@ -38,6 +43,46 @@ def write_lexicon(path, suffix_path=None):
     if suffix_path is not None:
         suffix_path.write_text("\n".join(SUFFIXES) + "\n", encoding="utf-8")
     return path
+
+
+def _count_file(family, count, slot=None):
+    """A one-count n-gram or naive-Bayes model file (n=1, ett) as JSON text: `count` is its count, and
+    `slot` a naive-Bayes file's slot count (default: count). total_positions is the count read as an
+    int, so that only the count itself is wrong."""
+    vocab = '"vocab": ["<eos>", "<pad>", "i"]'
+    if family == "ngram":
+        payload = (f'"n": 1, "context_mode": "ett", "ordered": true, "alpha": 1.0, {vocab}, '
+                   f'"counts": [[["mi"], [["i", {count}]]]]')
+    else:
+        slot = count if slot is None else slot
+        payload = (f'"n": 1, "context_mode": "ett", "alpha": 1.0, "target_counts": {{"i": {count}}}, '
+                   f'"total_positions": {int(json.loads(str(count)))}, "slot_counts": [{{"i": {{"mi": {slot}}}}}], '
+                   f'"slot_vocabs": [["<pad>", "mi"]], {vocab}')
+    return f'{{"format": "ettmt-model", "version": 1, "family": "{family}", "payload": {{{payload}}}}}'
+
+
+# (model file, message, id): each count training cannot write, in each place a model file holds counts,
+# and a naive-Bayes slot vocabulary without <pad>
+HUGE = str(10**400)
+BAD_COUNT_FILES = [
+    (text, f"model count must be an int >= 1, not {message}", f"{where}-{name}")
+    for value, message, name in (('"3"', "str '3'", "string"), ("2.7", "float 2.7", "float"),
+                                 ("-5", "int -5", "negative"), ("0", "int 0", "zero"), ("true", "bool True", "bool"))
+    for where, text in (("ngram-count", _count_file("ngram", value)),
+                        ("naive-bayes-count", _count_file("naive-bayes", value)),
+                        ("naive-bayes-slot", _count_file("naive-bayes", 3, slot=value)))
+] + [
+    (_count_file(family, HUGE), "model counts are too large: their total plus alpha * 3 overflows",
+     f"{family}-count-huge")
+    for family in ("ngram", "naive-bayes")
+] + [
+    (_count_file("naive-bayes", 3, slot=HUGE), "model slot_counts[0] do not sum to target_counts",
+     "naive-bayes-slot-huge"),
+    (_count_file("naive-bayes", 3, slot=2), "model slot_counts[0] do not sum to target_counts",
+     "naive-bayes-slot-sum"),
+    (_count_file("naive-bayes", 3).replace('[["<pad>", "mi"]]', "[[]]"), "model slot_vocabs must each hold <pad>",
+     "naive-bayes-slot-vocab-empty"),
+]
 
 
 @pytest.fixture
@@ -688,7 +733,7 @@ class TestCli:
             ('{"format": "ettmt-model", "version": 1, "family": "ibm2", "payload": {"ttable": {"entries": '
              '[["mi", "i", 1.0]]}, "aligntable": {"blocks": {"1,1": [[0.5, true]]}}}}',
              "alignment block '1,1' probability must be float, not bool True"),
-        ],
+        ] + [case[:2] for case in BAD_COUNT_FILES],
         ids=["invalid-json", "top-level-list", "no-payload", "payload-list", "ibm1-no-ttable", "ibm2-no-aligntable",
              "ibm1-entries-int", "ibm2-blocks-list", "dict-table-int", "ngram-counts-int",
              "naive-bayes-target-counts-list", "naive-bayes-total-string", "naive-bayes-total-wrong",
@@ -697,7 +742,7 @@ class TestCli:
              "random-probs-sum", "random-length-mean-inf", "random-length-std-negative", "random-length-std-nan",
              "random-length-mean-huge", "random-length-std-huge", "ibm1-prob-nan", "ibm1-prob-negative",
              "ibm1-prob-huge", "ibm1-drop-nan", "ibm1-history-string", "ibm1-entry-repeated", "ibm2-block-nan",
-             "ibm2-block-bool"],
+             "ibm2-block-bool"] + [case[2] for case in BAD_COUNT_FILES],
     )
     def test_malformed_model_file_exits_2(self, tmp_path, capsys, text, message):
         model = tmp_path / "bad.json"
@@ -968,3 +1013,65 @@ class TestCli:
         a.write_text("one\n", encoding="utf-8")
         b.write_text("one\ntwo\n", encoding="utf-8")
         assert cli_dispatch(["evaluate", "--hyp", str(a), "--ref", str(b)]) == 2
+
+
+def _mutable_paths(payload: dict) -> dict[str, list[tuple]]:
+    """Key paths into an n-gram or naive-Bayes payload: {kind: [path to one setting, vocabulary entry or count]}."""
+    paths = {
+        "setting": [(key,) for key in ("n", "context_mode", "alpha", "ordered", "total_positions") if key in payload],
+        "vocabulary": [("vocab", i) for i in range(len(payload["vocab"]))]
+        + [("slot_vocabs", s, i) for s, vocab in enumerate(payload.get("slot_vocabs", [])) for i in range(len(vocab))],
+    }
+    if "counts" in payload:
+        paths["count"] = [("counts", i, 1, j, 1) for i, (_, tgts) in enumerate(payload["counts"])
+                          for j in range(len(tgts))]
+    else:
+        paths["count"] = [("target_counts", t) for t in payload["target_counts"]] + [
+            ("slot_counts", s, t, v) for s, slot in enumerate(payload["slot_counts"])
+            for t, values in slot.items() for v in values
+        ]
+    return paths
+
+
+class TestModelFileFuzz:
+    """A model file written by `ettmt train` with one value changed or dropped: `ettmt translate`
+    either works or exits 2 with one `error:` line naming the file. Any exception fails."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("fuzz")
+        corpus = write_corpus(root / "corpus.tsv")
+        src = root / "src.txt"
+        src.write_text("mi aveles\nitun turuce venel tinas\n", encoding="utf-8")
+        docs = {}
+        for family, opts in (("ngram", ["--n", "2"]), ("naive-bayes", ["--context", "ett-eng"])):
+            path = root / f"{family}.json"
+            assert cli_dispatch(["train", "--family", family, "--in", str(corpus), "--out", str(path)] + opts) == 0
+            docs[family] = json.loads(path.read_text(encoding="utf-8"))
+        return root, src, docs
+
+    @hypothesis.settings(max_examples=150, derandomize=True, deadline=None)
+    @hypothesis.given(data=st.data())
+    def test_one_mutation_translates_or_exits_2(self, trained, data):
+        root, src, docs = trained
+        family = data.draw(st.sampled_from(sorted(docs)), label="family")
+        doc = copy.deepcopy(docs[family])
+        paths = _mutable_paths(doc["payload"])
+        kind = data.draw(st.sampled_from(sorted(paths)), label="kind")
+        *keys, last = data.draw(st.sampled_from(paths[kind]), label="path")
+        parent = doc["payload"]
+        for key in keys:
+            parent = parent[key]
+        value = data.draw(st.sampled_from(["string", 2.5, -5, True, math.nan, 10**400, "drop"]), label="value")
+        if value == "drop":
+            del parent[last]
+        else:
+            parent[last] = str(parent[last]) if value == "string" else value
+        model = root / f"mutated-{family}.json"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_dispatch(["translate", "--model", str(model), "--in", str(src)])
+        message = err.getvalue()
+        assert code == 0 or (code == 2 and message.startswith("error:") and message.count("\n") == 1
+                             and str(model) in message), (code, message)

@@ -238,6 +238,13 @@ class TestOneSettingsRule:
                 assert isinstance(info.value, ValueError)
                 assert str(info.value) == message, (family, name)
 
+    def test_int_alpha_beyond_float_range_rejected(self):
+        # 10**400 compares below math.inf but has no float value
+        for family in ("ngram", "naive-bayes"):
+            for name, call in _settings_entry_points(family):
+                with pytest.raises(DataError, match="alpha must be a finite number > 0, got 1000"):
+                    call("alpha", 10**400)
+
     @pytest.mark.parametrize("n, context_mode, alpha, ordered", [
         (1, CONTEXT_ETT, 1.0, True), (3, CONTEXT_ETT_ENG, 2, False), (2, CONTEXT_ETT, 1e-300, True),
         (1, CONTEXT_ETT, np.float64(0.5), True),
@@ -353,8 +360,7 @@ def _tie_heavy_nb(rng, n, context_mode, alpha, n_targets=300):
         for slot in range(n_slots)
     ]
     return NaiveBayesModel(n=n, context_mode=context_mode, alpha=alpha, target_counts=target_counts,
-                           total_positions=sum(target_counts.values()), slot_counts=slot_counts,
-                           slot_vocabs=slot_vocabs, vocab=vocab)
+                           slot_counts=slot_counts, slot_vocabs=slot_vocabs, vocab=vocab)
 
 
 def _tie_heavy_contexts(rng, model, k):
@@ -431,10 +437,8 @@ class TestCostVectors:
             (f"c{k}",): {t: rng.randint(1, 400) for t in rng.sample(vocab, rng.randint(1, 50))}
             for k in range(2500)
         }
-        totals = {key: sum(bucket.values()) for key, bucket in counts.items()}
         for alpha in (1.0, 0.5, 0.01, 1):
-            model = NgramModel(n=1, context_mode=CONTEXT_ETT, ordered=True, alpha=alpha,
-                               counts=counts, context_totals=totals, vocab=vocab)
+            model = NgramModel(n=1, context_mode=CONTEXT_ETT, ordered=True, alpha=alpha, counts=counts, vocab=vocab)
             for key in counts:
                 expected = [-math.log(p) for p in model.distribution(key).values()]
                 assert model.costs(key).tolist() == expected, (alpha, key)
@@ -482,13 +486,24 @@ class TestCostVectors:
                 model.costs(("a",))
 
     def test_tables_stay_out_of_serialization_and_equality(self):
-        pairs = [(["a", "b"], ["x", "y"])]
+        # the cached tables and the totals derived from the counts are no fields
+        pairs = [(["a", "b"], ["x", "y"]), (["a"], ["x", "y", "z"]), (["b", "a", "c"], [])]
+        positions = [p for ett, eng in pairs for p in training_positions(ett, eng, 1, CONTEXT_ETT)]
         for model in (train_ngram(pairs, n=1), train_naive_bayes(pairs, n=1)):
             fresh = type(model).from_dict(model.to_dict())
             model.costs(("a",))
             assert model == fresh
             assert model.to_dict() == fresh.to_dict()
-            assert "_index" not in repr(model) and "_tables" not in repr(model)
+            for name in ("_index", "_cost_tables", "context_totals", "total_positions"):
+                assert name not in repr(model)
+            fresh.__dict__["context_totals" if isinstance(model, NgramModel) else "total_positions"] = -1
+            assert model == fresh  # equality reads only the fields
+        ngram, nb = train_ngram(pairs, n=1), train_naive_bayes(pairs, n=1)
+        recount: dict[tuple, int] = {}
+        for src, eng, _ in positions:
+            recount[src + eng] = recount.get(src + eng, 0) + 1
+        assert ngram.context_totals == recount
+        assert nb.total_positions == len(positions) == nb.to_dict()["total_positions"]
 
 
 # -math.log(math.exp(-k)) == k exactly for these k, so path costs are small
@@ -592,9 +607,7 @@ def _tie_heavy_ngram(rng, n, alpha, n_targets=20, context_mode=CONTEXT_ETT_ENG):
         if context_mode == CONTEXT_ETT_ENG:
             key += tuple(rng.choices(vocab[:6], k=n))
         counts[key] = {t: rng.choice((1, 2, 3)) for t in rng.sample(vocab[:8], rng.randint(1, 4))}
-    totals = {key: sum(bucket.values()) for key, bucket in counts.items()}
-    return NgramModel(n=n, context_mode=context_mode, ordered=True, alpha=alpha,
-                      counts=counts, context_totals=totals, vocab=vocab)
+    return NgramModel(n=n, context_mode=context_mode, ordered=True, alpha=alpha, counts=counts, vocab=vocab)
 
 
 def _assert_costs_non_negative(model, contexts):
