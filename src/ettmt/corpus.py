@@ -3,7 +3,11 @@
 Etruscan transcriptions arrive in mixed conventions (Greek letters for
 aspirates and sibilants, several word-separator glyphs, damage hyphens).
 `normalize` maps everything onto a small Latin alphabet {a-z, space, '-'};
-the mapping is deterministic but not reversible.
+the mapping is deterministic but not reversible. It is one fixed translation
+table plus two regexes, all built at import: one regex turns a marked s into
+"sh", the table maps the transcription glyphs and separators, and the other
+regex deletes (and counts) what is left outside {a-z, whitespace, '-'}.
+`normalize_english` keeps the runs of [a-z0-9].
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import random
+import re
 import unicodedata
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -102,42 +107,31 @@ _CHAR_MAP = {
 }
 
 # Bases that an acute-like mark turns into "sh" (s / sigma / final sigma).
-_S_LIKE = frozenset("sσς")
+_S_LIKE = "sσς"
 # Marks that behave like the acute in transcriptions: combining acute,
 # apostrophes, acute accent, modifier prime.
-_ACUTE_MARKS = frozenset("́'’´ʹ")
+_ACUTE_MARKS = "́'’´ʹ"
 _OVERCROSS = "̽"  # combining x above: s-with-cross reads "sh"
 
 # Word separators collapse to a single space; '|' marks a line break in the
 # source editions and is treated the same way.
-_SEPARATORS = frozenset("·:⋮|")
+_SEPARATORS = "·:⋮|"
+
+# A base and a mark never overlap, so a left-to-right scan pairs them as a
+# character-by-character walk would.
+_MARKED_S = re.compile(f"[{_S_LIKE}][{re.escape(_ACUTE_MARKS + _OVERCROSS)}]")
+_TRANSCRIPTION = str.maketrans({**_CHAR_MAP, **dict.fromkeys(_SEPARATORS, " ")})
+# What the table leaves without a mapping; every table output is outside this
+# class, so only unmapped input characters are counted. \s matches exactly
+# where str.isspace() is true, so all whitespace is kept for the final split.
+_UNMAPPED = re.compile(r"[^a-z\-\s]+")
 
 
 def _normalize_with_stats(raw: str) -> tuple[str, int]:
     """Normalize and also report how many characters had no mapping."""
-    text = unicodedata.normalize("NFC", raw).lower()
-    out: list[str] = []
-    dropped = 0
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        nxt = text[i + 1] if i + 1 < n else ""
-        if ch in _S_LIKE and (nxt in _ACUTE_MARKS or nxt == _OVERCROSS):
-            out.append("sh")
-            i += 2
-            continue
-        mapped = _CHAR_MAP.get(ch)
-        if mapped is not None:
-            out.append(mapped)
-        elif ch in _SEPARATORS or ch.isspace():
-            out.append(" ")
-        elif "a" <= ch <= "z" or ch == "-":
-            out.append(ch)
-        else:
-            dropped += 1
-        i += 1
-    return " ".join("".join(out).split()), dropped
+    text = _MARKED_S.sub("sh", unicodedata.normalize("NFC", raw).lower()).translate(_TRANSCRIPTION)
+    kept = _UNMAPPED.sub("", text)
+    return " ".join(kept.split()), len(text) - len(kept)
 
 
 def normalize(raw: str) -> str:
@@ -151,22 +145,17 @@ def normalize(raw: str) -> str:
     return _normalize_with_stats(raw)[0]
 
 
+_ENGLISH_WORD = re.compile("[a-z0-9]+")
+
+
 def normalize_english(raw: str) -> str:
     """Lowercase an English gloss and strip punctuation to spaces.
 
     Apostrophes are removed outright so contractions stay one token;
     digits are kept.
     """
-    text = unicodedata.normalize("NFC", raw).lower()
-    out = []
-    for ch in text:
-        if ch in "'’":
-            continue
-        if "a" <= ch <= "z" or "0" <= ch <= "9":
-            out.append(ch)
-        else:
-            out.append(" ")
-    return " ".join("".join(out).split())
+    text = unicodedata.normalize("NFC", raw).lower().replace("'", "").replace("’", "")
+    return " ".join(_ENGLISH_WORD.findall(text))
 
 
 @dataclass(frozen=True)
@@ -334,9 +323,11 @@ def read_lines(path, newline: str | None = None) -> list[str]:
 
 def read_json(path, what: str, kind: type):
     """The JSON document in a UTF-8 file; DataError "<path>: not <what> (...)" unless it parses to a `kind`."""
+    text = "".join(read_lines(path))
     try:
-        doc = json.loads("".join(read_lines(path)))
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text)
+    # a JSONDecodeError, an int literal too long to convert (Python >= 3.11), or arrays nested too deep
+    except (ValueError, RecursionError) as exc:
         raise DataError(f"{path}: not {what} ({exc})") from exc
     if not isinstance(doc, kind):
         expected = "an object" if kind is dict else "an array"
@@ -437,6 +428,9 @@ def save_corpus(corpus: ParallelCorpus, path, fmt: str | None = None):
         raise ValueError(f"unknown corpus format {fmt!r}")
 
 
+_FEATURE_VALUES = {"0": 0, "1": 1}
+
+
 def load_lexicon(path, suffix_path=None) -> Lexicon:
     """Load the lexicon TSV (etruscan, english, f1..f54) plus an optional suffix file.
 
@@ -445,14 +439,13 @@ def load_lexicon(path, suffix_path=None) -> Lexicon:
     """
     entries: list[LexiconEntry] = []
     for line_no, row in read_tsv(path, 2 + N_FEATURES)[1]:
-        feats = []
-        for k, cell in enumerate(row[2:], start=1):
-            cell = cell.strip()
-            if cell not in ("0", "1"):
-                raise DataError(f"{path}, line {line_no}: feature f{k} must be 0/1, got {cell!r}")
-            feats.append(int(cell))
+        cells = list(map(str.strip, row[2:]))
+        feats = tuple(map(_FEATURE_VALUES.get, cells))
+        if None in feats:
+            k = feats.index(None)
+            raise DataError(f"{path}, line {line_no}: feature f{k + 1} must be 0/1, got {cells[k]!r}")
         try:
-            entries.append(LexiconEntry(normalize(row[0]), normalize_english(row[1]), tuple(feats)))
+            entries.append(LexiconEntry(normalize(row[0]), normalize_english(row[1]), feats))
         except DataError as exc:  # an Etruscan form that normalizes to nothing
             raise DataError(f"{path}, line {line_no}: {exc}") from exc
     suffixes: tuple[str, ...] = ()

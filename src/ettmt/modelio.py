@@ -173,7 +173,8 @@ def load_model(path):
         return family, FAMILIES[family].load(payload)
     except KeyError as exc:
         raise DataError(f"{path}: {family} model payload lacks key {exc}") from exc
-    except (TypeError, ValueError, AttributeError, IndexError) as exc:  # ValueError includes DataError
+    # ValueError includes DataError; OverflowError is an int too large for a float where a number belongs
+    except (TypeError, ValueError, AttributeError, IndexError, OverflowError) as exc:
         raise DataError(f"{path}: bad {family} model payload: {exc}") from exc
 
 

@@ -157,23 +157,25 @@ def _log(p: float) -> float:
     return math.log(p) if p > 0.0 else -math.inf
 
 
-def _checked_vocab(vocab, targets) -> tuple[str, ...]:
-    """A loaded model's target vocabulary, checked against what decoding needs.
+def _checked_vocab(vocab, counted, name="vocabulary", required=(EOS, PAD)) -> tuple[str, ...]:
+    """A loaded model's vocabulary (`name`), checked against what decoding needs.
 
     The decoder breaks ties by vocabulary index, which equals the token order
-    only when the vocabulary is strictly sorted.
+    only when the vocabulary is strictly sorted; a naive-Bayes slot vocabulary
+    is used for its size, which a repeated entry would inflate. Every token
+    `counted` and every `required` one must be in it.
     """
     vocab = tuple(vocab)
     if not all(isinstance(t, str) for t in vocab):
-        raise DataError("model vocabulary must hold only strings")
+        raise DataError(f"model {name} must hold only strings")
     if any(a >= b for a, b in zip(vocab, vocab[1:])):
-        raise DataError("model vocabulary is not strictly sorted")
-    missing = sorted({EOS, PAD}.difference(vocab))
+        raise DataError(f"model {name} is not strictly sorted")
+    missing = sorted(set(required).difference(vocab))
     if missing:
-        raise DataError(f"model vocabulary lacks {', '.join(missing)}")
-    unknown = sorted(set(targets).difference(vocab))
+        raise DataError(f"model {name} lacks {', '.join(missing)}")
+    unknown = sorted(set(counted).difference(vocab))
     if unknown:
-        raise DataError(f"model counts name targets outside its vocabulary: {', '.join(unknown[:5])}")
+        raise DataError(f"model counts name tokens outside its {name}: {', '.join(unknown[:5])}")
     return vocab
 
 
@@ -396,9 +398,11 @@ class NaiveBayesModel:
             if {t: sum(vals.values()) for t, vals in by_target.items()} != target_counts:
                 raise DataError(f"model slot_counts[{slot}] do not sum to target_counts")
         vocab = _checked_vocab(payload["vocab"], target_counts)
-        slot_vocabs = [tuple(v) for v in payload["slot_vocabs"]]
-        if not all(PAD in v for v in slot_vocabs):  # as training writes; an empty one would divide by zero
+        if not all(PAD in v for v in payload["slot_vocabs"]):  # as training writes; an empty one would divide by zero
             raise DataError("model slot_vocabs must each hold <pad>")
+        slot_vocabs = [_checked_vocab(v, (value for vals in by_target.values() for value in vals),
+                                      f"slot_vocabs[{slot}]", required=())
+                       for slot, (v, by_target) in enumerate(zip(payload["slot_vocabs"], slot_counts))]
         return cls(n=n, context_mode=context_mode, alpha=alpha, target_counts=target_counts,
                    slot_counts=slot_counts, slot_vocabs=slot_vocabs, vocab=vocab)
 

@@ -9,6 +9,7 @@ the greedy block-shift + word edit distance procedure for the edit rate.
 
 import math
 import re
+import unicodedata
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -972,3 +973,73 @@ def oracle_beam_translate(model, source: list[str], beams: int = 8) -> list[str]
     done.sort(key=lambda h: (h[0], h[1], h[2]))
     best_tokens = done[0][2]
     return [t for t in best_tokens if t not in (PAD, EOS)]
+
+
+# ---------------------------------------------------------------------------
+# The package's former text normalization
+# ---------------------------------------------------------------------------
+#
+# ettmt.corpus normalized one character at a time before it used a fixed
+# translation table and two regexes. The tables and loops are kept verbatim
+# apart from names; the package must return exactly what these return.
+
+_FORMER_CHAR_MAP = {
+    "θ": "th",  # theta
+    "ϑ": "th",  # theta symbol variant
+    "φ": "ph",  # phi
+    "ϕ": "ph",  # phi symbol variant
+    "χ": "kh",  # chi
+    "σ": "s",   # sigma
+    "ς": "s",   # final sigma
+    "ś": "sh",  # s with acute
+    "⊞": "s",   # boxed s ("marked" sibilant)
+    "‐": "-",   # hyphen variants fold onto the damage placeholder
+    "‑": "-",
+    "‒": "-",
+    "–": "-",
+    "—": "-",
+    "―": "-",
+}
+_FORMER_S_LIKE = frozenset("sσς")
+_FORMER_ACUTE_MARKS = frozenset("́'’´ʹ")
+_FORMER_OVERCROSS = "̽"
+_FORMER_SEPARATORS = frozenset("·:⋮|")
+
+
+def former_normalize_with_stats(raw: str) -> tuple[str, int]:
+    text = unicodedata.normalize("NFC", raw).lower()
+    out: list[str] = []
+    dropped = 0
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        nxt = text[i + 1] if i + 1 < n else ""
+        if ch in _FORMER_S_LIKE and (nxt in _FORMER_ACUTE_MARKS or nxt == _FORMER_OVERCROSS):
+            out.append("sh")
+            i += 2
+            continue
+        mapped = _FORMER_CHAR_MAP.get(ch)
+        if mapped is not None:
+            out.append(mapped)
+        elif ch in _FORMER_SEPARATORS or ch.isspace():
+            out.append(" ")
+        elif "a" <= ch <= "z" or ch == "-":
+            out.append(ch)
+        else:
+            dropped += 1
+        i += 1
+    return " ".join("".join(out).split()), dropped
+
+
+def former_normalize_english(raw: str) -> str:
+    text = unicodedata.normalize("NFC", raw).lower()
+    out = []
+    for ch in text:
+        if ch in "'’":
+            continue
+        if "a" <= ch <= "z" or "0" <= ch <= "9":
+            out.append(ch)
+        else:
+            out.append(" ")
+    return " ".join("".join(out).split())

@@ -1,11 +1,14 @@
 import json
 import re
+import string
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ettmt.corpus import (
+    _CHAR_MAP,
+    _normalize_with_stats,
     FEATURE_NAMES,
     LexiconEntry,
     ParallelCorpus,
@@ -21,6 +24,7 @@ from ettmt.corpus import (
     write_tsv,
 )
 from ettmt.errors import DataError
+from oracles import former_normalize_english, former_normalize_with_stats
 
 
 class TestNormalize:
@@ -78,6 +82,42 @@ class TestNormalizeEnglish:
 
     def test_digits_kept(self):
         assert normalize_english("room 12, side B") == "room 12 side b"
+
+
+def _first_difference(package, former, prefix="", suffix=""):
+    """The first prefix + c + suffix, over every code point c a str can hold (surrogates cannot be
+    NFC-normalized), on which package and former disagree; None if none. Compared in blocks to bound memory."""
+    for lo in range(0, 0x110000, 1 << 16):
+        texts = [prefix + chr(c) + suffix for c in range(lo, lo + (1 << 16)) if not 0xD800 <= c <= 0xDFFF]
+        if list(map(package, texts)) != list(map(former, texts)):
+            return next(t for t in texts if package(t) != former(t))
+    return None
+
+
+# the glyphs normalization treats specially, their capitals, and characters around them
+_MAPPED = "".join(_CHAR_MAP) + "ΘΦΧΣϴ" + "·:⋮|" + "sS"
+_MARKS = "\u0301'’´ʹ\u033d\u0300\u0307"
+_WHITESPACE = " \t\n\r\x0b\x0c\x1c\x85\xa0\u1680\u2003\u2028\u202f\u3000"
+_UNMAPPED = "9!é?İẞÅſϲ\u200b\ufeff"
+
+
+class TestFormerNormalization:
+    """The table-and-regex normalization equals the former per-character loop, text and dropped count."""
+
+    @pytest.mark.parametrize("prefix, suffix", [("", ""), ("s", ""), ("σ", ""), ("ς", ""), ("a", "b")],
+                             ids=["alone", "after-s", "after-sigma", "after-final-sigma", "between-letters"])
+    def test_every_code_point(self, prefix, suffix):
+        assert _first_difference(_normalize_with_stats, former_normalize_with_stats, prefix, suffix) is None
+
+    def test_every_code_point_english(self):
+        assert _first_difference(normalize_english, former_normalize_english) is None
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(st.text(st.sampled_from(_MAPPED + _MARKS + _WHITESPACE + string.printable + _UNMAPPED)
+                   | st.characters(exclude_categories=("Cs",)), max_size=40))
+    def test_mixed_strings(self, text):
+        assert _normalize_with_stats(text) == former_normalize_with_stats(text)
+        assert normalize_english(text) == former_normalize_english(text)
 
 
 def _write_corpus_tsv(path, rows):
@@ -215,6 +255,27 @@ class TestLoadLexicon:
         self._write(p, [("clan", "son", [0] * 53)], n_features=53)
         with pytest.raises(DataError):
             load_lexicon(p)
+
+    @pytest.mark.parametrize("value", ["2", "", "yes", "01", "1.0"])
+    def test_bad_feature_cell_in_any_column(self, tmp_path, value):
+        p = tmp_path / "lex.tsv"
+        for k in range(1, 55):
+            feats = ["0"] * 54
+            feats[k - 1] = value
+            self._write(p, [("clan", "son", ["1"] * 54), ("mi", "i", feats)])
+            with pytest.raises(DataError, match=re.escape(f"{p}, line 3: feature f{k} must be 0/1, got {value!r}")):
+                load_lexicon(p)
+
+    def test_first_bad_feature_cell_reported(self, tmp_path):
+        p = tmp_path / "lex.tsv"
+        self._write(p, [("clan", "son", ["0"] * 10 + ["x", "1", "y"] + ["0"] * 41)])
+        with pytest.raises(DataError, match=re.escape(f"{p}, line 2: feature f11 must be 0/1, got 'x'")):
+            load_lexicon(p)
+
+    def test_feature_cells_padded_with_spaces_load(self, tmp_path):
+        p = tmp_path / "lex.tsv"
+        self._write(p, [("clan", "son", [" 1", "0 ", " 0 ", "\xa01\u3000"] + ["0"] * 50)])
+        assert load_lexicon(p).entries[0].features == (1, 0, 0, 1) + (0,) * 50
 
     def test_empty_gloss_flagged(self, tmp_path):
         p = tmp_path / "lex.tsv"

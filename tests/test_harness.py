@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import math
+import sys
 
 import hypothesis
 import numpy as np
@@ -62,7 +63,8 @@ def _count_file(family, count, slot=None):
 
 
 # (model file, message, id): each count training cannot write, in each place a model file holds counts,
-# and a naive-Bayes slot vocabulary without <pad>
+# and naive-Bayes slot vocabularies training cannot write (read for their size: they must be strictly
+# sorted strings holding <pad> and every value counted in the slot)
 HUGE = str(10**400)
 BAD_COUNT_FILES = [
     (text, f"model count must be an int >= 1, not {message}", f"{where}-{name}")
@@ -82,6 +84,15 @@ BAD_COUNT_FILES = [
      "naive-bayes-slot-sum"),
     (_count_file("naive-bayes", 3).replace('[["<pad>", "mi"]]', "[[]]"), "model slot_vocabs must each hold <pad>",
      "naive-bayes-slot-vocab-empty"),
+] + [
+    (_count_file("naive-bayes", 3).replace('[["<pad>", "mi"]]', f"[{slot_vocab}]"), message,
+     f"naive-bayes-slot-vocab-{name}")
+    for slot_vocab, message, name in (
+        ('["<pad>", 5, 5, null]', "model slot_vocabs[0] must hold only strings", "non-strings"),
+        ('["<pad>", "mi", "mi"]', "model slot_vocabs[0] is not strictly sorted", "repeated"),
+        ('["mi", "<pad>"]', "model slot_vocabs[0] is not strictly sorted", "unsorted"),
+        ('["<pad>", "zi"]', "model counts name tokens outside its slot_vocabs[0]: mi", "counted-value-missing"),
+    )
 ]
 
 
@@ -733,6 +744,10 @@ class TestCli:
             ('{"format": "ettmt-model", "version": 1, "family": "ibm2", "payload": {"ttable": {"entries": '
              '[["mi", "i", 1.0]]}, "aligntable": {"blocks": {"1,1": [[0.5, true]]}}}}',
              "alignment block '1,1' probability must be float, not bool True"),
+            ("[" * 200_000 + "]" * 200_000, "not a model file (maximum recursion depth exceeded"),
+            ('{"format": "ettmt-model", "version": 1, "family": "random", "payload": {"length_mean": ' + HUGE
+             + ', "length_std": 1.0, "tokens": ["i"], "probs": [1.0]}}',
+             "bad random model payload: int too large to convert to float"),
         ] + [case[:2] for case in BAD_COUNT_FILES],
         ids=["invalid-json", "top-level-list", "no-payload", "payload-list", "ibm1-no-ttable", "ibm2-no-aligntable",
              "ibm1-entries-int", "ibm2-blocks-list", "dict-table-int", "ngram-counts-int",
@@ -742,7 +757,8 @@ class TestCli:
              "random-probs-sum", "random-length-mean-inf", "random-length-std-negative", "random-length-std-nan",
              "random-length-mean-huge", "random-length-std-huge", "ibm1-prob-nan", "ibm1-prob-negative",
              "ibm1-prob-huge", "ibm1-drop-nan", "ibm1-history-string", "ibm1-entry-repeated", "ibm2-block-nan",
-             "ibm2-block-bool"] + [case[2] for case in BAD_COUNT_FILES],
+             "ibm2-block-bool", "nested-200000-deep", "random-length-mean-int-huge"]
+        + [case[2] for case in BAD_COUNT_FILES],
     )
     def test_malformed_model_file_exits_2(self, tmp_path, capsys, text, message):
         model = tmp_path / "bad.json"
@@ -754,6 +770,20 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
         assert str(model) in captured.err and message in captured.err
+
+    def test_model_file_with_a_5001_digit_int_exits_2(self, tmp_path, capsys):
+        # Python >= 3.11 refuses to parse an int literal of over 4,300 digits; 3.10 parses it and the
+        # random model's checks reject it
+        model = tmp_path / "big.json"
+        model.write_text('{"format": "ettmt-model", "version": 1, "family": "random", "payload": {"length_mean": 1'
+                         + "0" * 5000 + ', "length_std": 1.0, "tokens": ["i"], "probs": [1.0]}}', encoding="utf-8")
+        src = tmp_path / "src.txt"
+        src.write_text("mi aveles\n", encoding="utf-8")
+        assert cli_dispatch(["translate", "--model", str(model), "--in", str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        expected = f"{model}: not a model file (" if sys.version_info >= (3, 11) else f"{model}: bad random model payload"
+        assert captured.err.startswith(f"error: {expected}")
 
     @pytest.mark.parametrize(
         "edit, message",
