@@ -24,15 +24,13 @@ from .corpus import (
 )
 from .errors import BenchmarkError, DataError
 from .harness import BenchmarkConfig, BenchmarkResult, format_table, run_benchmark
-from .ibm import AlignTable, IbmModel, TTable, corpus_log_likelihood, train_ibm1, train_ibm2, translate_ibm
+from .ibm import AlignTable, IbmModel, TTable, train_ibm1, train_ibm2, translate_ibm
 from .metrics import MetricReport, bleu, chrf, score_corpus, ter
 from .ngram import (
     NaiveBayesModel,
     NgramModel,
     align_pair,
     beam_translate,
-    nb_posterior,
-    ngram_distribution,
     train_naive_bayes,
     train_ngram,
 )

@@ -22,7 +22,6 @@ position.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,25 +53,6 @@ class TTable:
 
     def __post_init__(self):
         self._src_index = {t: i for i, t in enumerate(self.source_vocab)}
-        self._tgt_index = {t: i for i, t in enumerate(self.target_vocab)}
-
-    def prob(self, f: str, e: str) -> float:
-        fi = self._src_index.get(f)
-        ei = self._tgt_index.get(e)
-        if fi is None or ei is None:
-            return 0.0
-        lo, hi = self.indptr[fi], self.indptr[fi + 1]
-        k = lo + np.searchsorted(self.cols[lo:hi], ei)
-        if k < hi and self.cols[k] == ei:
-            return float(self.probs[k])
-        return 0.0
-
-    def row(self, f: str) -> dict[str, float]:
-        fi = self._src_index.get(f)
-        if fi is None:
-            return {}
-        lo, hi = self.indptr[fi], self.indptr[fi + 1]
-        return {self.target_vocab[c]: float(p) for c, p in zip(self.cols[lo:hi], self.probs[lo:hi])}
 
     def best_target(self, f: str) -> tuple[str, float] | None:
         """Highest-probability target for f; ties go to the smaller token."""
@@ -157,12 +137,6 @@ class AlignTable:
 
     blocks: dict[tuple[int, int], np.ndarray]  # shape (l_e, l_f + 1)
 
-    def prob(self, i: int, j: int, l_e: int, l_f: int) -> float:
-        block = self.blocks.get((l_e, l_f))
-        if block is None:
-            return 1.0 / (l_f + 1)
-        return float(block[j - 1, i])
-
     def to_dict(self, prune: float = 1e-6) -> dict:
         return {
             "blocks": {
@@ -176,6 +150,8 @@ class AlignTable:
         blocks = {}
         for key, rows in payload["blocks"].items():
             l_e, l_f = (int(x) for x in key.split(","))
+            if key != f"{l_e},{l_f}":  # one spelling per length pair, so no two keys name one block
+                raise DataError(f"alignment block key {key!r} must be written '{l_e},{l_f}'")
             block = np.asarray(rows, dtype=np.float64)
             if block.shape != (l_e, l_f + 1):
                 raise DataError(f"alignment block {key!r} has shape {block.shape}, not {(l_e, l_f + 1)}")
@@ -379,27 +355,8 @@ def train_ibm2(pairs: list[Pair], iterations: int = 10) -> tuple[TTable, AlignTa
 
 
 # ---------------------------------------------------------------------------
-# Diagnostics and decoding
+# Decoding
 # ---------------------------------------------------------------------------
-
-def corpus_log_likelihood(
-    ttable: TTable, pairs: list[Pair], align_table: AlignTable | None = None
-) -> float:
-    """Sum over pairs of log P(target sentence | source sentence)."""
-    total = 0.0
-    for ett, eng in pairs:
-        src = [NULL_TOKEN] + list(ett)
-        for j, e in enumerate(eng, start=1):
-            if align_table is None:
-                s = sum(ttable.prob(f, e) for f in src) / len(src)
-            else:
-                s = sum(
-                    ttable.prob(f, e) * align_table.prob(i, j, len(eng), len(ett))
-                    for i, f in enumerate(src)
-                )
-            total += math.log(s) if s > 0.0 else -math.inf
-    return total
-
 
 def translate_ibm(
     ttable: TTable, source: list[str], align_table: AlignTable | None = None

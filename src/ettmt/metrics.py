@@ -208,7 +208,16 @@ MAX_SHIFT_CANDIDATES = 1000
 
 
 def _trace(hyp: list[int], ref: list[int], cols) -> tuple[int, list[int], list[int], list[int]]:
-    """``_edit_ops`` from the columns of hyp's prefixes against a non-empty ref.
+    """Edit distance transforming hyp into a non-empty ref, with the alignment of its path.
+
+    ``cols`` are the columns of hyp's prefixes against ref
+    (``_kernels.columns``).  Returns the distance; ``after``, where
+    ``after[r + 1]`` is the number of hyp words the path has consumed on
+    reaching reference word r, so a block shifted to follow that word lands
+    there, and ``after[0]`` is 0; and the 0/1 error flags of each hyp and ref
+    word.  Tie order is diagonal first, then reference insertion, then
+    hypothesis deletion, which pins down a unique alignment for the shift
+    search.
 
     Costs are unit, so a matching cell always takes the diagonal under the
     tie order.  At a mismatch in cell (i, j), insertion beats the diagonal
@@ -246,21 +255,6 @@ def _trace(hyp: list[int], ref: list[int], cols) -> tuple[int, list[int], list[i
     return len(hyp) + pvs[-1].bit_count() - mvs[-1].bit_count(), after, hyp_err, ref_err
 
 
-def _edit_ops(hyp: list[int], ref: list[int]) -> tuple[int, list[int], list[int], list[int]]:
-    """Edit distance transforming hyp into ref, with the alignment of its path.
-
-    Returns the distance; ``after``, where ``after[r + 1]`` is the number of
-    hyp words the path has consumed on reaching reference word r, so a block
-    shifted to follow that word lands there, and ``after[0]`` is 0; and the
-    0/1 error flags of each hyp and ref word.  Tie order is diagonal first, then
-    reference insertion, then hypothesis deletion, which pins down a unique
-    alignment for the shift search.
-    """
-    if not ref:
-        return len(hyp), [0], [1] * len(hyp), []
-    return _trace(hyp, ref, _kernels.columns(_kernels.bitmasks(ref), len(ref), hyp))
-
-
 def _next_errors(err: list[int]) -> list[int]:
     """For each position p, the first error position at or after p (len(err) if none)."""
     nxt = [len(err)] * (len(err) + 1)
@@ -273,7 +267,7 @@ def _shifts(hyp, ref, starts, after, hyp_err, ref_err):
     """Each (hyp start, length, target) block shift worth scoring, in tercom's order.
 
     ``starts`` maps each ref word to its positions; ``after``, ``hyp_err``
-    and ``ref_err`` are the alignment ``_edit_ops(hyp, ref)`` returns.  A
+    and ``ref_err`` are the alignment ``_trace`` returns for hyp and ref.  A
     span hyp[sh:sh + length] that equals ref[sr:sr + length], with at most
     ``MAX_SHIFT_SIZE`` words and ``|sr - sh| <= MAX_SHIFT_DIST``, is moved
     only if it holds an error on both sides and the hyp word aligned to ref
@@ -355,11 +349,6 @@ def _shift_search(hyp_words: list[str], ref_words: list[str]) -> tuple[int, bool
             return shifts + pre, checked >= MAX_SHIFT_CANDIDATES
         hyp = best[4]
         shifts += 1
-
-
-def _pair_edits(hyp_words: list[str], ref_words: list[str]) -> int:
-    """Edits for one segment pair: greedy block shifts + final edit distance."""
-    return _shift_search(hyp_words, ref_words)[0]
 
 
 def ter(hypotheses: list[str], references: list[str], cache: dict | None = None) -> float:

@@ -37,15 +37,16 @@ greedy summary of every source context it has decoded. With English context
 the hypotheses diverge and the beam matters.
 
 Every cost value is built with the same ``math.log`` / ``math.exp`` calls
-on the same arguments as ``ngram_distribution`` and ``nb_posterior``, though
-the naive-Bayes costs call them once per distinct score value rather than
-once per target. numpy is used only for steps that IEEE arithmetic makes
-exact: add, subtract, correctly rounded division, max, fill, scatter,
-gather, ranking, partition and sort. ``np.log`` and ``np.exp`` may differ
-from ``math`` in the last bit and ``np.sum`` adds in another order; any of
-these could reorder two nearly tied hypotheses and change a decoded
-sentence. A probability that underflows to 0.0 costs ``inf`` rather than
-failing ``math.log``, so the decoder picks it only when nothing else is left.
+on the same arguments as the per-target n-gram and naive-Bayes references in
+``tests/oracles.py``, though the naive-Bayes costs call them once per
+distinct score value rather than once per target. numpy is used only for
+steps that IEEE arithmetic makes exact: add, subtract, correctly rounded
+division, max, fill, scatter, gather, ranking, partition and sort.
+``np.log`` and ``np.exp`` may differ from ``math`` in the last bit and
+``np.sum`` adds in another order; any of these could reorder two nearly
+tied hypotheses and change a decoded sentence. A probability that
+underflows to 0.0 costs ``inf`` rather than failing ``math.log``, so the
+decoder picks it only when nothing else is left.
 """
 
 from __future__ import annotations
@@ -203,11 +204,10 @@ class NgramModel:
         """token -> position in vocab."""
         return {tok: i for i, tok in enumerate(self.vocab)}
 
-    def distribution(self, src_slots: tuple, eng_slots: tuple = ()) -> dict[str, float]:
-        return ngram_distribution(self, src_slots, eng_slots)
-
     def costs(self, src_slots: tuple, eng_slots: tuple = ()) -> np.ndarray:
-        """-log of `distribution` over `vocab`, equal to it bit for bit."""
+        """-log P(target | context) over `vocab`: additive smoothing, uniform on an unseen context.
+
+        Equal bit for bit to -math.log of the per-target n-gram reference in `tests/oracles.py`."""
         _check_arity(self, src_slots)
         key = _context_key(tuple(src_slots), tuple(eng_slots), self.ordered)
         bucket = self.counts.get(key, {})
@@ -233,6 +233,9 @@ class NgramModel:
     def from_dict(cls, payload: dict) -> "NgramModel":
         n, context_mode, ordered, alpha = (payload[key] for key in ("n", "context_mode", "ordered", "alpha"))
         width = check_settings(n, context_mode, alpha, ordered)
+        # training counts at least one context, and each key holds `width` slots: the file's size bounds n
+        if not payload["counts"]:
+            raise DataError("model counts are empty; training writes at least one context")
         counts = {}
         for ctx, tgts in payload["counts"]:
             if len(ctx) != width:
@@ -265,16 +268,6 @@ def train_ngram(
                       vocab=tuple(sorted(vocab)))
 
 
-def ngram_distribution(model: NgramModel, src_slots: tuple, eng_slots: tuple = ()) -> dict[str, float]:
-    """Additively smoothed P(target | context); unseen contexts are uniform."""
-    _check_arity(model, src_slots)
-    key = _context_key(tuple(src_slots), tuple(eng_slots), model.ordered)
-    bucket = model.counts.get(key, {})
-    total = model.context_totals.get(key, 0)
-    denom = total + model.alpha * len(model.vocab)
-    return {tok: (bucket.get(tok, 0) + model.alpha) / denom for tok in model.vocab}
-
-
 @dataclass
 class NaiveBayesModel:
     """Factored estimator: prior(target) times per-slot P(slot value | target)."""
@@ -297,16 +290,16 @@ class NaiveBayesModel:
     def total_positions(self) -> int:
         return sum(self.target_counts.values())
 
-    def distribution(self, src_slots: tuple, eng_slots: tuple = ()) -> dict[str, float]:
-        return nb_posterior(self, src_slots, eng_slots)
-
     def costs(self, src_slots: tuple, eng_slots: tuple = ()) -> np.ndarray:
-        """-log of `distribution` over `vocab`, equal to it bit for bit.
+        """-log of the normalized posterior over `vocab`, computed in log space.
 
-        Each target's log score adds the same `math.log` terms in the same
-        slot order as `nb_posterior`, one vector addition per slot. The
-        `math.exp` and `math.log` of the normalization run once per distinct
-        score value, not once per target: equal scores give equal results.
+        Equal bit for bit to -math.log of the per-target posterior in `tests/oracles.py`:
+        each target's log score adds the same `math.log` terms in the same
+        slot order, one vector addition per slot. The `math.exp` and
+        `math.log` of the normalization run once per distinct score value,
+        not once per target: equal scores give equal results. A probability
+        that underflows to 0.0 costs inf, and when every score does, every
+        target does.
         """
         _check_arity(self, src_slots)
         log_prior, defaults, overrides = self._cost_tables
@@ -354,15 +347,6 @@ class NaiveBayesModel:
                 {v: (np.array(idx, dtype=np.intp), np.array(logs)) for v, (idx, logs) in by_value.items()}
             )
         return log_prior, defaults, overrides
-
-    def prior(self) -> dict[str, float]:
-        denom = self.total_positions + self.alpha * len(self.vocab)
-        return {t: (self.target_counts.get(t, 0) + self.alpha) / denom for t in self.vocab}
-
-    def slot_likelihood(self, slot: int, target: str, value: str) -> float:
-        count = self.slot_counts[slot].get(target, {}).get(value, 0)
-        total = self.target_counts.get(target, 0)
-        return (count + self.alpha) / (total + self.alpha * len(self.slot_vocabs[slot]))
 
     def to_dict(self) -> dict:
         return {
@@ -435,26 +419,6 @@ def train_naive_bayes(
                            vocab=tgt_sorted)
 
 
-def nb_posterior(model: NaiveBayesModel, src_slots: tuple, eng_slots: tuple = ()) -> dict[str, float]:
-    """Normalized posterior over the target vocabulary, computed in log space; a probability that
-    underflows to 0.0 scores -inf, and when every score does, every target gets 0.0."""
-    _check_arity(model, src_slots)
-    context = tuple(src_slots) + tuple(eng_slots)
-    prior_denom = model.total_positions + model.alpha * len(model.vocab)
-    log_scores = []
-    for target in model.vocab:
-        score = _log((model.target_counts.get(target, 0) + model.alpha) / prior_denom)
-        for slot, value in enumerate(context):
-            score += _log(model.slot_likelihood(slot, target, value))
-        log_scores.append(score)
-    peak = max(log_scores)
-    if peak == -math.inf:
-        return dict.fromkeys(model.vocab, 0.0)
-    weights = [math.exp(s - peak) for s in log_scores]
-    z = _left_sum(weights)
-    return {t: w / z for t, w in zip(model.vocab, weights)}
-
-
 # ---------------------------------------------------------------------------
 # Decoding
 # ---------------------------------------------------------------------------
@@ -515,10 +479,10 @@ def beam_translate(model, source: list[str], beams: int = 8) -> list[str]:
     ordered by (cost, token sequence). The live hypotheses are kept in
     token-sequence order and `vocab` is sorted, so an entry's flat index
     is its sequence order. The cost vectors are computed with `math.log` /
-    `math.exp`, not numpy's, so each entry equals `-math.log(p)` of
-    `distribution` to the last bit and near-ties resolve exactly as a
-    per-expansion sort would; a naive-Bayes vector runs them once per
-    distinct score value.
+    `math.exp`, not numpy's, so each entry equals `-math.log(p)` of the
+    per-target reference in `tests/oracles.py` to the last bit and near-ties
+    resolve exactly as a per-expansion sort would; a naive-Bayes vector runs
+    them once per distinct score value.
 
     The search returns early, before the last position, once the lowest
     finished cost is <= the lowest live score (the optimality stop of Huang,

@@ -14,7 +14,7 @@ from collections import Counter, defaultdict
 
 import numpy as np
 
-from ettmt.ngram import CONTEXT_ETT_ENG, EOS, PAD
+from ettmt.ngram import CONTEXT_ETT_ENG, EOS, PAD, NaiveBayesModel, NgramModel
 
 
 # ---------------------------------------------------------------------------
@@ -923,6 +923,72 @@ def former_nb_costs(self, src_slots: tuple, eng_slots: tuple = ()) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
+# Per-target n-gram and naive-Bayes distributions
+# ---------------------------------------------------------------------------
+#
+# The package's former per-target paths, as they were apart from names and
+# the totals they read from the model, which are summed here from the counts
+# (exact for ints). Each model's `costs` must equal -math.log of these bit for
+# bit: they make the same math.log / math.exp calls on the same arguments,
+# once per target.
+
+def _log(p: float) -> float:
+    return math.log(p) if p > 0.0 else -math.inf
+
+
+def oracle_ngram_distribution(model, src_slots: tuple, eng_slots: tuple = ()) -> dict[str, float]:
+    """Additively smoothed P(target | context); unseen contexts are uniform."""
+    _check_arity(model, src_slots)
+    src_slots = tuple(src_slots) if model.ordered else tuple(sorted(src_slots))
+    bucket = model.counts.get(src_slots + tuple(eng_slots), {})
+    denom = sum(bucket.values()) + model.alpha * len(model.vocab)
+    return {tok: (bucket.get(tok, 0) + model.alpha) / denom for tok in model.vocab}
+
+
+def oracle_nb_prior(model) -> dict[str, float]:
+    """The smoothed naive-Bayes target prior."""
+    denom = sum(model.target_counts.values()) + model.alpha * len(model.vocab)
+    return {t: (model.target_counts.get(t, 0) + model.alpha) / denom for t in model.vocab}
+
+
+def oracle_nb_slot_likelihood(model, slot: int, target: str, value: str) -> float:
+    """The smoothed naive-Bayes P(slot value | target)."""
+    count = model.slot_counts[slot].get(target, {}).get(value, 0)
+    total = model.target_counts.get(target, 0)
+    return (count + model.alpha) / (total + model.alpha * len(model.slot_vocabs[slot]))
+
+
+def oracle_nb_posterior(model, src_slots: tuple, eng_slots: tuple = ()) -> dict[str, float]:
+    """Normalized posterior over the target vocabulary, computed in log space; a probability that
+    underflows to 0.0 scores -inf, and when every score does, every target gets 0.0."""
+    _check_arity(model, src_slots)
+    context = tuple(src_slots) + tuple(eng_slots)
+    prior = oracle_nb_prior(model)
+    log_scores = []
+    for target in model.vocab:
+        score = _log(prior[target])
+        for slot, value in enumerate(context):
+            score += _log(oracle_nb_slot_likelihood(model, slot, target, value))
+        log_scores.append(score)
+    peak = max(log_scores)
+    if peak == -math.inf:
+        return dict.fromkeys(model.vocab, 0.0)
+    weights = [math.exp(s - peak) for s in log_scores]
+    z = _left_sum(weights)
+    return {t: w / z for t, w in zip(model.vocab, weights)}
+
+
+def oracle_distribution(model, src_slots: tuple, eng_slots: tuple = ()) -> dict[str, float]:
+    """P(target | context) over `model.vocab`: the reference above for an n-gram or naive-Bayes
+    model, and a test's stand-in model's own `distribution`."""
+    if isinstance(model, NgramModel):
+        return oracle_ngram_distribution(model, src_slots, eng_slots)
+    if isinstance(model, NaiveBayesModel):
+        return oracle_nb_posterior(model, src_slots, eng_slots)
+    return model.distribution(src_slots, eng_slots)
+
+
+# ---------------------------------------------------------------------------
 # Beam decoding
 # ---------------------------------------------------------------------------
 
@@ -952,11 +1018,11 @@ def oracle_beam_translate(model, source: list[str], beams: int = 8) -> list[str]
     for i in range(len(source)):
         src_slots = tuple(padded[i : i + n])
         expansions: list[tuple[float, tuple[str, ...]]] = []
-        shared = None if uses_history else model.distribution(src_slots)
+        shared = None if uses_history else oracle_distribution(model, src_slots)
         for score, tokens in alive:
             if uses_history:
                 history = tuple(([PAD] * n + list(tokens))[-n:])
-                dist = model.distribution(src_slots, history)
+                dist = oracle_distribution(model, src_slots, history)
             else:
                 dist = shared
             for tok, p in dist.items():

@@ -23,7 +23,7 @@ from ettmt.harness import BenchmarkConfig, run_benchmark
 from ettmt.ibm import IbmModel, train_ibm1
 from ettmt.metrics import bleu, chrf, score_corpus, ter
 from ettmt.modelio import translate
-from ettmt.ngram import beam_translate, ngram_distribution, train_naive_bayes, train_ngram
+from ettmt.ngram import beam_translate, train_naive_bayes, train_ngram
 from ettmt.tokenize import detokenize, tokenize_suffix, tokenize_whitespace
 
 from test_harness import write_corpus, write_lexicon
@@ -93,15 +93,15 @@ def test_criterion_3_ibm1_em_sanity():
     started = time.perf_counter()
     table = train_ibm1(pairs, iterations=10)
     elapsed = time.perf_counter() - started
-    row = table.row("buch")
-    assert max(row, key=row.get) == "book"
+    assert table.best_target("buch")[0] == "book"
     history = table.loglik_history
     for before, after in zip(history, history[1:]):
         assert after >= before - 1e-9
     # brute-force EM oracle agrees with the trained table
     oracle_t, oracle_hist = oracles.oracle_ibm1(pairs, 10)
     assert history[:10] == pytest.approx(oracle_hist, abs=1e-9)
-    assert table.prob("buch", "book") == pytest.approx(oracle_t[("buch", "book")], abs=1e-9)
+    probs = {(f, e): p for f, e, p in table.to_dict(prune=0.0)["entries"]}
+    assert probs[("buch", "book")] == pytest.approx(oracle_t[("buch", "book")], abs=1e-9)
     assert elapsed < 1.0
     _report("3 alignment EM sanity (argmax buch->book, log-likelihood monotone)")
 
@@ -211,12 +211,12 @@ class TestCriterion7Properties:
             eng_slots = ("x",) if mode == "ett-eng" else ()
             for ctx in contexts:
                 for model in (ngram_model, nb_model):
-                    dist = model.distribution(ctx, eng_slots)
-                    assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
-                    assert all(p > 0 for p in dist.values())
+                    dist = np.exp(-model.costs(ctx, eng_slots))
+                    assert float(dist.sum()) == pytest.approx(1.0, abs=1e-9)
+                    assert (dist > 0).all()
         ttable = train_ibm1(pairs, iterations=3)
-        for f in ttable.source_vocab:
-            assert sum(ttable.row(f).values()) == pytest.approx(1.0, abs=1e-6)
+        for lo, hi in zip(ttable.indptr[:-1], ttable.indptr[1:]):
+            assert float(ttable.probs[lo:hi].sum()) == pytest.approx(1.0, abs=1e-6)
         random_model = train_random([eng for _, eng in pairs])
         assert float(random_model.probs.sum()) == pytest.approx(1.0, abs=1e-9)
 
@@ -231,9 +231,9 @@ class TestCriterion7Properties:
         pairs = [(["a", "b", "c"], ["x", "y", "z"]), (["c", "a"], ["y", "w"])]
         model = train_ngram(pairs, n=3, ordered=False)
         for ctx in [("a", "b", "c"), ("c", "a", "<pad>")]:
-            expected = ngram_distribution(model, ctx)
+            expected = model.costs(ctx).tolist()
             for perm in itertools.permutations(ctx):
-                assert ngram_distribution(model, perm) == expected
+                assert model.costs(perm).tolist() == expected
 
     def test_augmentation_preserves_shape(self):
         cfg = AugmentConfig(damage_prob=0.6, damage_geom_p=0.4)

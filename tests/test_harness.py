@@ -662,7 +662,7 @@ class TestCli:
 
         family, loaded = load_model(model)
         assert family == "ibm2"
-        assert loaded.ttable.prob("mi", "i") >= 0.0
+        assert {(f, e): p for f, e, p in loaded.ttable.to_dict(prune=0.0)["entries"]}[("mi", "i")] >= 0.0
         assert loaded.align.blocks
 
     @pytest.mark.parametrize(
@@ -748,6 +748,20 @@ class TestCli:
             ('{"format": "ettmt-model", "version": 1, "family": "random", "payload": {"length_mean": ' + HUGE
              + ', "length_std": 1.0, "tokens": ["i"], "probs": [1.0]}}',
              "bad random model payload: int too large to convert to float"),
+            # with no counts nothing bounds n: 10**7 pads each decoded position with ten million slots
+            ('{"format": "ettmt-model", "version": 1, "family": "ngram", "payload": {"n": 10000000, '
+             '"context_mode": "ett", "ordered": true, "alpha": 1.0, "vocab": ["<eos>", "<pad>"], "counts": []}}',
+             "model counts are empty; training writes at least one context"),
+            ('{"format": "ettmt-model", "version": 1, "family": "ngram", "payload": {"n": ' + HUGE + ', '
+             '"context_mode": "ett", "ordered": true, "alpha": 1.0, "vocab": ["<eos>", "<pad>"], "counts": []}}',
+             "model counts are empty; training writes at least one context"),
+            # a length pair has one spelling, so two keys cannot name one block
+            ('{"format": "ettmt-model", "version": 1, "family": "ibm2", "payload": {"ttable": {"entries": '
+             '[["mi", "i", 1.0]]}, "aligntable": {"blocks": {"2,2": [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]], '
+             '"02,2": [[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]}}}}', "alignment block key '02,2' must be written '2,2'"),
+            ('{"format": "ettmt-model", "version": 1, "family": "ibm2", "payload": {"ttable": {"entries": '
+             '[["mi", "i", 1.0]]}, "aligntable": {"blocks": {"+2,2": [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]}}}}',
+             "alignment block key '+2,2' must be written '2,2'"),
         ] + [case[:2] for case in BAD_COUNT_FILES],
         ids=["invalid-json", "top-level-list", "no-payload", "payload-list", "ibm1-no-ttable", "ibm2-no-aligntable",
              "ibm1-entries-int", "ibm2-blocks-list", "dict-table-int", "ngram-counts-int",
@@ -757,7 +771,8 @@ class TestCli:
              "random-probs-sum", "random-length-mean-inf", "random-length-std-negative", "random-length-std-nan",
              "random-length-mean-huge", "random-length-std-huge", "ibm1-prob-nan", "ibm1-prob-negative",
              "ibm1-prob-huge", "ibm1-drop-nan", "ibm1-history-string", "ibm1-entry-repeated", "ibm2-block-nan",
-             "ibm2-block-bool", "nested-200000-deep", "random-length-mean-int-huge"]
+             "ibm2-block-bool", "nested-200000-deep", "random-length-mean-int-huge", "ngram-no-counts-n-1e7",
+             "ngram-no-counts-n-huge", "ibm2-block-key-repeated", "ibm2-block-key-signed"]
         + [case[2] for case in BAD_COUNT_FILES],
     )
     def test_malformed_model_file_exits_2(self, tmp_path, capsys, text, message):
@@ -1046,7 +1061,20 @@ class TestCli:
 
 
 def _mutable_paths(payload: dict) -> dict[str, list[tuple]]:
-    """Key paths into an n-gram or naive-Bayes payload: {kind: [path to one setting, vocabulary entry or count]}."""
+    """Key paths into a model payload: {kind: [path to one value of that kind]}. The kinds are an n-gram
+    or naive-Bayes file's settings, vocabulary entries and counts, and an IBM file's t-table entry fields,
+    drop probabilities, log-likelihoods and alignment-block cells."""
+    if "ttable" in payload:
+        table = payload["ttable"]
+        paths = {
+            "t-table entry": [("ttable", "entries", i, k) for i in range(len(table["entries"])) for k in range(3)],
+            "drop probability": [("ttable", "drop_probs", f) for f in table["drop_probs"]],
+            "log-likelihood": [("ttable", "loglik_history", i) for i in range(len(table["loglik_history"]))],
+            "alignment cell": [("aligntable", "blocks", key, r, c)
+                               for key, rows in payload.get("aligntable", {}).get("blocks", {}).items()
+                               for r, row in enumerate(rows) for c in range(len(row))],
+        }
+        return {kind: found for kind, found in paths.items() if found}
     paths = {
         "setting": [(key,) for key in ("n", "context_mode", "alpha", "ordered", "total_positions") if key in payload],
         "vocabulary": [("vocab", i) for i in range(len(payload["vocab"]))]
@@ -1074,13 +1102,14 @@ class TestModelFileFuzz:
         src = root / "src.txt"
         src.write_text("mi aveles\nitun turuce venel tinas\n", encoding="utf-8")
         docs = {}
-        for family, opts in (("ngram", ["--n", "2"]), ("naive-bayes", ["--context", "ett-eng"])):
+        for family, opts in (("ngram", ["--n", "2"]), ("naive-bayes", ["--context", "ett-eng"]),
+                             ("ibm1", ["--iterations", "2"]), ("ibm2", ["--iterations", "2"])):
             path = root / f"{family}.json"
             assert cli_dispatch(["train", "--family", family, "--in", str(corpus), "--out", str(path)] + opts) == 0
             docs[family] = json.loads(path.read_text(encoding="utf-8"))
         return root, src, docs
 
-    @hypothesis.settings(max_examples=150, derandomize=True, deadline=None)
+    @hypothesis.settings(max_examples=400, derandomize=True, deadline=None)
     @hypothesis.given(data=st.data())
     def test_one_mutation_translates_or_exits_2(self, trained, data):
         root, src, docs = trained

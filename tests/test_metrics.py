@@ -12,9 +12,9 @@ from ettmt import _kernels, metrics
 from ettmt.metrics import (
     MAX_SHIFT_CANDIDATES,
     MetricReport,
-    _edit_ops,
-    _pair_edits,
+    _shift_search,
     _shifts,
+    _trace,
     bleu,
     chrf,
     score_corpus,
@@ -261,6 +261,11 @@ def _random_pair(rnd):
     return " ".join(hyp), " ".join(ref)
 
 
+def _alignment(hyp, ref):
+    """`_trace` of hyp against a non-empty ref, from the bit-parallel columns the shift search runs."""
+    return _trace(hyp, ref, _kernels.columns(_kernels.bitmasks(ref), len(ref), hyp))
+
+
 def _former_shifts(hyp, ref):
     """The (hyp start, length, target) shifts of one round of
     ``oracles.former_pair_edits``, in the order it scores them."""
@@ -297,7 +302,7 @@ class TestMatchesFormerImplementation:
             assert chrf(hyps, refs) == oracles.former_chrf(hyps, refs)
             assert ter(hyps, refs) == oracles.former_ter(hyps, refs)
             for h, r in pairs:
-                assert _pair_edits(h.split(), r.split()) == oracles.former_pair_edits(h.split(), r.split())
+                assert _shift_search(h.split(), r.split())[0] == oracles.former_pair_edits(h.split(), r.split())
 
     @staticmethod
     def _assert_ngram_scores_equal(hyps, refs):
@@ -396,9 +401,12 @@ class TestMatchesFormerImplementation:
     @staticmethod
     def _assert_edit_ops_equal(hyp, ref):
         distance, path = oracles.former_edit_ops(hyp, ref)
+        if not ref:  # the shift search traces nothing: it returns the hyp length, deleted word by word
+            assert _shift_search(hyp, ref) == (distance, False)
+            return
         align, hyp_err, ref_err = oracles._former_path_alignment(path)
         after = [0] + [align[r] + 1 for r in range(len(ref))]
-        assert _edit_ops(hyp, ref) == (distance, after, hyp_err, ref_err)
+        assert _alignment(hyp, ref) == (distance, after, hyp_err, ref_err)
 
     def test_pair_edits_equal_past_machine_words(self):
         rnd = random.Random(16)
@@ -407,7 +415,7 @@ class TestMatchesFormerImplementation:
             # two swapped blocks and a substitution, so the search shifts
             hyp = ref[:20] + ref[50:58] + ref[20:50] + ref[58:]
             hyp[rnd.randrange(n)] = "x"
-            assert _pair_edits(hyp, ref) == oracles.former_pair_edits(hyp, ref)
+            assert _shift_search(hyp, ref)[0] == oracles.former_pair_edits(hyp, ref)
 
     def test_shift_candidates_equal(self):
         # the shifts scored in one round, in the former search's order;
@@ -420,7 +428,10 @@ class TestMatchesFormerImplementation:
             starts = {}
             for sr, word in enumerate(ref):
                 starts.setdefault(word, []).append(sr)
-            _, after, hyp_err, ref_err = _edit_ops(hyp, ref)
+            if not ref:  # the shift search returns before it looks for a shift
+                assert _former_shifts(hyp, ref) == []
+                continue
+            _, after, hyp_err, ref_err = _alignment(hyp, ref)
             assert list(_shifts(hyp, ref, starts, after, hyp_err, ref_err)) == _former_shifts(hyp, ref)
 
     def test_repeated_pairs_equal(self):
@@ -462,5 +473,5 @@ class TestMatchesFormerImplementation:
         calls = []
         distance = _kernels.levenshtein
         monkeypatch.setattr(_kernels, "levenshtein", lambda *args: calls.append(1) or distance(*args))
-        assert _pair_edits(hyp, ref) == oracles.former_pair_edits(hyp, ref)
+        assert _shift_search(hyp, ref)[0] == oracles.former_pair_edits(hyp, ref)
         assert len(calls) == MAX_SHIFT_CANDIDATES

@@ -25,8 +25,6 @@ from ettmt.ngram import (
     align_pair,
     beam_translate,
     check_settings,
-    ngram_distribution,
-    nb_posterior,
     train_naive_bayes,
     train_ngram,
     training_positions,
@@ -61,6 +59,11 @@ class TestAlignment:
         assert positions[1] == (("e1", "e2"), (PAD, "g1"), "g2")
 
 
+def _probs(model, src_slots, eng_slots=()) -> dict[str, float]:
+    """exp(-costs) by target: the probabilities the decoder runs on."""
+    return dict(zip(model.vocab, np.exp(-model.costs(src_slots, eng_slots)).tolist()))
+
+
 class TestTrainNgram:
     def test_single_pair_count(self):
         model = train_ngram([(["a"], ["x"])], n=1)
@@ -87,20 +90,20 @@ class TestTrainNgram:
         assert again.counts == model.counts
         assert again.vocab == model.vocab
         ctx = ((PAD, "a"), ())
-        assert again.distribution(*ctx) == model.distribution(*ctx)
+        assert again.costs(*ctx).tolist() == model.costs(*ctx).tolist()
 
 
 class TestNgramDistribution:
     def test_unseen_context_uniform(self):
         model = train_ngram([(["a"], ["x"]), (["b"], ["y"])], n=1)
-        dist = ngram_distribution(model, ("never-seen",))
+        dist = _probs(model, ("never-seen",))
         assert len(dist) == 4  # x, y, EOS, PAD
         for p in dist.values():
             assert p == pytest.approx(0.25)
 
     def test_smoothing_formula(self):
         model = train_ngram([(["a"], ["x"])], n=1, alpha=1.0)
-        dist = ngram_distribution(model, ("a",))
+        dist = _probs(model, ("a",))
         # V = {x, EOS, PAD}; count(x|a)=1, total(a)=1
         assert dist["x"] == pytest.approx(2 / 4)
         assert dist[EOS] == pytest.approx(1 / 4)
@@ -111,7 +114,7 @@ class TestNgramDistribution:
         for n, mode, ordered in itertools.product((1, 2, 3), (CONTEXT_ETT, CONTEXT_ETT_ENG), (True, False)):
             model = train_ngram(pairs, n=n, context_mode=mode, ordered=ordered)
             for src_slots, eng_slots, _ in training_positions(["a", "q"], ["x"], n, mode):
-                dist = model.distribution(src_slots, eng_slots)
+                dist = _probs(model, src_slots, eng_slots)
                 assert sum(dist.values()) == pytest.approx(1.0, abs=1e-9)
                 assert all(p > 0 for p in dist.values())
 
@@ -119,14 +122,14 @@ class TestNgramDistribution:
         pairs = [(["a", "b", "c"], ["x", "y", "z"]), (["c", "b"], ["y", "x"])]
         model = train_ngram(pairs, n=3, ordered=False)
         base = ("a", "b", "c")
-        expected = ngram_distribution(model, base)
+        expected = model.costs(base).tolist()
         for perm in itertools.permutations(base):
-            assert ngram_distribution(model, perm) == expected
+            assert model.costs(perm).tolist() == expected
 
     def test_arity_checked(self):
         model = train_ngram([(["a"], ["x"])], n=2)
-        with pytest.raises(ValueError):
-            ngram_distribution(model, ("a",))
+        with pytest.raises(ValueError, match="expected 2 source slots, got 1"):
+            model.costs(("a",))
 
     def test_unordered_keeps_english_slot_order(self):
         # only the source slots are canonicalized; the generated-English
@@ -134,37 +137,37 @@ class TestNgramDistribution:
         pairs = [(["a", "b"], ["x", "y"]), (["b", "a"], ["y", "x"])]
         model = train_ngram(pairs, n=2, context_mode=CONTEXT_ETT_ENG, ordered=False)
         src = ("a", "b")
-        assert model.distribution(("b", "a"), (PAD, "x")) == model.distribution(src, (PAD, "x"))
-        assert model.distribution(src, ("x", PAD)) != model.distribution(src, (PAD, "x"))
+        assert model.costs(("b", "a"), (PAD, "x")).tolist() == model.costs(src, (PAD, "x")).tolist()
+        assert model.costs(src, ("x", PAD)).tolist() != model.costs(src, (PAD, "x")).tolist()
 
 
 class TestNaiveBayes:
     def test_posterior_argmax_single_pair(self):
         model = train_naive_bayes([(["a"], ["x"])], n=1)
-        post = nb_posterior(model, ("a",))
-        assert max(post, key=post.get) == "x"
+        assert model.vocab[int(model.costs(("a",)).argmin())] == "x"
 
     def test_posterior_sums_to_one(self):
         model = train_naive_bayes([(["a", "b"], ["x", "y"]), (["b"], ["z"])], n=2)
-        post = nb_posterior(model, ("a", "b"))
+        post = _probs(model, ("a", "b"))
         assert sum(post.values()) == pytest.approx(1.0, abs=1e-9)
 
     def test_symmetry(self):
         model = train_naive_bayes([(["a"], ["x"]), (["a"], ["y"])], n=1)
-        post = nb_posterior(model, ("a",))
+        post = _probs(model, ("a",))
         assert post["x"] == pytest.approx(post["y"], abs=1e-12)
 
     def test_log_space_matches_direct_space(self):
         pairs = [(["a", "b"], ["x", "y"]), (["b", "c"], ["y"]), (["a"], ["z"])]
         model = train_naive_bayes(pairs, n=2, context_mode=CONTEXT_ETT_ENG)
-        prior = model.prior()
+        prior = oracles.oracle_nb_prior(model)
         conditionals = [
-            {t: {v: model.slot_likelihood(slot, t, v) for v in model.slot_vocabs[slot]} for t in model.vocab}
+            {t: {v: oracles.oracle_nb_slot_likelihood(model, slot, t, v) for v in model.slot_vocabs[slot]}
+             for t in model.vocab}
             for slot in range(len(model.slot_vocabs))
         ]
         context = ("a", "b", PAD, "x")
         direct = oracles.oracle_factored_posterior(prior, conditionals, context)
-        log_space = nb_posterior(model, ("a", "b"), (PAD, "x"))
+        log_space = _probs(model, ("a", "b"), (PAD, "x"))
         for target in model.vocab:
             assert log_space[target] == pytest.approx(direct[target], abs=1e-9)
 
@@ -172,26 +175,32 @@ class TestNaiveBayes:
         # multiplying every prior by a constant cancels in the normalization
         pairs = [(["a"], ["x"]), (["a"], ["x"]), (["a"], ["y"])]
         model = train_naive_bayes(pairs, n=1)
-        post = nb_posterior(model, ("a",))
-        prior = model.prior()
+        costs = model.costs(("a",))
+        prior = oracles.oracle_nb_prior(model)
         scaled = {t: 7.5 * p for t, p in prior.items()}
         scores = {
-            t: scaled[t] * model.slot_likelihood(0, t, "a") for t in model.vocab
+            t: scaled[t] * oracles.oracle_nb_slot_likelihood(model, 0, t, "a") for t in model.vocab
         }
-        assert max(scores, key=scores.get) == max(post, key=post.get)
+        assert max(scores, key=scores.get) == model.vocab[int(costs.argmin())]
 
     def test_conditionals_sum_to_one(self):
+        # the log-likelihoods `costs` adds: a slot value's override, else the slot's default
         model = train_naive_bayes([(["a", "b"], ["x"]), (["c"], ["y", "z"])], n=2)
+        _, defaults, overrides = model._cost_tables
         for slot, vocab in enumerate(model.slot_vocabs):
-            for target in model.vocab:
-                total = sum(model.slot_likelihood(slot, target, v) for v in vocab)
+            for t in range(len(model.vocab)):
+                total = 0.0
+                for v in vocab:
+                    idx, logs = overrides[slot].get(v, ([], []))
+                    hits = [log for i, log in zip(list(idx), list(logs)) if i == t]
+                    total += math.exp(hits[0] if hits else defaults[slot][t])
                 assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_serialization_roundtrip(self):
         model = train_naive_bayes([(["a", "b"], ["x", "y"])], n=2, context_mode=CONTEXT_ETT_ENG)
         again = NaiveBayesModel.from_dict(model.to_dict())
         ctx = (("a", "b"), (PAD, "x"))
-        assert again.distribution(*ctx) == pytest.approx(model.distribution(*ctx))
+        assert again.costs(*ctx).tolist() == pytest.approx(model.costs(*ctx).tolist())
 
 
 # (setting, bad value, the DataError message every entry point gives for it)
@@ -394,7 +403,7 @@ class _CountingMath:
 
 
 class TestCostVectors:
-    # `costs` must equal `-math.log` of `distribution` exactly, not
+    # `costs` must equal `-math.log` of the oracle's distribution exactly, not
     # approximately: np.log / np.exp can differ from math.log / math.exp in
     # the last bit, and np.sum adds in another order than a sequential sum.
     # One ulp is enough to reorder two nearly tied hypotheses in the beam.
@@ -408,7 +417,7 @@ class TestCostVectors:
             for _ in range(20):
                 src = tuple(rng.choices(src_values, k=model.n))
                 eng = tuple(rng.choices(eng_values, k=model.n)) if model.context_mode == CONTEXT_ETT_ENG else ()
-                expected = [-math.log(p) for p in model.distribution(src, eng).values()]
+                expected = [-math.log(p) for p in oracles.oracle_distribution(model, src, eng).values()]
                 assert model.costs(src, eng).tolist() == expected, (model, src, eng)
 
     def test_costs_equal_distribution_exactly_larger_models(self):
@@ -425,7 +434,7 @@ class TestCostVectors:
                 train_naive_bayes(pairs, n=n, context_mode=mode, alpha=alpha),
             ):
                 for src, eng in contexts:
-                    expected = [-math.log(p) for p in model.distribution(src, eng).values()]
+                    expected = [-math.log(p) for p in oracles.oracle_distribution(model, src, eng).values()]
                     assert model.costs(src, eng).tolist() == expected, (model, src, eng)
 
     def test_ngram_costs_equal_distribution_over_many_counts(self):
@@ -440,7 +449,7 @@ class TestCostVectors:
         for alpha in (1.0, 0.5, 0.01, 1):
             model = NgramModel(n=1, context_mode=CONTEXT_ETT, ordered=True, alpha=alpha, counts=counts, vocab=vocab)
             for key in counts:
-                expected = [-math.log(p) for p in model.distribution(key).values()]
+                expected = [-math.log(p) for p in oracles.oracle_ngram_distribution(model, key).values()]
                 assert model.costs(key).tolist() == expected, (alpha, key)
 
     def test_normalizer_adds_left_to_right(self):
@@ -466,7 +475,7 @@ class TestCostVectors:
             for src, eng in _tie_heavy_contexts(rng, model, 30):
                 got = model.costs(src, eng).tolist()
                 assert got == oracles.former_nb_costs(model, src, eng).tolist(), (n, mode, alpha, src, eng)
-                assert got == [-math.log(p) for p in model.distribution(src, eng).values()]
+                assert got == [-math.log(p) for p in oracles.oracle_distribution(model, src, eng).values()]
                 assert len(set(got)) < len(model.vocab) // 4
 
     def test_exp_and_log_run_once_per_distinct_value(self, monkeypatch):
@@ -878,7 +887,7 @@ class TestBeamTranslate:
         def walk(pos, emitted, cost):
             src_slots = tuple(padded[pos : pos + n])
             history = tuple(([PAD] * n + list(emitted))[-n:])
-            dist = model.distribution(src_slots, history)
+            dist = oracles.oracle_distribution(model, src_slots, history)
             for tok, p in dist.items():
                 step = cost - math.log(p)
                 if tok == EOS:
@@ -916,7 +925,7 @@ class TestBeamTranslate:
             for pos, tok in enumerate(tokens):
                 src_slots = tuple(padded[pos : pos + model.n])
                 history = tuple(([PAD] * model.n + emitted)[-model.n :])
-                total -= math.log(model.distribution(src_slots, history)[tok])
+                total += model.costs(src_slots, history)[model.vocab.index(tok)]
                 emitted.append(tok)
             return total
 
@@ -934,7 +943,7 @@ class TestUnderflow:
 
     @staticmethod
     def _expected_costs(model, src, eng):
-        return [-math.log(p) if p > 0.0 else math.inf for p in model.distribution(src, eng).values()]
+        return [-math.log(p) if p > 0.0 else math.inf for p in oracles.oracle_distribution(model, src, eng).values()]
 
     def test_naive_bayes_posterior_underflow(self):
         model = train_naive_bayes([(["a", "b"], ["x", "y"]), (["c"], ["z"])], n=2,
@@ -970,7 +979,7 @@ class TestUnderflow:
     def test_naive_bayes_reference_underflow(self, pairs, src, zeros):
         # the reference posterior scores an underflowed probability -inf, as the cost tables do
         model = train_naive_bayes(pairs, n=1, alpha=5e-324)
-        dist = model.distribution(src)
+        dist = oracles.oracle_nb_posterior(model, src)
         assert list(dist.values()).count(0.0) == zeros
         expected = np.array([-_log(p) for p in dist.values()])
         assert model.costs(src).tobytes() == expected.tobytes()
