@@ -214,11 +214,16 @@ def build_links(
         return pair, i, j, f.astype(np.int64) * width + e
 
     # the distinct (source type, target type) keys, ascending, merged chunk by
-    # chunk; the second pass recomputes each chunk's keys rather than keep all
+    # chunk; the second pass recomputes each chunk's keys rather than keep all.
+    # Plain ints, so every sort gives the same array; the choice is speed.  The
+    # default sort is the fastest on a chunk's unsorted keys, and the stable
+    # sort (timsort) merges the two sorted runs in one linear pass.  At
+    # dataset scale (127 chunks, 120,271 keys) the merge took 0.05 s this way,
+    # 0.07-0.10 s with one stable sort and 0.12 s with one default sort.
     keys = np.zeros(0, dtype=np.int64)
     for p0, p1 in spans:
-        merged = np.concatenate((keys, chunk_links_of(p0, p1)[3]))
-        merged.sort(kind="stable")  # quicksort's SIMD code adds 0.2 MB to peak RSS
+        merged = np.concatenate((keys, np.sort(chunk_links_of(p0, p1)[3])))
+        merged.sort(kind="stable")
         keys = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
     t_indptr = np.zeros(n_src_types + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys // width, minlength=n_src_types), out=t_indptr[1:])
@@ -306,11 +311,14 @@ def dense_rank(keys: np.ndarray) -> tuple[np.ndarray, int]:
     """Each key's rank among the distinct keys, and how many distinct keys there are.
 
     Used for BLEU / chr-F n-gram ids and for the distinct naive-Bayes scores,
-    so ``keys`` may be integers or floats.
+    so ``keys`` may be integers or floats.  Equal keys get one rank whatever
+    order the sort leaves them in, so numpy's default (unstable, SIMD) sort
+    serves.  On a 2-core Xeon VM with numpy 2.4 it argsorts 2,048 int64 keys
+    in about 40 us, where a stable sort takes 110-130 us.  With it the peak
+    RSS of the perfbench workloads rose by 0.2-0.4 MB (0.7 MB on ``score``,
+    whose metric chunks grew at the same time), under 2%.
     """
-    # a stable sort, not np.unique or quicksort: their code pages alone add
-    # to peak RSS more than the arrays they rank do
-    order = np.argsort(keys, kind="stable")
+    order = np.argsort(keys)
     ordered = keys[order]
     step = np.zeros(len(keys), dtype=np.int64)
     np.not_equal(ordered[1:], ordered[:-1], out=step[1:])  # 1 where a new key starts

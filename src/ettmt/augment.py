@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import Lexicon
+from .errors import check_seed
 
 Pair = tuple[list[str], list[str]]
 
@@ -36,6 +37,7 @@ class AugmentConfig:
             raise ValueError("damage_geom_p must be in (0, 1]")
         if self.damage_iterations < 0:
             raise ValueError("damage_iterations must be >= 0")
+        check_seed("seed", self.seed)
 
 
 def _find_span(haystack: list[str], needle: list[str]) -> int:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .augment import AugmentConfig, augment_pairs
 from .corpus import Inscription, ParallelCorpus, load_corpus, load_lexicon, normalize, read_lines, save_corpus
-from .errors import BenchmarkError
+from .errors import BenchmarkError, check_seed
 from .fetch import fetch_dataset
 from .harness import BenchmarkConfig, format_table, run_benchmark
 from .metrics import score_corpus
@@ -83,6 +83,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_translate(args) -> int:
+    check_seed("seed", args.seed)
     family, model = load_model(args.model)
     tok = tokenizer(args.tokenizer, args.suffixes)
     rng = np.random.default_rng(args.seed)

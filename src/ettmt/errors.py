@@ -1,4 +1,4 @@
-"""Shared exception types and the type rule for config and model-file values."""
+"""Shared exception types and the type and seed rules for config and model-file values."""
 
 
 class DataError(ValueError):
@@ -15,3 +15,10 @@ def check_type(key: str, value, default) -> None:
     ok = isinstance(value, (int, float) if want is float else want)
     if not ok or (isinstance(value, bool) and want is not bool):
         raise DataError(f"{key} must be {want.__name__}, not {type(value).__name__} {value!r}")
+
+
+def check_seed(key: str, value) -> None:
+    """DataError unless value is an int >= 0, as numpy's and Python's seeded generators take."""
+    check_type(key, value, 0)
+    if value < 0:
+        raise DataError(f"{key} must be >= 0, got {value!r}")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .augment import AugmentConfig, augment_pairs
 from .corpus import _corpus_format, load_corpus, load_lexicon, read_json, split_corpus
-from .errors import BenchmarkError, DataError, check_type
+from .errors import BenchmarkError, DataError, check_seed, check_type
 from .metrics import score_corpus
 from .modelio import model_label, needs_lexicon, overlay, settings, train_model, translate
 from .tokenize import TOKENIZERS, tokenizer
@@ -50,6 +50,7 @@ class BenchmarkConfig:
             if f.default not in (MISSING, None):
                 check_type(f.name, getattr(self, f.name), f.default)
         check_type("corpus", self.corpus, "")
+        check_seed("seed", self.seed)  # each repeat r seeds its split, augmentation and random model with seed + r
         self.corpus_format = _corpus_format(self.corpus, self.corpus_format)
         if self.corpus_format not in ("tsv", "json"):
             raise DataError(f"corpus_format must be tsv or json, got {self.corpus_format!r}")

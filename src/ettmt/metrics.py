@@ -67,7 +67,13 @@ def _check_corpus(hypotheses, references):
 # rank of (its (n-1)-gram id, the item n - 1 places on), so equal ids mean
 # the same segment and the same n-gram.
 
-CHUNK_ITEMS = 2048  # hypothesis plus reference items per chunk; bounds the temporaries
+# Items (hypothesis plus reference) per chunk.  It bounds the temporaries, a
+# few int64 arrays as long as the chunk.  With the default sort in
+# dense_rank, BLEU plus chr-F over a `score` workload call took
+# 0.070 / 0.063 / 0.060 / 0.064 s (median of 15) at 2,048 / 4,096 / 8,192 /
+# 16,384 items on 2 cores, and each doubling added about 0.3-0.7 MB to the
+# call's peak RSS.
+CHUNK_ITEMS = 8192
 
 
 def _chunks(pairs):

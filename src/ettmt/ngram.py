@@ -67,6 +67,7 @@ EOS = "<eos>"
 CONTEXT_ETT = "ett"
 CONTEXT_ETT_ENG = "ett-eng"
 CONTEXT_MODES = (CONTEXT_ETT, CONTEXT_ETT_ENG)
+MAX_N = 64  # source tokens per context; inscriptions are far shorter, and padding is built n slots wide
 
 Pair = tuple[list[str], list[str]]
 
@@ -118,14 +119,16 @@ def _check_training(pairs: list[Pair]) -> None:
 def check_settings(n, context_mode, alpha, ordered=True) -> int:
     """The context slots per position: n source tokens, plus n English ones in ett-eng mode.
 
-    DataError unless n is an int >= 1, context_mode one of CONTEXT_MODES, alpha a finite number > 0
-    (an int too large for a float is not) and ordered a bool (a bool is no number): the rule for
-    training, model files and configs."""
+    DataError unless n is an int in [1, MAX_N], context_mode one of CONTEXT_MODES, alpha a finite
+    number > 0 (an int too large for a float is not) and ordered a bool (a bool is no number): the
+    rule for training, model files and configs."""
     for key, value, default in (("n", n, 1), ("context_mode", context_mode, CONTEXT_ETT),
                                 ("alpha", alpha, 1.0), ("ordered", ordered, True)):
         check_type(key, value, default)
     if n < 1:
         raise DataError(f"n must be >= 1, got {n!r}")
+    if n > MAX_N:
+        raise DataError(f"n must be <= {MAX_N}, got {n!r}")
     if not 0 < alpha <= sys.float_info.max:
         raise DataError(f"alpha must be a finite number > 0, got {alpha!r}")
     if context_mode not in CONTEXT_MODES:
@@ -232,10 +235,10 @@ class NgramModel:
     @classmethod
     def from_dict(cls, payload: dict) -> "NgramModel":
         n, context_mode, ordered, alpha = (payload[key] for key in ("n", "context_mode", "ordered", "alpha"))
-        width = check_settings(n, context_mode, alpha, ordered)
-        # training counts at least one context, and each key holds `width` slots: the file's size bounds n
+        # training counts at least one context, and each key holds `width` slots
         if not payload["counts"]:
             raise DataError("model counts are empty; training writes at least one context")
+        width = check_settings(n, context_mode, alpha, ordered)
         counts = {}
         for ctx, tgts in payload["counts"]:
             if len(ctx) != width:
@@ -545,6 +548,8 @@ def beam_translate(model, source: list[str], beams: int = 8) -> list[str]:
         k = min(beams, n_open)
         # every entry up to the k-th smallest cost, ties at the cut included
         picked = np.flatnonzero(flat <= np.partition(flat, k - 1)[k - 1])
+        # stable: among equal costs the lowest (hypothesis, token) index survives the cut, and that
+        # choice reaches the output, unlike the order of equal keys in a dense rank
         kept = np.sort(picked[np.argsort(flat[picked], kind="stable")[:k]])
         parent, tok = np.divmod(kept, len(vocab))
         scores = flat[kept]

@@ -256,6 +256,17 @@ def oracle_ter(hypotheses, references):
 
 
 # ---------------------------------------------------------------------------
+# Dense ranks
+# ---------------------------------------------------------------------------
+
+def oracle_dense_rank(keys):
+    """Each key's index among the sorted distinct keys, and how many distinct keys there are."""
+    distinct = sorted(set(keys))
+    index = {key: i for i, key in enumerate(distinct)}
+    return [index[key] for key in keys], len(distinct)
+
+
+# ---------------------------------------------------------------------------
 # The package's former metric implementations
 # ---------------------------------------------------------------------------
 #

@@ -523,6 +523,31 @@ class TestCli:
         assert capsys.readouterr().err == "error: damage_prob must be in [0, 1]\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["translate", "augment", "benchmark"])
+    def test_negative_seed_exits_2(self, tmp_path, corpus_file, lexicon_file, capsys, command):
+        model = tmp_path / "model.json"
+        assert cli_dispatch(["train", "--family", "random", "--in", str(corpus_file), "--out", str(model)]) == 0
+        src = tmp_path / "src.txt"
+        src.write_text("mi aveles\n", encoding="utf-8")
+        out = tmp_path / "out"
+        # a config that splits: its seed must be refused when the config is read, before run 0 splits
+        cfg = tmp_path / "bench.json"
+        cfg.write_text(json.dumps({"corpus": str(corpus_file), "repeats": 2, "seed": -1,
+                                   "models": [{"family": "random"}]}), encoding="utf-8")
+        argv = {
+            "translate": ["translate", "--model", str(model), "--in", str(src), "--out", str(out), "--seed", "-1"],
+            "augment": ["augment", "--in", str(corpus_file), "--lexicon", str(lexicon_file), "--out", str(out),
+                        "--seed", "-1"],
+            "benchmark": ["benchmark", "--config", str(cfg), "--out-dir", str(out)],
+        }[command]
+        capsys.readouterr()
+        assert cli_dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "seed must be >= 0, got -1" in captured.err
+        assert not out.exists()
+
     @pytest.mark.parametrize("family", ["ngram", "random"])  # a beam family and one without beams
     def test_translate_beams_0_exits_2(self, tmp_path, corpus_file, capsys, family):
         model = tmp_path / "model.json"
@@ -841,13 +866,19 @@ class TestCli:
             (lambda cfg: json.dumps({**cfg, "augment": {"damage_prob": 2}}), "damage_prob must be in [0, 1]"),
             (lambda cfg: json.dumps({**cfg, "tokenizer": "suffix"}), "the suffix tokenizer needs a suffix_file"),
             (lambda cfg: json.dumps({**cfg, "corpus_format": "xml"}), "corpus_format must be tsv or json, got 'xml'"),
+            (lambda cfg: json.dumps({**cfg, "models": [{"family": "ngram", "n": 10**32}]}),
+             f"model 0: n must be <= 64, got {10**32}"),
+            (lambda cfg: json.dumps({**cfg, "models": [{"family": "naive-bayes", "n": 10**32}]}),
+             f"model 0: n must be <= 64, got {10**32}"),
+            (lambda cfg: json.dumps({**cfg, "seed": -1}), "seed must be >= 0, got -1"),
         ],
         ids=["invalid-json", "top-level-list", "models-object", "models-empty", "model-string",
              "no-family", "unknown-family", "no-corpus", "repeats-0", "unknown-model-key",
              "n-string", "use-lexicon-int", "beams-on-dict", "repeats-string", "full-eval-string",
              "seed-float", "augment-string", "corpus-int", "lexicon-list", "iterations-0", "n-0",
              "beams-0", "alpha-0", "context-mode-unknown", "augment-unknown-key", "augment-seed",
-             "augment-iterations-float", "augment-prob-2", "suffix-without-file", "corpus-format-xml"],
+             "augment-iterations-float", "augment-prob-2", "suffix-without-file", "corpus-format-xml",
+             "ngram-n-1e32", "naive-bayes-n-1e32", "seed-negative"],
     )
     def test_malformed_benchmark_config_exits_2(self, tmp_path, corpus_file, lexicon_file, capsys, edit, message):
         cfg = {"corpus": str(corpus_file), "lexicon": str(lexicon_file), "repeats": 1, "full_eval": True}
@@ -930,6 +961,9 @@ class TestCli:
         [
             (["--family", "ibm1", "--iterations", "0"], "iterations must be >= 1, got 0"),
             (["--family", "ngram", "--n", "0"], "n must be >= 1, got 0"),
+            # a context wider than MAX_N would be padded with that many slots per position
+            (["--family", "ngram", "--n", "1" + "0" * 32], f"n must be <= 64, got {10**32}"),
+            (["--family", "naive-bayes", "--n", "1" + "0" * 32], f"n must be <= 64, got {10**32}"),
             (["--family", "naive-bayes", "--alpha", "-1"], "alpha must be a finite number > 0, got -1.0"),
             # a flag the family lacks is rejected like the same key in a benchmark config
             (["--family", "ibm1", "--n", "3"], "ibm1 has no key 'n' (keys: iterations, use_lexicon)"),
@@ -938,7 +972,7 @@ class TestCli:
             (["--family", "random", "--with-lexicon-pairs"], "random has no key 'use_lexicon' (keys: none)"),
             (["--family", "ibm2", "--alpha", "0.5"], "ibm2 has no key 'alpha' (keys: iterations, use_lexicon)"),
         ],
-        ids=["iterations-0", "n-0", "alpha-negative", "ibm1-n", "naive-bayes-unordered", "random-lexicon-pairs",
+        ids=["iterations-0", "n-0", "ngram-n-1e32", "naive-bayes-n-1e32", "alpha-negative", "ibm1-n", "naive-bayes-unordered", "random-lexicon-pairs",
              "ibm2-alpha"],
     )
     def test_train_out_of_range_flag_exits_2(self, tmp_path, corpus_file, capsys, flags, message):

@@ -1,10 +1,14 @@
 """Kernel checks: the bit-parallel edit distance, fresh or resumed after a
 prefix, and its per-prefix columns equal the former loop and a full-matrix
-DP, and the E-steps match the former per-pair kernels kept in
-tests/oracles.py."""
+DP, the E-steps match the former per-pair kernels kept in tests/oracles.py,
+and dense ranks equal a sorted-set reference."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ettmt import _kernels
@@ -246,3 +250,53 @@ class TestSegments:
     def test_no_segments(self):
         empty = np.zeros(0, dtype=np.int64)
         assert len(_kernels.Segments(empty, empty).sums(np.ones(3))) == 0
+
+
+class TestDenseRank:
+    """`dense_rank` against `oracles.oracle_dense_rank`, compared with ==, for the int64
+    n-gram keys of BLEU / chr-F and the float64 scores of a naive-Bayes cost row."""
+
+    @staticmethod
+    def _assert_oracle(keys):
+        ranks, kinds = _kernels.dense_rank(keys)
+        assert ranks.dtype == np.int64
+        assert (ranks.tolist(), kinds) == oracles.oracle_dense_rank(keys.tolist())
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 16, 17, 100, 2048, 2333, 5000])
+    @pytest.mark.parametrize("distinct", [1, 3, 83, 10**6])
+    def test_int64_keys_with_ties(self, size, distinct):
+        rnd = np.random.default_rng(size * 7 + distinct)
+        self._assert_oracle(rnd.integers(-distinct, distinct, size=size, dtype=np.int64))
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 16, 17, 100, 2048, 2333, 5000])
+    def test_float64_scores_with_ties_and_minus_inf(self, size):
+        # as in a cost row: shifted log scores <= 0 with few distinct values, some -inf, one 0.0
+        rnd = np.random.default_rng(size)
+        keys = -rnd.choice(rnd.exponential(20.0, size=83), size=size)
+        keys[rnd.random(size) < 0.1] = -math.inf
+        keys[rnd.integers(size)] = 0.0
+        self._assert_oracle(keys)
+
+    def test_single_key(self):
+        for keys in (np.array([5], dtype=np.int64), np.array([-math.inf]), np.array([0.0])):
+            ranks, kinds = _kernels.dense_rank(keys)
+            assert ranks.tolist() == [0] and kinds == 1
+
+    def test_all_equal_and_all_distinct(self):
+        self._assert_oracle(np.full(5000, -math.inf))
+        self._assert_oracle(np.full(5000, 7, dtype=np.int64))
+        self._assert_oracle(np.arange(5000, 0, -1, dtype=np.int64))
+
+    def test_signed_zeros_share_a_rank(self):
+        ranks, kinds = _kernels.dense_rank(np.array([0.0, -0.0, -1.0, -0.0, 0.0]))
+        assert ranks.tolist() == [1, 1, 0, 1, 1] and kinds == 2
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.one_of(
+        st.lists(st.integers(-2**62, 2**62), min_size=1, max_size=300),
+        st.lists(st.integers(-3, 3), min_size=1, max_size=300),
+        st.lists(st.floats(allow_nan=False, allow_infinity=True), min_size=1, max_size=300),
+        st.lists(st.sampled_from([-math.inf, -1.5, -0.0, 0.0, -1e-300]), min_size=1, max_size=300),
+    ))
+    def test_equal_to_oracle(self, keys):
+        self._assert_oracle(np.array(keys, dtype=np.float64 if isinstance(keys[0], float) else np.int64))

@@ -218,6 +218,8 @@ BAD_NUMBERS = [
     ("n", True, "n must be int, not bool True"),
 ]
 BAD_SETTINGS = BAD_NUMBERS + [
+    ("n", 65, "n must be <= 64, got 65"),
+    ("n", 10**32, f"n must be <= 64, got {10**32}"),
     ("context_mode", "foo", "context_mode must be one of ett, ett-eng, got 'foo'"),
     ("ordered", "no", "ordered must be bool, not str 'no'"),
     ("ordered", 1, "ordered must be bool, not int 1"),
