@@ -13,7 +13,8 @@ bit-parallel alignment computation") and to resume ``levenshtein`` from any
 prefix, so a sequence that shares a prefix with one already stepped costs
 only the steps after it.
 The expected-count steps of the alignment-model EM training are numpy array
-operations over link tables built once per training.
+operations over one flat array of links, built once per training: each
+E-step is a single pass over every link of the training set.
 
 Translation tables use a CSR layout over (source type, target type) pairs
 that co-occur in training data: ``t_indptr[f] .. t_indptr[f+1]`` delimits the
@@ -108,9 +109,9 @@ def columns(peq: dict, m: int, b) -> tuple[list[int], list[int], list[int]]:
 # A link is one (source occurrence, target occurrence) combination of a
 # sentence pair.  Its t-table position, and for the position model its
 # position-table position, stay fixed through training, so ``build_links``
-# looks them up once and each E-step is a few array operations per chunk of
-# consecutive pairs.  Links run in (pair, source position, target position)
-# order.
+# looks them up once as flat arrays over the whole training set, and each
+# E-step is one pass of array operations over them.  Links run in (pair,
+# source position, target position) order.
 #
 # The E-steps round exactly as evaluating each pair as one (n_src, n_tgt)
 # numpy block does: counts are added in link order, a target's denominator
@@ -119,7 +120,6 @@ def columns(peq: dict, m: int, b) -> tuple[list[int], list[int], list[int]]:
 # source's received mass, a pair's log-likelihood, and the denominator of a
 # pair with a single target, whose column numpy sums as a 1-D array.
 
-CHUNK_LINKS = 4096  # links per chunk; bounds the temporaries of building links and of E-steps
 PAIRWISE_MIN = 8  # numpy sums 1-D runs of this many terms or more pairwise
 
 
@@ -148,136 +148,88 @@ class Segments:
 
 
 @dataclass
-class LinkChunk:
-    """The links of a run of consecutive sentence pairs; indices are chunk-local."""
+class Links:
+    """Every link of a training corpus, with what the E-steps need per target and source."""
 
     links: np.ndarray  # t-table position per link
     a_links: np.ndarray | None  # position-table position per link (Model 2)
     link_tgt: np.ndarray  # target occurrence per link
-    tgt_lo: int  # global target occurrences tgt_lo .. tgt_hi - 1
-    tgt_hi: int
-    src_lo: int  # global source occurrences src_lo .. src_hi - 1
-    src_hi: int
-    n_src: np.ndarray  # per pair: sources, empty slot included
-    n_tgt: np.ndarray  # per pair: targets
+    tgt_n_src: np.ndarray  # source length, empty slot included, per target occurrence
+    src_n_tgt: np.ndarray  # target length per source occurrence
     # pairs with one target and at least PAIRWISE_MIN sources, whose
     # denominator numpy sums as a 1-D column: their targets and their links
     lone_tgt: np.ndarray
     lone: Segments
-
-
-@dataclass
-class Links:
-    """Every link of a training corpus, with what the E-steps need per target."""
-
-    chunks: list[LinkChunk]
-    tgt_n_src: np.ndarray  # source length, empty slot included, per target occurrence
     pair_targets: Segments  # the target occurrences of each pair that has any
 
 
 def build_links(
     src_flat, src_indptr, tgt_flat, tgt_indptr, n_src_types, align_bases=None
 ) -> tuple[np.ndarray, np.ndarray, Links]:
-    """The t-table layout and every link's table positions, chunk by chunk.
+    """The t-table layout and every link's table positions.
 
     Pair p has sources ``src_flat[src_indptr[p]:src_indptr[p + 1]]`` (empty
     slot first) and targets ``tgt_flat[tgt_indptr[p]:tgt_indptr[p + 1]]``.
     The t-table holds every (source type, target type) that co-occurs in a
     pair: returns its ``t_indptr`` over ``n_src_types`` rows and its sorted
-    ``t_cols``, then the links in chunks of about ``CHUNK_LINKS``.  With
-    ``align_bases``, link (i, j) of pair p also gets the position-table
-    position ``align_bases[p] + j * n_src + i``.  One chunk's arrays are
-    built at a time, so no temporary spans all links.
+    ``t_cols``, then the links.  A link's t-table position is the dense rank
+    of its (source type, target type) key.  With ``align_bases``, link (i, j)
+    of pair p also gets the position-table position
+    ``align_bases[p] + j * n_src + i``.
     """
     n_src = np.diff(src_indptr)
     n_tgt = np.diff(tgt_indptr)
-    n_links = n_src * n_tgt
+    tgt_n_src = np.repeat(n_src, n_tgt)
+    src_n_tgt = np.repeat(n_tgt, n_src)
+    # each source occurrence has a run of links, one per target of its pair
+    src_first = np.cumsum(src_n_tgt) - src_n_tgt
+    # a link's target occurrence: its offset in its run plus its pair's first target
+    link_tgt = np.arange(src_n_tgt.sum()) - np.repeat(src_first - np.repeat(tgt_indptr[:-1], n_src), src_n_tgt)
+    link_tgt = link_tgt.astype(np.int32)
+    a_links = None
+    if align_bases is not None:
+        src_base = np.repeat(align_bases - src_indptr[:-1], n_src) + np.arange(len(src_flat))  # base + i
+        tgt_row = (np.arange(len(tgt_flat)) - np.repeat(tgt_indptr[:-1], n_tgt)) * tgt_n_src  # j * n_src
+        a_links = (np.repeat(src_base, src_n_tgt) + tgt_row[link_tgt]).astype(np.int32)
+
     width = int(tgt_flat.max(initial=0)) + 1
-    bounds = [0]
-    filled = 0
-    for p, k in enumerate(n_links.tolist()):
-        filled += k
-        if filled >= CHUNK_LINKS:
-            bounds.append(p + 1)
-            filled = 0
-    if bounds[-1] < len(n_links):
-        bounds.append(len(n_links))
-    spans = list(zip(bounds, bounds[1:]))
-
-    def chunk_links_of(p0, p1):
-        """(pair - p0, i, j, type key) of every link of pairs p0 .. p1 - 1."""
-        nl = n_links[p0:p1]
-        pair = np.repeat(np.arange(p1 - p0), nl)
-        i, j = np.divmod(np.arange(len(pair)) - (np.cumsum(nl) - nl)[pair], n_tgt[p0:p1][pair])
-        f = src_flat[src_indptr[p0:p1][pair] + i]
-        e = tgt_flat[tgt_indptr[p0:p1][pair] + j]
-        return pair, i, j, f.astype(np.int64) * width + e
-
-    # the distinct (source type, target type) keys, ascending, merged chunk by
-    # chunk; the second pass recomputes each chunk's keys rather than keep all.
-    # Plain ints, so every sort gives the same array; the choice is speed.  The
-    # default sort is the fastest on a chunk's unsorted keys, and the stable
-    # sort (timsort) merges the two sorted runs in one linear pass.  At
-    # dataset scale (127 chunks, 120,271 keys) the merge took 0.05 s this way,
-    # 0.07-0.10 s with one stable sort and 0.12 s with one default sort.
-    keys = np.zeros(0, dtype=np.int64)
-    for p0, p1 in spans:
-        merged = np.concatenate((keys, np.sort(chunk_links_of(p0, p1)[3])))
-        merged.sort(kind="stable")
-        keys = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
+    keys = np.repeat(src_flat.astype(np.int64) * width, src_n_tgt)
+    keys += tgt_flat[link_tgt]
+    ranks, n_keys = dense_rank(keys)
+    distinct = np.empty(n_keys, dtype=np.int64)
+    distinct[ranks] = keys  # the distinct keys, ascending
     t_indptr = np.zeros(n_src_types + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // width, minlength=n_src_types), out=t_indptr[1:])
-    t_cols = (keys % width).astype(np.int32)
+    np.cumsum(np.bincount(distinct // width, minlength=n_src_types), out=t_indptr[1:])
+    t_cols = (distinct % width).astype(np.int32)
 
-    chunks = []
-    for p0, p1 in spans:
-        pair, i, j, link_keys = chunk_links_of(p0, p1)
-        ns, nt, nl = n_src[p0:p1], n_tgt[p0:p1], n_links[p0:p1]
-        first_link = np.cumsum(nl) - nl
-        first_tgt = tgt_indptr[p0:p1] - tgt_indptr[p0]
-        a_links = None
-        if align_bases is not None:
-            a_links = (align_bases[p0:p1][pair] + j * ns[pair] + i).astype(np.int32)
-        lone = (nt == 1) & (ns >= PAIRWISE_MIN)
-        chunks.append(LinkChunk(
-            links=np.searchsorted(keys, link_keys).astype(np.int32),
-            a_links=a_links,
-            link_tgt=(first_tgt[pair] + j).astype(np.int32),
-            tgt_lo=int(tgt_indptr[p0]),
-            tgt_hi=int(tgt_indptr[p1]),
-            src_lo=int(src_indptr[p0]),
-            src_hi=int(src_indptr[p1]),
-            n_src=ns,
-            n_tgt=nt,
-            lone_tgt=first_tgt[lone],
-            lone=Segments(first_link[lone], ns[lone]),
-        ))
+    lone = (n_tgt == 1) & (n_src >= PAIRWISE_MIN)
     links = Links(
-        chunks=chunks,
-        tgt_n_src=np.repeat(n_src, n_tgt),
+        links=ranks.astype(np.int32),
+        a_links=a_links,
+        link_tgt=link_tgt,
+        tgt_n_src=tgt_n_src,
+        src_n_tgt=src_n_tgt,
+        lone_tgt=tgt_indptr[:-1][lone],
+        lone=Segments(src_first[src_indptr[:-1][lone]], n_src[lone]),
         pair_targets=Segments(tgt_indptr[:-1][n_tgt > 0], n_tgt[n_tgt > 0]),
     )
     return t_indptr, t_cols, links
 
 
 def _estep(links, t_vals, a_vals, counts, a_counts, recv):
-    denom = np.empty(len(links.tgt_n_src))
-    for c in links.chunks:
-        probs = t_vals[c.links]
-        if a_vals is not None:
-            probs *= a_vals[c.a_links]
-        chunk_denom = np.bincount(c.link_tgt, probs, c.tgt_hi - c.tgt_lo)
-        if len(c.lone_tgt):
-            chunk_denom[c.lone_tgt] = c.lone.sums(probs)
-        delta = probs / chunk_denom[c.link_tgt]
-        np.add.at(counts, c.links, delta)
-        if a_counts is not None:
-            np.add.at(a_counts, c.a_links, delta)
-        if recv is not None:
-            # each source occurrence's links are a run as long as its pair's target count
-            lengths = np.repeat(c.n_tgt, c.n_src)
-            recv[c.src_lo : c.src_hi] += Segments(np.cumsum(lengths) - lengths, lengths).sums(delta)
-        denom[c.tgt_lo : c.tgt_hi] = chunk_denom
+    probs = t_vals[links.links]
+    if a_vals is not None:
+        probs *= a_vals[links.a_links]
+    denom = np.bincount(links.link_tgt, probs, len(links.tgt_n_src))
+    denom[links.lone_tgt] = links.lone.sums(probs)
+    delta = np.divide(probs, denom[links.link_tgt], out=probs)
+    np.add.at(counts, links.links, delta)
+    if a_counts is not None:
+        np.add.at(a_counts, links.a_links, delta)
+    if recv is not None:
+        # each source occurrence's links are a run as long as its pair's target count
+        lengths = links.src_n_tgt
+        recv += Segments(np.cumsum(lengths) - lengths, lengths).sums(delta)
     logs = np.log(denom / links.tgt_n_src) if a_vals is None else np.log(denom)
     loglik = 0.0
     for pair_loglik in links.pair_targets.sums(logs).tolist():
@@ -310,18 +262,18 @@ def ibm2_estep(links, t_vals, a_vals, counts, a_counts, recv=None):
 def dense_rank(keys: np.ndarray) -> tuple[np.ndarray, int]:
     """Each key's rank among the distinct keys, and how many distinct keys there are.
 
-    Used for BLEU / chr-F n-gram ids and for the distinct naive-Bayes scores,
-    so ``keys`` may be integers or floats.  Equal keys get one rank whatever
-    order the sort leaves them in, so numpy's default (unstable, SIMD) sort
-    serves.  On a 2-core Xeon VM with numpy 2.4 it argsorts 2,048 int64 keys
-    in about 40 us, where a stable sort takes 110-130 us.  With it the peak
-    RSS of the perfbench workloads rose by 0.2-0.4 MB (0.7 MB on ``score``,
-    whose metric chunks grew at the same time), under 2%.
+    Used for BLEU / chr-F n-gram ids, for the distinct naive-Bayes scores and
+    for the t-table positions of EM links, so ``keys`` may be integers or
+    floats.  Equal keys get one rank whatever order the sort leaves them in,
+    so numpy's default (unstable, SIMD) sort serves.  On a 2-core Xeon VM
+    with numpy 2.4 it argsorts 2,048 int64 keys in about 40 us, where a
+    stable sort takes 110-130 us.
     """
     order = np.argsort(keys)
     ordered = keys[order]
     step = np.zeros(len(keys), dtype=np.int64)
     np.not_equal(ordered[1:], ordered[:-1], out=step[1:])  # 1 where a new key starts
+    del ordered  # one key-sized array fewer while the ranks are scattered back
     np.cumsum(step, out=step)
     ranks = np.empty_like(step)
     ranks[order] = step

@@ -144,7 +144,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     corpus, _report = stage("setup", "load-corpus", load_corpus, cfg.corpus, cfg.corpus_format)
     tok = stage("setup", "tokenizer", tokenizer, cfg.tokenizer, cfg.suffix_file)
     lexicon = None
-    if cfg.lexicon and (cfg.augment or any(map(needs_lexicon, cfg.models))):
+    if cfg.lexicon and (cfg.augment is not None or any(map(needs_lexicon, cfg.models))):
         lexicon = stage("setup", "load-lexicon", load_lexicon, cfg.lexicon)
     translated = corpus.translated()
     beams = [settings(model_cfg).get("beams", 8) for model_cfg in cfg.models]  # 8: translate's default
@@ -159,7 +159,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
         else:
             train_c, test_c = stage(r, "split", split_corpus, translated, cfg.train_size, seed_r)
         pairs = [(tok(i.etruscan_norm), i.english.split()) for i in train_c]
-        if cfg.augment:
+        if cfg.augment is not None:
             pairs = stage(r, "augment", augment_pairs, pairs, lexicon, AugmentConfig(**cfg.augment, seed=seed_r))
         sources = [tok(i.etruscan_norm) for i in test_c]
         refs = [i.english for i in test_c]

@@ -794,6 +794,47 @@ def _oracle_encode(pairs):
     }
 
 
+def oracle_align_layout(pairs):
+    """Each pair's position-table base, each (l_e, l_f) block's offset, and the table size.
+
+    Blocks of (l_e, l_f + 1) values, target position major, in order of
+    first appearance.
+    """
+    offsets = {}
+    size = 0
+    for ett, eng in pairs:
+        shape = (len(eng), len(ett))
+        if shape not in offsets:
+            offsets[shape] = size
+            size += shape[0] * (shape[1] + 1)
+    bases = np.array([offsets[(len(eng), len(ett))] for ett, eng in pairs], dtype=np.int64)
+    return bases, offsets, size
+
+
+def oracle_links(src_flat, src_indptr, tgt_flat, tgt_indptr, t_indptr, t_cols, align_bases=None):
+    """Every link's t-table position, position-table position and global target occurrence.
+
+    A per-pair double loop over source position i and target position j, in
+    that order.  The position-table positions are ``align_bases[p] + j *
+    n_src + i`` (None without ``align_bases``).
+    """
+    src_flat, src_indptr, tgt_flat, tgt_indptr = (
+        a.tolist() for a in (src_flat, src_indptr, tgt_flat, tgt_indptr))
+    t_indptr, t_cols = t_indptr.tolist(), t_cols.tolist()
+    links, a_links, link_tgt = [], [], []
+    for p in range(len(src_indptr) - 1):
+        n_src = src_indptr[p + 1] - src_indptr[p]
+        for i in range(n_src):
+            f = src_flat[src_indptr[p] + i]
+            row = t_cols[t_indptr[f] : t_indptr[f + 1]]
+            for j in range(tgt_indptr[p + 1] - tgt_indptr[p]):
+                links.append(t_indptr[f] + row.index(tgt_flat[tgt_indptr[p] + j]))
+                if align_bases is not None:
+                    a_links.append(int(align_bases[p]) + j * n_src + i)
+                link_tgt.append(tgt_indptr[p] + j)
+    return links, (None if align_bases is None else a_links), link_tgt
+
+
 def _oracle_normalize_rows(indptr, values):
     out = values.copy()
     for fi in range(len(indptr) - 1):
@@ -842,14 +883,7 @@ def oracle_train_ibm(pairs, iterations, model=1):
         out["drop_probs"] = _oracle_drop_probs(enc, counts, recv)
         return out
 
-    offsets = {}
-    size = 0
-    for ett, eng in pairs:
-        shape = (len(eng), len(ett))
-        if shape not in offsets:
-            offsets[shape] = size
-            size += shape[0] * (shape[1] + 1)
-    bases = np.array([offsets[(len(eng), len(ett))] for ett, eng in pairs], dtype=np.int64)
+    bases, offsets, size = oracle_align_layout(pairs)
     a_vals = np.zeros(size)
     for (l_e, l_f), off in offsets.items():
         a_vals[off : off + l_e * (l_f + 1)] = 1.0 / (l_f + 1)

@@ -307,9 +307,11 @@ class TestRunBenchmark:
             ({"models": [{"family": "ibm1", "use_lexicon": True}]}, True),
             ({"models": [{"family": "random"}, {"family": "dict"}]}, True),
             ({"models": [{"family": "ngram"}], "augment": {"damage_prob": 0.1}}, True),
+            ({"models": [{"family": "ngram"}], "augment": {}}, True),
             ({"models": [{"family": "ngram"}], "tokenizer": "suffix"}, False),
         ],
-        ids=["ngram-only", "ibm-without-lexicon", "ibm-with-lexicon", "dict", "augment", "suffix-tokenizer"],
+        ids=["ngram-only", "ibm-without-lexicon", "ibm-with-lexicon", "dict", "augment", "empty-augment",
+             "suffix-tokenizer"],
     )
     def test_lexicon_loaded_only_when_used(self, monkeypatch, corpus_file, lexicon_file, extra, loads):
         from ettmt import harness
@@ -321,6 +323,21 @@ class TestRunBenchmark:
                               suffix_file=str(lexicon_file.parent / "suffixes.txt"), repeats=1, **extra)
         run_benchmark(cfg)
         assert len(calls) == int(loads)
+
+    def test_empty_augment_object_augments_with_defaults(self, monkeypatch, corpus_file, lexicon_file):
+        from ettmt import harness
+
+        calls = []
+        augment = harness.augment_pairs
+        monkeypatch.setattr(harness, "augment_pairs", lambda *args: calls.append(args[2]) or augment(*args))
+
+        def results(augment_cfg):
+            cfg = BenchmarkConfig(corpus=str(corpus_file), lexicon=str(lexicon_file), repeats=2,
+                                  models=[{"family": "ibm1", "iterations": 2}], augment=augment_cfg)
+            return json.loads(run_benchmark(cfg).to_json(include_wall_clock=False))["results"]
+
+        assert results({}) == results(dict(harness.AUGMENT_DEFAULTS))
+        assert calls[:2] == calls[2:] and len(calls) == 4
 
     def test_config_file_roundtrip(self, tmp_path, corpus_file):
         doc = {"corpus": str(corpus_file), "model": {"family": "random"}, "repeats": 2, "seed": 3}

@@ -298,23 +298,41 @@ class TestMatchesFormerTrainer:
         assert_same_training([pair], 4, model)
 
     @pytest.mark.parametrize("model", [1, 2])
-    def test_random_corpora(self, model, monkeypatch):
+    def test_random_corpora(self, model):
         rnd = np.random.default_rng(1993 + model)
         for _ in range(60):
-            # small chunks put chunk boundaries inside every kind of pair run
-            monkeypatch.setattr(_kernels, "CHUNK_LINKS", int(rnd.choice([1, 7, 64, 500, 4096])))
             pairs = random_corpus(rnd, int(rnd.integers(1, 40)))
             assert_same_training(pairs, int(rnd.integers(1, 6)), model)
 
     @pytest.mark.parametrize("model", [1, 2])
     def test_several_default_chunks(self, model):
         pairs = random_corpus(np.random.default_rng(7), 300, n_types=40)
-        enc = _encode(pairs)
-        assert len(enc.links.chunks) >= 3
         assert_same_training(pairs, 3, model)
 
-    def test_one_link_per_chunk(self, monkeypatch):
-        monkeypatch.setattr(_kernels, "CHUNK_LINKS", 1)
-        enc = _encode(THREE_PAIRS)
-        assert [len(c.links) for c in enc.links.chunks] == [6, 6, 6]
+    def test_one_link_per_chunk(self):
+        assert len(_encode(THREE_PAIRS).links.links) == 18
         assert_same_training(THREE_PAIRS, 5, 2)
+
+
+class TestLinks:
+    """`build_links` against `oracles.oracle_links`, compared with ==, with and without position-table bases."""
+
+    @staticmethod
+    def assert_oracle_links(pairs):
+        enc = oracles._oracle_encode(pairs)
+        layout = (enc["src_flat"], enc["src_indptr"], enc["tgt_flat"], enc["tgt_indptr"])
+        for bases in (None, oracles.oracle_align_layout(pairs)[0]):
+            indptr, cols, links = _kernels.build_links(*layout, len(enc["source_vocab"]), bases)
+            assert np.array_equal(indptr, enc["indptr"])
+            assert np.array_equal(cols, enc["cols"])
+            a_links = None if links.a_links is None else links.a_links.tolist()
+            got = (links.links.tolist(), a_links, links.link_tgt.tolist())
+            assert got == oracles.oracle_links(*layout, indptr, cols, bases)
+
+    def test_edge_pairs(self):
+        self.assert_oracle_links(EDGE_PAIRS)
+
+    def test_random_corpora(self):
+        rnd = np.random.default_rng(1853)
+        for _ in range(40):
+            self.assert_oracle_links(random_corpus(rnd, int(rnd.integers(1, 40))))

@@ -216,10 +216,8 @@ class TestEstepBackends:
             np.testing.assert_allclose(a1, a2, atol=1e-12)
             np.testing.assert_allclose(r1, r2, atol=1e-12)
 
-    @pytest.mark.parametrize("chunk_links", [1, 50, 4096])
-    def test_equal_to_numpy_oracle_exactly(self, monkeypatch, chunk_links):
+    def test_equal_to_numpy_oracle_exactly(self):
         """Sentences of up to 20 words reach numpy's pairwise sums; no tolerance."""
-        monkeypatch.setattr(_kernels, "CHUNK_LINKS", chunk_links)
         rnd = np.random.default_rng(13)
         for _ in range(10):
             problem = _random_em_problem(rnd, n_pairs=30, src_vocab=8, tgt_vocab=9, max_src=20, max_tgt=20)
