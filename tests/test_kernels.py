@@ -216,11 +216,15 @@ class TestEstepBackends:
             np.testing.assert_allclose(a1, a2, atol=1e-12)
             np.testing.assert_allclose(r1, r2, atol=1e-12)
 
-    def test_equal_to_numpy_oracle_exactly(self):
-        """Sentences of up to 20 words reach numpy's pairwise sums; no tolerance."""
+    @pytest.mark.parametrize("n_pairs", [1, 50, 4096])
+    def test_equal_to_numpy_oracle_exactly(self, n_pairs):
+        """Sentences of up to 20 words reach numpy's pairwise sums; no tolerance.
+
+        One pair, a few dozen and a few thousand pairs in one flat link array.
+        """
         rnd = np.random.default_rng(13)
-        for _ in range(10):
-            problem = _random_em_problem(rnd, n_pairs=30, src_vocab=8, tgt_vocab=9, max_src=20, max_tgt=20)
+        for _ in range(max(1, 300 // n_pairs)):
+            problem = _random_em_problem(rnd, n_pairs=n_pairs, src_vocab=8, tgt_vocab=9, max_src=20, max_tgt=20)
             src_flat, src_indptr, tgt_flat, tgt_indptr, indptr, cols, vals, pairs = problem
             bases, a_vals = _align_bases(rnd, pairs)
             layout = (src_flat, src_indptr, tgt_flat, tgt_indptr)
