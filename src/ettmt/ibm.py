@@ -23,6 +23,7 @@ position.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -197,6 +198,14 @@ class _Encoded:
     links: _kernels.Links
 
 
+def _token_ids(sentences: list[list[str]], vocab: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Every token's id in vocab as one flat array, and each sentence's length."""
+    index = {t: i for i, t in enumerate(vocab)}
+    lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
+    flat = np.fromiter(map(index.__getitem__, chain.from_iterable(sentences)), np.int32, lengths.sum())
+    return flat, lengths
+
+
 def _encode(pairs: list[Pair], align_bases: np.ndarray | None = None) -> _Encoded:
     """Source ids, the sparse t-table layout and every link's table positions.
 
@@ -205,30 +214,25 @@ def _encode(pairs: list[Pair], align_bases: np.ndarray | None = None) -> _Encode
     """
     if not pairs:
         raise DataError("cannot train on an empty pair list")
-    source_types = {t for ett, _ in pairs for t in ett}
+    sources = [ett for ett, _ in pairs]
+    targets = [eng for _, eng in pairs]
+    source_types = set(chain.from_iterable(sources))
     if NULL_TOKEN in source_types:
         raise DataError(f"source token {NULL_TOKEN!r} is reserved for the empty source word")
     source_vocab = (NULL_TOKEN,) + tuple(sorted(source_types))
-    target_vocab = tuple(sorted({t for _, eng in pairs for t in eng}))
+    target_vocab = tuple(sorted(set(chain.from_iterable(targets))))
     if not target_vocab:
         raise DataError("training pairs have no target tokens")
-    src_index = {t: i for i, t in enumerate(source_vocab)}
-    tgt_index = {t: i for i, t in enumerate(target_vocab)}
 
-    src_flat: list[int] = []
-    tgt_flat: list[int] = []
+    src_words, src_lengths = _token_ids(sources, source_vocab)
+    tgt_flat, tgt_lengths = _token_ids(targets, target_vocab)
     src_indptr = np.zeros(len(pairs) + 1, dtype=np.int64)
     tgt_indptr = np.zeros(len(pairs) + 1, dtype=np.int64)
-    for p, (ett, eng) in enumerate(pairs):
-        src_flat.append(0)
-        src_flat.extend(src_index[t] for t in ett)
-        tgt_flat.extend(tgt_index[t] for t in eng)
-        src_indptr[p + 1] = len(src_flat)
-        tgt_indptr[p + 1] = len(tgt_flat)
-    src_arr = np.asarray(src_flat, dtype=np.int32)
+    np.cumsum(src_lengths + 1, out=src_indptr[1:])  # the empty-source slot leads each sentence
+    np.cumsum(tgt_lengths, out=tgt_indptr[1:])
+    src_arr = np.insert(src_words, np.cumsum(src_lengths) - src_lengths, 0)
     indptr, cols, links = _kernels.build_links(
-        src_arr, src_indptr, np.asarray(tgt_flat, dtype=np.int32), tgt_indptr,
-        len(source_vocab), align_bases,
+        src_arr, src_indptr, tgt_flat, tgt_indptr, len(source_vocab), align_bases,
     )
     return _Encoded(
         source_vocab=source_vocab,
@@ -257,9 +261,8 @@ def _drop_probs(enc: _Encoded, counts: np.ndarray, recv: np.ndarray) -> np.ndarr
     type translates to nothing.
     """
     n_src = len(enc.source_vocab)
-    eps_counts = np.zeros(n_src)
     shortfall = np.maximum(0.0, 1.0 - recv)
-    np.add.at(eps_counts, enc.src_flat, shortfall)
+    eps_counts = np.bincount(enc.src_flat, shortfall, n_src)  # adds in order from 0.0, as np.add.at would
     total = eps_counts + enc.rows.sums(counts)
     out = np.zeros(n_src)
     mask = total > 0

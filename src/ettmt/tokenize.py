@@ -19,11 +19,22 @@ def tokenize_whitespace(text: str) -> list[str]:
 
 
 class _LongestFirst(tuple):
-    """Distinct suffixes, longest first and alphabetical within a length: the
-    order in which `tokenize_suffix` tries them."""
+    """Distinct suffixes grouped by length, longest first: a tuple of
+    (length, frozenset of the suffixes of that length) pairs, the order in
+    which `tokenize_suffix` tries them.
+
+    Within one length at most one suffix can end a word, so one set lookup
+    per length finds the longest match.  An empty suffix would turn every
+    word into an empty root and a bare '-', so it is a ValueError.
+    """
 
     def __new__(cls, suffixes: Iterable[str]):
-        return super().__new__(cls, sorted(set(suffixes), key=lambda s: (-len(s), s)))
+        groups: dict[int, set[str]] = {}
+        for suffix in suffixes:
+            if not suffix:
+                raise ValueError("a suffix must not be empty")
+            groups.setdefault(len(suffix), set()).add(suffix)
+        return super().__new__(cls, ((n, frozenset(groups[n])) for n in sorted(groups, reverse=True)))
 
 
 def tokenize_suffix(text: str, suffixes: Iterable[str]) -> list[str]:
@@ -33,16 +44,17 @@ def tokenize_suffix(text: str, suffixes: Iterable[str]) -> list[str]:
     root of at least MIN_ROOT_LEN characters; the split is applied once per
     word (no recursive stripping). The suffix token is emitted with a '-'
     prefix so later stages can tell it apart from a free word. The
-    function from `tokenizer` passes its suffixes already in that order, so
-    they are not sorted again on every call.
+    function from `tokenizer` passes its suffixes already grouped, so they
+    are not grouped again on every call.
     """
     by_length = suffixes if isinstance(suffixes, _LongestFirst) else _LongestFirst(suffixes)
     out: list[str] = []
     for token in text.split():
-        for suffix in by_length:
-            if len(token) - len(suffix) >= MIN_ROOT_LEN and token.endswith(suffix):
-                out.append(token[: -len(suffix)])
-                out.append("-" + suffix)
+        longest = len(token) - MIN_ROOT_LEN
+        for n, group in by_length:
+            if n <= longest and token[-n:] in group:
+                out.append(token[:-n])
+                out.append("-" + token[-n:])
                 break
         else:
             out.append(token)

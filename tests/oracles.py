@@ -15,6 +15,7 @@ from collections import Counter, defaultdict
 import numpy as np
 
 from ettmt.ngram import CONTEXT_ETT_ENG, EOS, PAD, NaiveBayesModel, NgramModel
+from ettmt.tokenize import MIN_ROOT_LEN
 
 
 # ---------------------------------------------------------------------------
@@ -1154,3 +1155,24 @@ def former_normalize_english(raw: str) -> str:
         else:
             out.append(" ")
     return " ".join("".join(out).split())
+
+
+# ---------------------------------------------------------------------------
+# Root + suffix tokenization
+# ---------------------------------------------------------------------------
+
+def former_tokenize_suffix(text, suffixes):
+    """The former suffix split: try every distinct suffix, longest first and
+    alphabetical within a length, with ``str.endswith``; the first that leaves
+    a root of MIN_ROOT_LEN characters or more splits the word."""
+    ordered = sorted(set(suffixes), key=lambda s: (-len(s), s))
+    out = []
+    for token in text.split():
+        for suffix in ordered:
+            if len(token) - len(suffix) >= MIN_ROOT_LEN and token.endswith(suffix):
+                out.append(token[: -len(suffix)])
+                out.append("-" + suffix)
+                break
+        else:
+            out.append(token)
+    return out

@@ -314,6 +314,43 @@ class TestMatchesFormerTrainer:
         assert_same_training(THREE_PAIRS, 5, 2)
 
 
+# Non-ASCII tokens and U+10300 (Old Italic A), outside the Basic Multilingual
+# Plane: the vocabularies must sort by code point, which puts U+FFFF before
+# U+10300 where a sort by UTF-16 units would not, and map every token to its id.
+WIDE_PAIRS = [
+    (["ś", "θ", "\U00010300", "s"], ["ś", "\U00010300"]),
+    (["\U00010300θ", "θ", "ś"], ["θ", "z", "\uffff"]),
+    (["s", "\uffff"], ["\U00010300", "s"]),
+    ([], ["ś"]),
+]
+
+
+class TestEncode:
+    def test_wide_tokens_equal_oracle_encode(self):
+        enc, ref = _encode(WIDE_PAIRS), oracles._oracle_encode(WIDE_PAIRS)
+        assert enc.source_vocab == ref["source_vocab"]
+        assert enc.target_vocab == ref["target_vocab"]
+        assert np.array_equal(enc.src_flat, ref["src_flat"])
+        assert np.array_equal(enc.indptr, ref["indptr"])
+        assert np.array_equal(enc.cols, ref["cols"])
+        layout = (ref["src_flat"], ref["src_indptr"], ref["tgt_flat"], ref["tgt_indptr"])
+        links, _, link_tgt = oracles.oracle_links(*layout, ref["indptr"], ref["cols"])
+        assert (enc.links.links.tolist(), enc.links.link_tgt.tolist()) == (links, link_tgt)
+
+    @pytest.mark.parametrize("model", [1, 2])
+    def test_wide_tokens_train_as_former_trainer(self, model):
+        assert_same_training(WIDE_PAIRS, 4, model)
+
+    def test_link_indices_are_intp(self):
+        links = _encode(THREE_PAIRS, oracles.oracle_align_layout(THREE_PAIRS)[0]).links
+        for name in ("links", "a_links", "link_tgt"):
+            assert getattr(links, name).dtype == np.intp, (
+                f"Links.{name} must be np.intp: numpy converts any other index array on every E-step "
+                "gather and bincount (int32 gathers took about twice, int32 bincounts about four times "
+                "as long on the align workload's 40,475 links)"
+            )
+
+
 class TestLinks:
     """`build_links` against `oracles.oracle_links`, compared with ==, with and without position-table bases."""
 
