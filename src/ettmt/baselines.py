@@ -5,6 +5,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,12 +24,45 @@ MAX_LENGTH = 10_000
 @dataclass(frozen=True)
 class RandomModel:
     """Emits token sequences whose length is normally distributed and whose
-    tokens are drawn i.i.d. from the training unigram distribution."""
+    tokens are drawn i.i.d. from the training unigram distribution.
+
+    Building one checks its numbers, so a model that cannot be sampled never
+    exists: both lengths finite and at most MAX_LENGTH, `length_std` >= 0, and
+    `probs` one finite, non-negative entry per token, summing to 1 within
+    `Generator.choice`'s tolerance."""
 
     length_mean: float
     length_std: float
     tokens: tuple[str, ...]
     probs: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        probs = np.asarray(self.probs, dtype=np.float64)
+        object.__setattr__(self, "probs", probs)
+        for key, value in (("length_mean", self.length_mean), ("length_std", self.length_std)):
+            if not math.isfinite(value):
+                raise DataError(f"{key} must be finite, got {value!r}")
+            if value > MAX_LENGTH:
+                raise DataError(f"{key} must be <= {MAX_LENGTH} tokens, got {value!r}")
+        if self.length_std < 0:
+            raise DataError(f"length_std must be >= 0, got {self.length_std!r}")
+        if probs.shape != (len(self.tokens),):
+            raise DataError(f"probs must be as long as tokens ({len(self.tokens)})")
+        bad = probs[~(np.isfinite(probs) & (probs >= 0))]
+        if bad.size:
+            value = float(bad[0])
+            raise DataError(f"probs entry must be {'>= 0' if math.isfinite(value) else 'finite'}, got {value!r}")
+        total = math.fsum(probs.tolist())  # 0.0 for no tokens
+        if abs(total - 1.0) > np.sqrt(np.finfo(np.float64).eps):  # Generator.choice's own tolerance
+            raise DataError(f"probs must sum to 1, got {total!r}")
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """The cumulative distribution over `tokens`, scaled to end at 1.0: the table
+        `Generator.choice(p=probs)` rebuilds on every call, built here once."""
+        cdf = self.probs.cumsum()
+        cdf /= cdf[-1]
+        return cdf
 
     def to_dict(self) -> dict:
         return {
@@ -43,25 +77,16 @@ class RandomModel:
         tokens, probs = payload["tokens"], payload["probs"]
         if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
             raise DataError("tokens must be a list of strings")
-        if not isinstance(probs, list) or len(probs) != len(tokens):
-            raise DataError(f"probs must be a list as long as tokens ({len(tokens)})")
+        if not isinstance(probs, list):
+            raise DataError("probs must be a list of numbers")
         for key, value in [("length_mean", payload["length_mean"]), ("length_std", payload["length_std"]),
                            *(("probs entry", p) for p in probs)]:
             check_type(key, value, 1.0)
-            if not math.isfinite(value):
-                raise DataError(f"{key} must be finite, got {value!r}")
-            if value < 0 and key != "length_mean":
-                raise DataError(f"{key} must be >= 0, got {value!r}")
-            if value > MAX_LENGTH and key != "probs entry":
-                raise DataError(f"{key} must be <= {MAX_LENGTH} tokens, got {value!r}")
-        total = math.fsum(probs)  # 0.0 for no tokens
-        if abs(total - 1.0) > np.sqrt(np.finfo(np.float64).eps):  # Generator.choice's own tolerance
-            raise DataError(f"probs must sum to 1, got {total!r}")
         return cls(
             length_mean=payload["length_mean"],
             length_std=payload["length_std"],
             tokens=tuple(tokens),
-            probs=np.asarray(probs, dtype=np.float64),
+            probs=probs,
         )
 
 
@@ -90,12 +115,14 @@ def train_random(sequences: list[list[str]]) -> RandomModel:
 
 
 def translate_random(model: RandomModel, source: list[str], rng: np.random.Generator) -> list[str]:
-    """Sample a translation; the source is ignored by construction."""
+    """Sample a translation; the source is ignored by construction. A normal draw gives the
+    length, then one uniform draw per token is looked up in the model's cached `cdf`:
+    the same arithmetic on the same stream as `rng.choice(len(tokens), size=length, p=probs)`."""
     length = int(round(rng.normal(model.length_mean, model.length_std)))
     if length <= 0:
         return []
-    idx = rng.choice(len(model.tokens), size=length, p=model.probs)
-    return [model.tokens[i] for i in idx]
+    tokens = model.tokens
+    return [tokens[i] for i in model.cdf.searchsorted(rng.random(length), side="right").tolist()]
 
 
 @dataclass(frozen=True)

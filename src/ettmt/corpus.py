@@ -120,8 +120,10 @@ _SEPARATORS = "·:⋮|"
 # A base and a mark never overlap, so a left-to-right scan pairs them as a
 # character-by-character walk would.
 _MARKED_S = re.compile(f"[{_S_LIKE}][{re.escape(_ACUTE_MARKS + _OVERCROSS)}]")
-_TRANSCRIPTION = str.maketrans({**_CHAR_MAP, **dict.fromkeys(_SEPARATORS, " ")})
-# What the table leaves without a mapping; every table output is outside this
+# (glyph, replacement) pairs for one str.replace each; no replacement holds a
+# mapped glyph, so the order of the passes cannot change the result.
+_TRANSCRIPTION = tuple({**_CHAR_MAP, **dict.fromkeys(_SEPARATORS, " ")}.items())
+# What the pairs leave without a mapping; every replacement is outside this
 # class, so only unmapped input characters are counted. \s matches exactly
 # where str.isspace() is true, so all whitespace is kept for the final split.
 _UNMAPPED = re.compile(r"[^a-z\-\s]+")
@@ -129,7 +131,9 @@ _UNMAPPED = re.compile(r"[^a-z\-\s]+")
 
 def _normalize_with_stats(raw: str) -> tuple[str, int]:
     """Normalize and also report how many characters had no mapping."""
-    text = _MARKED_S.sub("sh", unicodedata.normalize("NFC", raw).lower()).translate(_TRANSCRIPTION)
+    text = _MARKED_S.sub("sh", unicodedata.normalize("NFC", raw).lower())
+    for glyph, replacement in _TRANSCRIPTION:
+        text = text.replace(glyph, replacement)
     kept = _UNMAPPED.sub("", text)
     return " ".join(kept.split()), len(text) - len(kept)
 

@@ -1176,3 +1176,17 @@ def former_tokenize_suffix(text, suffixes):
         else:
             out.append(token)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Random baseline
+# ---------------------------------------------------------------------------
+
+def oracle_translate_random(model, source, rng):
+    """The former random translation: a normal length, then numpy's own weighted
+    draw, ``Generator.choice(p=probs)``, which rebuilds the CDF on every call."""
+    length = int(round(rng.normal(model.length_mean, model.length_std)))
+    if length <= 0:
+        return []
+    idx = rng.choice(len(model.tokens), size=length, p=model.probs)
+    return [model.tokens[i] for i in idx]

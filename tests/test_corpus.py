@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from ettmt.corpus import (
     _CHAR_MAP,
+    _TRANSCRIPTION,
     _normalize_with_stats,
     FEATURE_NAMES,
     LexiconEntry,
@@ -60,6 +61,12 @@ class TestNormalize:
 
     def test_uppercase_folds(self):
         assert normalize("MI ΘAHVNA") == "mi thahvna"
+
+    def test_replacements_hold_no_mapped_glyph(self):
+        # so the replace passes give one result in any order
+        glyphs = {glyph for glyph, _ in _TRANSCRIPTION}
+        assert all(len(glyph) == 1 for glyph in glyphs)
+        assert not glyphs & set("".join(replacement for _, replacement in _TRANSCRIPTION))
 
     @settings(max_examples=300)
     @given(st.text(max_size=80))

@@ -1113,8 +1113,17 @@ class TestCli:
 
 def _mutable_paths(payload: dict) -> dict[str, list[tuple]]:
     """Key paths into a model payload: {kind: [path to one value of that kind]}. The kinds are an n-gram
-    or naive-Bayes file's settings, vocabulary entries and counts, and an IBM file's t-table entry fields,
-    drop probabilities, log-likelihoods and alignment-block cells."""
+    or naive-Bayes file's settings, vocabulary entries and counts, an IBM file's t-table entry fields,
+    drop probabilities, log-likelihoods and alignment-block cells, a random file's fields, tokens and
+    probabilities, and a dict file's table and glosses."""
+    if "table" in payload:
+        return {"field": [("table",)], "gloss": [("table", key) for key in payload["table"]]}
+    if "probs" in payload:
+        return {
+            "field": [(key,) for key in ("length_mean", "length_std", "tokens", "probs")],
+            "token": [("tokens", i) for i in range(len(payload["tokens"]))],
+            "probability": [("probs", i) for i in range(len(payload["probs"]))],
+        }
     if "ttable" in payload:
         table = payload["ttable"]
         paths = {
@@ -1150,11 +1159,13 @@ class TestModelFileFuzz:
     def trained(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("fuzz")
         corpus = write_corpus(root / "corpus.tsv")
+        lexicon = write_lexicon(root / "lexicon.tsv")
         src = root / "src.txt"
         src.write_text("mi aveles\nitun turuce venel tinas\n", encoding="utf-8")
         docs = {}
         for family, opts in (("ngram", ["--n", "2"]), ("naive-bayes", ["--context", "ett-eng"]),
-                             ("ibm1", ["--iterations", "2"]), ("ibm2", ["--iterations", "2"])):
+                             ("ibm1", ["--iterations", "2"]), ("ibm2", ["--iterations", "2"]),
+                             ("random", []), ("dict", ["--lexicon", str(lexicon)])):
             path = root / f"{family}.json"
             assert cli_dispatch(["train", "--family", family, "--in", str(corpus), "--out", str(path)] + opts) == 0
             docs[family] = json.loads(path.read_text(encoding="utf-8"))
