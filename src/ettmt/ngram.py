@@ -26,15 +26,17 @@ total plus ``alpha`` times a vocabulary size) overflows.
 
 ``beam_translate`` decodes either model. Each model's ``costs`` method gives
 -log P(target | context) as one numpy vector over its sorted ``vocab``, and
-the decoder scores every expansion of every live hypothesis as one array
+the beam search scores every expansion of every live hypothesis as one array
 addition, then keeps the best with a partition and an exact sort. With a
 source-only context every live hypothesis sees the same cost row, so the
-decoder first follows each row's lowest-index minimum. It returns that greedy
-sequence when a running bound shows no other sequence can reach its cost at
-any beam width; when a float rounding tie leaves that open (or a row is all
-``inf``), it runs the beam search on that sentence. Each model caches the
-greedy summary of every source context it has decoded. With English context
-the hypotheses diverge and the beam matters.
+decoder first follows each row's lowest-index minimum, read from the model's
+``summary`` of the row: that minimum, its cost and the least cost before it,
+computed without building the row. It returns that greedy sequence when a
+running bound shows no other sequence can reach its cost at any beam width;
+when a float rounding tie leaves that open (or a row is all ``inf``), it runs
+the beam search on that sentence. Each model caches the summary of every
+source context it has decoded. With English context the hypotheses diverge
+and the beam matters.
 
 Every cost value is built with the same ``math.log`` / ``math.exp`` calls
 on the same arguments as the per-target n-gram and naive-Bayes references in
@@ -207,20 +209,48 @@ class NgramModel:
         """token -> position in vocab."""
         return {tok: i for i, tok in enumerate(self.vocab)}
 
-    def costs(self, src_slots: tuple, eng_slots: tuple = ()) -> np.ndarray:
-        """-log P(target | context) over `vocab`: additive smoothing, uniform on an unseen context.
+    @cached_property
+    def _summaries(self) -> dict[tuple, tuple[int, float, float]]:
+        """source slots -> `summary`, filled by the greedy decoder."""
+        return {}
 
-        Equal bit for bit to -math.log of the per-target n-gram reference in `tests/oracles.py`."""
+    def _cells(self, src_slots: tuple, eng_slots: tuple) -> tuple[float, dict[int, float]]:
+        """The context's default cost, and {vocab index: cost} of the targets its bucket counts."""
         _check_arity(self, src_slots)
         key = _context_key(tuple(src_slots), tuple(eng_slots), self.ordered)
         bucket = self.counts.get(key, {})
         denom = self.context_totals.get(key, 0) + self.alpha * len(self.vocab)
-        out = np.full(len(self.vocab), -_log(self.alpha / denom))
+        counted = {}
         if bucket and denom < math.inf:  # a count over a finite denominator never underflows
-            out[[self._index[t] for t in bucket]] = [
-                -math.log((c + self.alpha) / denom) for c in bucket.values()
-            ]
+            counted = {self._index[t]: -math.log((c + self.alpha) / denom) for t, c in bucket.items()}
+        return -_log(self.alpha / denom), counted
+
+    def costs(self, src_slots: tuple, eng_slots: tuple = ()) -> np.ndarray:
+        """-log P(target | context) over `vocab`: additive smoothing, uniform on an unseen context.
+
+        Equal bit for bit to -math.log of the per-target n-gram reference in `tests/oracles.py`."""
+        default, counted = self._cells(src_slots, eng_slots)
+        out = np.full(len(self.vocab), default)
+        out[list(counted)] = list(counted.values())
         return out
+
+    def summary(self, src_slots: tuple) -> tuple[int, float, float]:
+        """(t*, m, m_lt) of the source-only cost row: its lowest-index minimum, that cost, and the
+        least cost at a lower index (inf if none), from the context's bucket alone.
+
+        Every uncounted target costs the default, so the lowest uncounted index stands for all of
+        them; the row itself is never built."""
+        default, cells = self._cells(src_slots, ())
+        free = 0
+        while free in cells:
+            free += 1
+        if free < len(self.vocab):
+            cells[free] = default
+        t, m, m_lt = 0, math.inf, math.inf
+        for i, cost in sorted(cells.items()):  # index 0 comes first, counted or free
+            if cost < m:  # a new minimum; the old one was the least cost before it
+                t, m, m_lt = i, cost, m
+        return t, m, m_lt
 
     def to_dict(self) -> dict:
         return {
@@ -304,6 +334,40 @@ class NaiveBayesModel:
         that underflows to 0.0 costs inf, and when every score does, every
         target does.
         """
+        posterior = self._posterior(src_slots, eng_slots)
+        if posterior is None:  # every target's score underflowed, so every probability is 0.0
+            return np.full(len(self.vocab), math.inf)
+        ranks, probs = posterior
+        return np.array([-_log(q) for q in probs.tolist()])[ranks]
+
+    def summary(self, src_slots: tuple) -> tuple[int, float, float]:
+        """(t*, m, m_lt) of the source-only cost row: its lowest-index minimum, that cost, and the
+        least cost at a lower index (inf if none), each equal to what `costs` gives.
+
+        `math.exp`, the division by z and `math.log` are monotone, so a higher-ranked score never
+        costs more: m is the cost of the top rank, the targets at cost m are those ranked at or
+        above the lowest rank whose cost still rounds to m, and m_lt is the cost of the highest
+        rank before t*. So `math.log` runs for the top rank, for each rank below it while the
+        cost is m (and the first one that is not), and for m_lt."""
+        posterior = self._posterior(src_slots, ())
+        if posterior is None:
+            return 0, math.inf, math.inf
+        ranks, probs = posterior
+        low = len(probs) - 1
+        m = -_log(probs[low])
+        while low and -_log(probs[low - 1]) == m:
+            low -= 1  # rounds to m too, so its targets are minima as well
+        t = int(np.argmax(ranks >= low))
+        return t, m, -_log(probs[ranks[:t].max()]) if t else math.inf
+
+    @cached_property
+    def _summaries(self) -> dict[tuple, tuple[int, float, float]]:
+        """source slots -> `summary`, filled by the greedy decoder."""
+        return {}
+
+    def _posterior(self, src_slots: tuple, eng_slots: tuple) -> tuple[np.ndarray, np.ndarray] | None:
+        """(ranks, probs): each target's dense rank among the distinct log scores, and the
+        normalized probability of each distinct score; None when every score is -inf."""
         _check_arity(self, src_slots)
         log_prior, defaults, overrides = self._cost_tables
         score = log_prior
@@ -315,15 +379,14 @@ class NaiveBayesModel:
                 summed[idx] = score[idx] + logs
             score = summed
         peak = score.max()
-        if peak == -math.inf:  # every target's score underflowed, so every probability is 0.0
-            return np.full(len(score), math.inf)
+        if peak == -math.inf:
+            return None
         shifted = score - peak
         ranks, kinds = dense_rank(shifted)
         distinct = np.empty(kinds)
         distinct[ranks] = shifted
         exps = np.array([math.exp(s) for s in distinct.tolist()])
-        z = _left_sum(exps[ranks])
-        return np.array([-math.log(q) if q > 0.0 else math.inf for q in (exps / z).tolist()])[ranks]
+        return ranks, exps / _left_sum(exps[ranks])
 
     @cached_property
     def _cost_tables(self) -> tuple:
@@ -432,12 +495,6 @@ def _source_slots(source: list[str], n: int):
     return (tuple(padded[i : i + n]) for i in range(len(source)))
 
 
-def _row_summary(row: np.ndarray) -> tuple[int, float, float]:
-    """(t*, m, m_lt): the row's lowest-index argmin, its cost, and the least cost before it (inf if none)."""
-    t = int(row.argmin())
-    return t, float(row[t]), float(row[:t].min()) if t else math.inf
-
-
 def _greedy_translate(model, source: list[str]) -> list[str] | None:
     """The source-only decode as greedy search, or None when another sequence might win.
 
@@ -448,15 +505,13 @@ def _greedy_translate(model, source: list[str]) -> list[str] | None:
     sequence comes first in (cost, token sequence) order at every position,
     and every beam width keeps it and returns it.
     """
-    summaries = getattr(model, "_summaries", None)
-    if summaries is None:
-        summaries = model._summaries = {}  # source slots -> `_row_summary` of their ett-mode costs
+    summaries = model._summaries
     g, b = 0.0, math.inf
     tokens = []
     for src_slots in _source_slots(source, model.n):
         summary = summaries.get(src_slots)
         if summary is None:
-            summary = summaries[src_slots] = _row_summary(model.costs(src_slots, ()))
+            summary = summaries[src_slots] = model.summary(src_slots)
         t, m, m_lt = summary
         g, b = g + m, min(g + m_lt, b + m)
         if not g < b:
@@ -501,8 +556,8 @@ def beam_translate(model, source: list[str], beams: int = 8) -> list[str]:
     length-normalized final score can fall as a hypothesis grows.
 
     Source-only decoding first tries `_greedy_translate`, which needs one
-    `costs` call per distinct source context and model. It returns the
-    greedy sequence when, at every position, the greedy score g' = g + m
+    `summary` call per distinct source context and model, and no `costs`.
+    It returns the greedy sequence when, at every position, the greedy score g' = g + m
     stays below b' = min(g + m_lt, b + m), the bound on every sequence that
     sorts before it (m is the row's least cost, m_lt the least cost at a
     lower vocabulary index; g starts at 0 and b at inf). The greedy sequence

@@ -1087,6 +1087,13 @@ def oracle_beam_translate(model, source: list[str], beams: int = 8) -> list[str]
     return [t for t in best_tokens if t not in (PAD, EOS)]
 
 
+def oracle_row_summary(row: np.ndarray) -> tuple[int, float, float]:
+    """(t*, m, m_lt): the row's lowest-index argmin, its cost, and the least cost before it (inf if
+    none); what the models' `summary` must equal for the source-only row `costs(src_slots, ())`."""
+    t = int(row.argmin())
+    return t, float(row[t]), float(row[:t].min()) if t else math.inf
+
+
 # ---------------------------------------------------------------------------
 # The package's former text normalization
 # ---------------------------------------------------------------------------

@@ -366,6 +366,38 @@ class TestMatchesFormerImplementation:
         self._assert_ngram_scores_equal(hyps[:5] + [long_hyp] + hyps[5:8], refs[:5] + [long_ref] + refs[5:8])
         self._assert_ngram_scores_equal([long_hyp], [long_hyp + " " + long_ref])
 
+    @pytest.mark.parametrize("chunk_items", [5, None])
+    def test_prefix_on_one_side_only(self, monkeypatch, chunk_items):
+        # each order ranks only the positions whose shorter n-gram occurs on
+        # both sides of its segment; the totals still count every n-gram
+        if chunk_items is not None:
+            monkeypatch.setattr(metrics, "CHUNK_ITEMS", chunk_items)
+        cases = [
+            (["a b c"], ["a b d"]),  # the bigram matches, the trigrams differ
+            (["a b c d"], ["x b c d"]),  # "a b" is hypothesis-only, "b c d" still matches
+            (["x b c d"], ["a b c d"]),
+            (["a b a b a"], ["b a b a b"]),
+            # the same n-grams on opposite sides of different segments never match
+            (["a b c", "x y"], ["x y", "a b c"]),
+            (["a b c d e", "", "a b c d e"], ["", "a b c d e", "a b x d e"]),
+            (["abcabc", "abcab"], ["abcab", "abcabc"]),
+            (["", "", "a a a a"], ["a a a", "", ""]),
+        ]
+        for hyps, refs in cases:
+            self._assert_ngram_scores_equal(hyps, refs)
+        rnd = random.Random(25)
+        for _ in range(100):
+            # a two-word vocabulary, so prefixes often occur on one side only
+            pairs = [(" ".join(rnd.choices("ab", k=rnd.randint(0, 9))), " ".join(rnd.choices("ab", k=rnd.randint(0, 9))))
+                     for _ in range(rnd.randint(1, 6))]
+            self._assert_ngram_scores_equal([h for h, _ in pairs], [r for _, r in pairs])
+        # one segment longer than a whole chunk, between empty ones
+        size = metrics.CHUNK_ITEMS
+        long_hyp = "".join(rnd.choices("abc", k=size + 3))
+        long_ref = long_hyp[: size // 2] + "".join(rnd.choices("abc", k=size))
+        self._assert_ngram_scores_equal(["", long_hyp, "a"], ["a b", long_ref, ""])
+        self._assert_ngram_scores_equal([" ".join(long_hyp)], [" ".join(long_ref)])
+
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(st.lists(st.tuples(st.text(max_size=20), st.text(max_size=20)), min_size=1, max_size=6))
     def test_arbitrary_text_equal(self, pairs):

@@ -4,6 +4,7 @@ import random
 import re
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -503,9 +504,11 @@ class TestCostVectors:
         for model in (train_ngram(pairs, n=1), train_naive_bayes(pairs, n=1)):
             fresh = type(model).from_dict(model.to_dict())
             model.costs(("a",))
+            beam_translate(model, ["a", "c"])
+            assert model._summaries  # the greedy path's cache is filled
             assert model == fresh
             assert model.to_dict() == fresh.to_dict()
-            for name in ("_index", "_cost_tables", "context_totals", "total_positions"):
+            for name in ("_index", "_cost_tables", "context_totals", "total_positions", "_summaries"):
                 assert name not in repr(model)
             fresh.__dict__["context_totals" if isinstance(model, NgramModel) else "total_positions"] = -1
             assert model == fresh  # equality reads only the fields
@@ -522,8 +525,20 @@ class TestCostVectors:
 _EXACT_PROBS = [math.exp(-k) for k in range(4)]
 
 
+class _SummaryFromCosts:
+    """What a stand-in model needs besides `costs` for the greedy path: the row summary, taken
+    from the full source-only row by the oracle, and the summary cache the decoder fills."""
+
+    def summary(self, src_slots):
+        return oracles.oracle_row_summary(self.costs(src_slots, ()))
+
+    @cached_property
+    def _summaries(self):
+        return {}
+
+
 @dataclass
-class _IntegerCostModel:
+class _IntegerCostModel(_SummaryFromCosts):
     """A stand-in model whose per-token costs are integers from 0 to 3.
 
     `table` maps (source slots, English slots) to {token: cost}, with 3 for
@@ -635,16 +650,16 @@ _PAIRS = st.lists(
 _ALPHAS = st.sampled_from([5e-324, 1e-200, 0.01, 1.0, 1e300]) | st.floats(min_value=5e-324, max_value=1e300)
 
 
-def _count_costs_calls(model) -> list[int]:
-    """Count the model's `costs` calls in the returned one-element list."""
+def _count_calls(model, method="costs") -> list[int]:
+    """Count the calls to the model's `method` in the returned one-element list."""
     calls = [0]
-    costs = model.costs
+    target = getattr(model, method)
 
     def counted(*args):
         calls[0] += 1
-        return costs(*args)
+        return target(*args)
 
-    model.costs = counted
+    setattr(model, method, counted)
     return calls
 
 
@@ -656,7 +671,7 @@ class TestEarlyStop:
         fired = compared = 0
         for n, alpha in itertools.product((1, 2), (1.0, 0.1)):
             for model in (_tie_heavy_ngram(rng, n, alpha), _tie_heavy_nb(rng, n, CONTEXT_ETT_ENG, alpha, 60)):
-                calls = _count_costs_calls(model)
+                calls = _count_calls(model)
                 for _ in range(4):
                     source = rng.choices([PAD, "s0", "s1", "s2", "unseen"], k=rng.randint(1, 8))
                     for beams in range(1, 10):
@@ -706,7 +721,7 @@ class TestEarlyStop:
             (("p2",), ("x",)): {"x": 0, EOS: 0},
         }
         model = _IntegerCostModel(n=1, context_mode=CONTEXT_ETT_ENG, table=table)
-        calls = _count_costs_calls(model)
+        calls = _count_calls(model)
         source = ["p0", "p1", "p2"]
         for beams in range(1, 10):
             calls[0] = 0
@@ -727,7 +742,7 @@ class TestEarlyStop:
         # call per distinct history, 8 beams wide
         pairs = [(["a", "b"], ["x", "y"]), (["b", "c"], ["y"]), (["a"], ["z", "x"]), (["c", "a", "b"], ["x", "z", "y"])]
         model = train(pairs, n=1, context_mode=CONTEXT_ETT_ENG)
-        calls = _count_costs_calls(model)
+        calls = _count_calls(model)
         assert beam_translate(model, source, beams=8) == expected == oracles.oracle_beam_translate(model, source)
         assert calls[0] == n_calls
 
@@ -737,10 +752,11 @@ class TestEarlyStop:
         # in ett mode <eos> finishes nothing; in ett-eng mode with alpha 0.01
         # every <eos> costs more than the whole copied sentence. Either way
         # each position runs, with one live hypothesis or one shared context
-        # per position, so one call per position.
+        # per position, so one call per position: to `summary` on the ett
+        # greedy path, to `costs` in the ett-eng beam search.
         pairs = [([f"s{i}", f"t{i}", f"u{i}"], [f"x{i}", f"y{i}", f"z{i}"]) for i in range(5)]
         model = train(pairs, n=1, context_mode=mode, alpha=0.01)
-        calls = _count_costs_calls(model)
+        calls = _count_calls(model, "summary" if mode == CONTEXT_ETT else "costs")
         for src, ref in pairs:
             calls[0] = 0
             assert beam_translate(model, src, beams=beams) == ref == oracles.oracle_beam_translate(model, src, beams)
@@ -748,7 +764,7 @@ class TestEarlyStop:
 
 
 @dataclass
-class _ProbabilityModel:
+class _ProbabilityModel(_SummaryFromCosts):
     """A source-only stand-in: `table` maps a source token to {token: probability}, 1e-305 for the rest."""
 
     table: dict
@@ -822,17 +838,139 @@ class TestGreedyPath:
     @pytest.mark.parametrize("train", [train_ngram, train_naive_bayes])
     @pytest.mark.parametrize("n", [1, 2])
     def test_one_costs_call_per_distinct_source_context(self, train, n):
+        # one `summary` call per distinct source context, and no `costs` row
+        # while the greedy path returns
         pairs = [(["a", "b"], ["x", "y"]), (["b", "c"], ["y"]), (["a"], ["z", "x"]), (["c", "a", "b"], ["x", "z", "y"])]
         model = train(pairs, n=n)
         sources = [["a", "b", "a"], ["b", "a"], ["a", "b", "a"], ["q", "a", "c"], [], ["c"]]
         contexts = {tuple(([PAD] * (n - 1) + s)[i : i + n]) for s in sources for i in range(len(s))}
-        calls = _count_costs_calls(model)
+        calls = _count_calls(model, "summary")
+        rows = _count_calls(model, "costs")
         decoded = [beam_translate(model, s) for s in sources]
+        assert rows[0] == 0
         assert decoded == [oracles.oracle_beam_translate(model, s) for s in sources]
         assert calls[0] == len(contexts)
         # a second pass reads every row summary from the model
         assert [beam_translate(model, s, beams=1) for s in sources] == decoded
         assert calls[0] == len(contexts)
+        assert rows[0] == 0
+
+
+def _near_tie_nb(k: int) -> NaiveBayesModel:
+    """A naive-Bayes model over 300 targets whose log scores, given here as the log prior, are the
+    peak -1.0 (last target), the k floats just below it (cycled over the middle targets) and -30.0
+    (first target)."""
+    vocab = tuple(sorted({EOS, PAD} | {f"t{i:03d}" for i in range(298)}))
+    model = NaiveBayesModel(n=1, context_mode=CONTEXT_ETT, alpha=1.0, target_counts=dict.fromkeys(vocab, 1),
+                            slot_counts=[{}], slot_vocabs=[(PAD,)], vocab=vocab)
+    steps = [-1.0]
+    for _ in range(k):
+        steps.append(math.nextafter(steps[-1], -math.inf))
+    log_prior = np.array([-30.0] + [steps[1 + i % k] for i in range(1, len(vocab) - 1)] + [steps[0]])
+    model.__dict__["_cost_tables"] = (log_prior, [np.zeros(len(vocab))], [{}])
+    return model
+
+
+def _assert_summaries_equal(model, contexts) -> list[tuple[int, float, float]]:
+    """`summary` equals the oracle's summary of the full source-only row, under ==; returns them."""
+    summaries = []
+    for src in contexts:
+        want = oracles.oracle_row_summary(model.costs(src, ()))
+        got = model.summary(src)
+        assert got == want, (model, src, got, want)
+        summaries.append(got)
+    return summaries
+
+
+class TestRowSummary:
+    """`summary` gives what `oracle_row_summary(costs(src_slots, ()))` gives, with no tolerance."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(pairs=_PAIRS, n=st.integers(1, 3), ordered=st.booleans(), alpha=_ALPHAS, data=st.data())
+    def test_trained_models(self, pairs, n, ordered, alpha, data):
+        seen = [src for ett, eng in pairs for src, _, _ in training_positions(ett, eng, n, CONTEXT_ETT)]
+        values = st.sampled_from([PAD, EOS, "a", "b", "c", "x", "unseen"])
+        drawn = [tuple(data.draw(st.lists(values, min_size=n, max_size=n))) for _ in range(4)]
+        for model in (train_ngram(pairs, n=n, ordered=ordered, alpha=alpha),
+                      train_naive_bayes(pairs, n=n, alpha=alpha)):
+            _assert_summaries_equal(model, seen + drawn + [("unseen",) * n])
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), alpha=st.sampled_from([1.0, 0.01, 1e-200]))
+    def test_tie_heavy_models(self, seed, n, alpha):
+        rng = random.Random(seed)
+        values = [PAD] + [f"s{i}" for i in range(6)] + ["unseen"]
+        for model in (_tie_heavy_nb(rng, n, CONTEXT_ETT, alpha), _tie_heavy_ngram(rng, n, alpha, context_mode=CONTEXT_ETT)):
+            _assert_summaries_equal(model, [tuple(rng.choices(values, k=n)) for _ in range(30)] + [("unseen",) * n])
+
+    def test_all_inf_rows(self):
+        # the TestUnderflow models: alpha 5e-324 and 1e-200 underflow every
+        # score of some contexts, whose rows are then all inf
+        models = (
+            train_naive_bayes([(["a", "b", "c"], [])] * 2 + [(["a"], ["0t"])] * 2, n=1, alpha=5e-324),
+            train_naive_bayes([(["a", "b"], ["x", "y"]), (["c"], ["z"])], n=2, alpha=1e-200),
+            train_ngram([(["a"], ["x"])] * 2 + [(["a"], ["y"])], n=1, alpha=5e-324),
+            train_naive_bayes([(["a"], ["x"])] * 2 + [(["a", "b"], ["y"])], n=1, alpha=5e-324),
+        )
+        all_inf = 0
+        for model in models:
+            contexts = list(itertools.product([PAD, "a", "b", "c", "q"], repeat=model.n))
+            all_inf += _assert_summaries_equal(model, contexts).count((0, math.inf, math.inf))
+        assert all_inf > 0
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(counts=st.lists(st.integers(1, 4), min_size=1, max_size=8), ordered=st.booleans(),
+           alpha=st.sampled_from([1.0, 0.5, 1e-200, 5e-324]))
+    def test_bucket_covering_the_vocabulary(self, counts, ordered, alpha):
+        # no target of ("b", "a") is uncounted, so its row holds no default cost
+        vocab = tuple(sorted({EOS, PAD} | {f"t{i}" for i in range(len(counts))}))
+        bucket = dict(zip(vocab, counts + [counts[0]] * (len(vocab) - len(counts))))
+        model = NgramModel(n=2, context_mode=CONTEXT_ETT, ordered=ordered, alpha=alpha,
+                           counts={("a", "b") if not ordered else ("b", "a"): bucket, ("a", "a"): {PAD: 1}},
+                           vocab=vocab)
+        _assert_summaries_equal(model, [("b", "a"), ("a", "b"), ("a", "a"), ("q", "q")])
+
+    def test_naive_bayes_rounding_ties_at_the_minimum(self):
+        # scores a few ulps apart: after exp and the division by z, several
+        # ranks round to the least cost m, so the summary walks down from the
+        # top rank while the cost stays m
+        tied = 0
+        for k in range(1, 40):
+            model = _near_tie_nb(k)
+            _, m, _ = _assert_summaries_equal(model, [("a",)])[0]
+            _, probs = model._posterior(("a",), ())
+            tied += len({q for q in probs.tolist() if -_log(q) == m}) > 1
+        assert tied >= 20
+
+    def test_ngram_logs_only_its_bucket(self, monkeypatch):
+        rng = random.Random(31)
+        model = _tie_heavy_ngram(rng, 2, 1.0, n_targets=200, context_mode=CONTEXT_ETT)
+        counting = _CountingMath()
+        monkeypatch.setattr(ettmt.ngram, "math", counting)
+        for src in list(model.counts)[:20] + [("unseen", "unseen")]:
+            counting.calls.clear()
+            model.summary(src)
+            # one log per counted target and one for the default cost
+            assert counting.calls == {"log": len(model.counts.get(src, {})) + 1}, src
+
+    def test_naive_bayes_logs_only_what_the_summary_reads(self, monkeypatch):
+        rng = random.Random(32)
+        model = _tie_heavy_nb(rng, 2, CONTEXT_ETT, 1.0)
+        cases = [(model, src) for src, _ in _tie_heavy_contexts(rng, model, 20)]
+        cases += [(_near_tie_nb(k), ("a",)) for k in (10, 21, 35)]
+        counting = _CountingMath()
+        for model, src in cases:
+            _, probs = model._posterior(src, ())  # also builds the tables, which take logs of their own
+            t, m, _ = model.summary(src)
+            at_m = sum(-_log(q) == m for q in probs.tolist())  # probs holds one entry per rank
+            below = at_m < len(probs)
+            monkeypatch.setattr(ettmt.ngram, "math", counting)
+            counting.calls.clear()
+            model.summary(src)
+            monkeypatch.setattr(ettmt.ngram, "math", math)
+            # one exp per distinct score; a log for each rank at cost m, for
+            # the next one down when there is one, and for the least cost before t*
+            assert counting.calls == {"exp": len(probs), "log": at_m + below + (t > 0)}, src
 
 
 class TestBeamTranslate:
