@@ -167,6 +167,7 @@ class Links:
     link_tgt: np.ndarray  # target occurrence per link
     tgt_n_src: np.ndarray  # source length, empty slot included, per target occurrence
     src_n_tgt: np.ndarray  # target length per source occurrence
+    src_types: np.ndarray  # source type per source occurrence, the empty slot's 0 included
     # pairs with one target and at least PAIRWISE_MIN sources, whose
     # denominator numpy sums as a 1-D column: their targets and their links
     lone_tgt: np.ndarray
@@ -223,6 +224,7 @@ def build_links(
         link_tgt=link_tgt,
         tgt_n_src=tgt_n_src,
         src_n_tgt=src_n_tgt,
+        src_types=src_flat,
         lone_tgt=tgt_indptr[:-1][lone],
         lone=Segments(src_first[src_indptr[:-1][lone]], n_src[lone]),
         pair_targets=Segments(tgt_indptr[:-1][n_tgt > 0], n_tgt[n_tgt > 0]),

@@ -22,7 +22,8 @@ position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -52,8 +53,9 @@ class TTable:
     drop_probs: np.ndarray = field(repr=False)
     loglik_history: list[float] = field(default_factory=list)
 
-    def __post_init__(self):
-        self._src_index = {t: i for i, t in enumerate(self.source_vocab)}
+    @cached_property
+    def _src_index(self) -> dict[str, int]:
+        return {t: i for i, t in enumerate(self.source_vocab)}
 
     def best_target(self, f: str) -> tuple[str, float] | None:
         """Highest-probability target for f; ties go to the smaller token."""
@@ -105,17 +107,10 @@ class TTable:
         target_vocab = tuple(sorted({e for _, e, _ in entries}))
         src_index = {t: i for i, t in enumerate(source_vocab)}
         tgt_index = {t: i for i, t in enumerate(target_vocab)}
-        rows: list[list[tuple[int, float]]] = [[] for _ in source_vocab]
-        for f, e, p in entries:
-            rows[src_index[f]].append((tgt_index[e], p))
+        cells = sorted((src_index[f], tgt_index[e], p) for f, e, p in entries)  # no two share (row, col)
         indptr = np.zeros(len(source_vocab) + 1, dtype=np.int64)
-        cols = []
-        probs = []
-        for fi, row in enumerate(rows):
-            row.sort()
-            indptr[fi + 1] = indptr[fi] + len(row)
-            cols.extend(c for c, _ in row)
-            probs.extend(p for _, p in row)
+        rows = np.array([r for r, _, _ in cells], dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=len(source_vocab)), out=indptr[1:])
         drop = np.zeros(len(source_vocab))
         for f, d in payload.get("drop_probs", {}).items():
             _check_prob("drop probability", d)
@@ -125,8 +120,8 @@ class TTable:
             source_vocab=source_vocab,
             target_vocab=target_vocab,
             indptr=indptr,
-            cols=np.asarray(cols, dtype=np.int32),
-            probs=np.asarray(probs, dtype=np.float64),
+            cols=np.array([c for _, c, _ in cells], dtype=np.int32),
+            probs=np.array([p for _, _, p in cells], dtype=np.float64),
             drop_probs=drop,
             loglik_history=list(history),
         )
@@ -187,17 +182,6 @@ class IbmModel:
 # Training
 # ---------------------------------------------------------------------------
 
-@dataclass
-class _Encoded:
-    source_vocab: tuple[str, ...]
-    target_vocab: tuple[str, ...]
-    src_flat: np.ndarray
-    indptr: np.ndarray
-    cols: np.ndarray
-    rows: _kernels.Segments  # the t-table row of each source type
-    links: _kernels.Links
-
-
 def _token_ids(sentences: list[list[str]], vocab: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Every token's id in vocab as one flat array, and each sentence's length."""
     index = {t: i for i, t in enumerate(vocab)}
@@ -206,11 +190,13 @@ def _token_ids(sentences: list[list[str]], vocab: tuple[str, ...]) -> tuple[np.n
     return flat, lengths
 
 
-def _encode(pairs: list[Pair], align_bases: np.ndarray | None = None) -> _Encoded:
-    """Source ids, the sparse t-table layout and every link's table positions.
+def _encode(pairs: list[Pair], align_bases: np.ndarray | None = None) -> tuple[TTable, _kernels.Links]:
+    """The uniform t-table over the co-occurring types, and every link's table positions.
 
-    With ``align_bases`` (from ``_align_layout``) the links also carry their
-    position-table positions, so Model 2 and its Model-1 start share them.
+    Its values and drop mass are zero-stride views, so the start holds no
+    array as long as the table.  With ``align_bases`` (from ``_align_layout``)
+    the links also carry their position-table positions, so Model 2 and its
+    Model-1 start share them.
     """
     if not pairs:
         raise DataError("cannot train on an empty pair list")
@@ -234,15 +220,9 @@ def _encode(pairs: list[Pair], align_bases: np.ndarray | None = None) -> _Encode
     indptr, cols, links = _kernels.build_links(
         src_arr, src_indptr, tgt_flat, tgt_indptr, len(source_vocab), align_bases,
     )
-    return _Encoded(
-        source_vocab=source_vocab,
-        target_vocab=target_vocab,
-        src_flat=src_arr,
-        indptr=indptr,
-        cols=cols,
-        rows=_kernels.Segments(indptr[:-1], np.diff(indptr)),
-        links=links,
-    )
+    uniform = np.broadcast_to(1.0 / len(target_vocab), len(cols))
+    no_drop = np.broadcast_to(0.0, len(source_vocab))
+    return TTable(source_vocab, target_vocab, indptr, cols, uniform, no_drop), links
 
 
 def _normalize(values: np.ndarray, rows: _kernels.Segments, lengths: np.ndarray) -> np.ndarray:
@@ -253,18 +233,17 @@ def _normalize(values: np.ndarray, rows: _kernels.Segments, lengths: np.ndarray)
     return out
 
 
-def _drop_probs(enc: _Encoded, counts: np.ndarray, recv: np.ndarray) -> np.ndarray:
+def _drop_probs(src_types: np.ndarray, rows: _kernels.Segments, counts: np.ndarray, recv: np.ndarray) -> np.ndarray:
     """Drop mass per source type from a final expectation pass.
 
     recv holds the expected number of target words aligned to each source
     occurrence; the shortfall below one word accumulates as evidence that the
     type translates to nothing.
     """
-    n_src = len(enc.source_vocab)
     shortfall = np.maximum(0.0, 1.0 - recv)
-    eps_counts = np.bincount(enc.src_flat, shortfall, n_src)  # adds in order from 0.0, as np.add.at would
-    total = eps_counts + enc.rows.sums(counts)
-    out = np.zeros(n_src)
+    eps_counts = np.bincount(src_types, shortfall, rows.size)  # adds in order from 0.0, as np.add.at would
+    total = eps_counts + rows.sums(counts)
+    out = np.zeros(rows.size)
     mask = total > 0
     out[mask] = eps_counts[mask] / total[mask]
     out[0] = 0.0  # the virtual empty token is never emitted anyway
@@ -272,11 +251,11 @@ def _drop_probs(enc: _Encoded, counts: np.ndarray, recv: np.ndarray) -> np.ndarr
 
 
 def _em(
-    enc: _Encoded, iterations: int, probs: np.ndarray | None = None, align: np.ndarray | None = None
+    start: TTable, links: _kernels.Links, iterations: int, align: np.ndarray | None = None
 ) -> tuple[TTable, np.ndarray | None]:
-    """EM from the t-table values ``probs`` (uniform when None): Model 1, or
-    Model 2 when ``align`` holds the row lengths of the position table from
-    ``_align_layout``, whose values start uniform.
+    """EM from the t-table ``start``: Model 1, or Model 2 when ``align`` holds
+    the row lengths of the position table from ``_align_layout``, whose values
+    start uniform.
 
     Returns the trained t-table and position values (None for Model 1).  The
     log-likelihood history has one value per iteration, under the parameters
@@ -285,36 +264,28 @@ def _em(
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    if probs is None:
-        probs = np.full(len(enc.cols), 1.0 / len(enc.target_vocab))
-    t_lengths = np.diff(enc.indptr)
+    probs = start.probs
+    t_lengths = np.diff(start.indptr)
+    t_rows = _kernels.Segments(start.indptr[:-1], t_lengths)
     a_vals = None
     if align is not None:
         a_vals = np.repeat(1.0 / align, align)
         a_rows = _kernels.Segments(np.cumsum(align) - align, align)
     history: list[float] = []
     for it in range(iterations + 1):
-        counts = np.zeros_like(probs)
-        recv = np.zeros(len(enc.src_flat)) if it == iterations else None
+        counts = np.zeros(len(probs))
+        recv = np.zeros(len(links.src_types)) if it == iterations else None
         if a_vals is None:
-            history.append(float(_kernels.ibm1_estep(enc.links, probs, counts, recv)))
+            history.append(float(_kernels.ibm1_estep(links, probs, counts, recv)))
         else:
             a_counts = np.zeros_like(a_vals)
-            history.append(float(_kernels.ibm2_estep(enc.links, probs, a_vals, counts, a_counts, recv)))
+            history.append(float(_kernels.ibm2_estep(links, probs, a_vals, counts, a_counts, recv)))
         if recv is None:
-            probs = _normalize(counts, enc.rows, t_lengths)
+            probs = _normalize(counts, t_rows, t_lengths)
             if a_vals is not None:
                 a_vals = _normalize(a_counts, a_rows, align)
-    ttable = TTable(
-        source_vocab=enc.source_vocab,
-        target_vocab=enc.target_vocab,
-        indptr=enc.indptr,
-        cols=enc.cols,
-        probs=probs,
-        drop_probs=_drop_probs(enc, counts, recv),
-        loglik_history=history,
-    )
-    return ttable, a_vals
+    drop = _drop_probs(links.src_types, t_rows, counts, recv)
+    return replace(start, probs=probs, drop_probs=drop, loglik_history=history), a_vals
 
 
 def train_ibm1(pairs: list[Pair], iterations: int = 10) -> TTable:
@@ -324,7 +295,7 @@ def train_ibm1(pairs: list[Pair], iterations: int = 10) -> TTable:
     evaluated under the parameters entering that iteration, plus a final
     value under the trained parameters.
     """
-    return _em(_encode(pairs), iterations)[0]
+    return _em(*_encode(pairs), iterations)[0]
 
 
 def _align_layout(pairs: list[Pair]) -> tuple[dict[tuple[int, int], int], np.ndarray, np.ndarray]:
@@ -346,9 +317,9 @@ def _align_layout(pairs: list[Pair]) -> tuple[dict[tuple[int, int], int], np.nda
 def train_ibm2(pairs: list[Pair], iterations: int = 10) -> tuple[TTable, AlignTable]:
     """Model-1 initialization, then joint EM over the lexical and position tables."""
     offsets, bases, row_lengths = _align_layout(pairs)
-    enc = _encode(pairs, bases)
-    start, _ = _em(enc, iterations)
-    ttable, a_vals = _em(enc, iterations, start.probs, row_lengths)
+    start, links = _encode(pairs, bases)
+    start, _ = _em(start, links, iterations)  # rebound, so the uniform table is gone before Model 2 runs
+    ttable, a_vals = _em(start, links, iterations, row_lengths)
     ttable.loglik_history = start.loglik_history + ttable.loglik_history
     blocks = {
         (l_e, l_f): a_vals[off : off + l_e * (l_f + 1)].reshape(l_e, l_f + 1)

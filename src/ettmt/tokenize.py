@@ -76,7 +76,13 @@ def tokenizer(kind: str, suffix_path=None) -> Callable[[str], list[str]]:
 
 
 def detokenize(tokens: list[str]) -> str:
-    """Join tokens with spaces, re-attaching '-'-prefixed suffix tokens to the previous word."""
+    """Join tokens with spaces, re-attaching '-'-prefixed suffix tokens to the previous word.
+
+    This inverts both tokenizers except on a word that begins with '-' and
+    has more letters (damage augmentation writes such words, e.g. '--an'):
+    it is taken for a suffix token, so ``detokenize(["mi", "--an"])`` gives
+    'mi-an', not 'mi --an'.
+    """
     parts: list[str] = []
     for tok in tokens:
         if tok.startswith("-") and len(tok) > 1:

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ettmt.corpus import FEATURE_NAMES, Lexicon, LexiconEntry
+
+# Every property test draws the same examples on every run.  A test's own
+# @settings keeps its max_examples and deadline and inherits derandomize.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 def feature_vector(*names: str) -> tuple[int, ...]:

@@ -795,6 +795,43 @@ def _oracle_encode(pairs):
     }
 
 
+def oracle_ttable_layout(payload):
+    """The t-table arrays of a model-file payload, built row list by row list.
+
+    The former ``TTable.from_dict`` builder: each source's (column,
+    probability) cells collected in its own list, each list sorted, and the
+    row offsets added up one row at a time.  The payload must already have
+    passed ``from_dict``'s checks.
+    """
+    entries = payload["entries"]
+    source_vocab = (NULL,) + tuple(sorted({f for f, _, _ in entries} - {NULL}))
+    target_vocab = tuple(sorted({e for _, e, _ in entries}))
+    src_index = {t: i for i, t in enumerate(source_vocab)}
+    tgt_index = {t: i for i, t in enumerate(target_vocab)}
+    rows = [[] for _ in source_vocab]
+    for f, e, p in entries:
+        rows[src_index[f]].append((tgt_index[e], p))
+    indptr = np.zeros(len(source_vocab) + 1, dtype=np.int64)
+    cols, probs = [], []
+    for fi, row in enumerate(rows):
+        row.sort()
+        indptr[fi + 1] = indptr[fi] + len(row)
+        cols.extend(c for c, _ in row)
+        probs.extend(p for _, p in row)
+    drop = np.zeros(len(source_vocab))
+    for f, d in payload.get("drop_probs", {}).items():
+        if f in src_index:
+            drop[src_index[f]] = d
+    return {
+        "source_vocab": source_vocab,
+        "target_vocab": target_vocab,
+        "indptr": indptr,
+        "cols": np.asarray(cols, dtype=np.int32),
+        "probs": np.asarray(probs, dtype=np.float64),
+        "drop_probs": drop,
+    }
+
+
 def oracle_align_layout(pairs):
     """Each pair's position-table base, each (l_e, l_f) block's offset, and the table size.
 

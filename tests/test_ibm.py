@@ -310,7 +310,7 @@ class TestMatchesFormerTrainer:
         assert_same_training(pairs, 3, model)
 
     def test_one_link_per_chunk(self):
-        assert len(_encode(THREE_PAIRS).links.links) == 18
+        assert len(_encode(THREE_PAIRS)[1].links) == 18
         assert_same_training(THREE_PAIRS, 5, 2)
 
 
@@ -327,22 +327,22 @@ WIDE_PAIRS = [
 
 class TestEncode:
     def test_wide_tokens_equal_oracle_encode(self):
-        enc, ref = _encode(WIDE_PAIRS), oracles._oracle_encode(WIDE_PAIRS)
-        assert enc.source_vocab == ref["source_vocab"]
-        assert enc.target_vocab == ref["target_vocab"]
-        assert np.array_equal(enc.src_flat, ref["src_flat"])
-        assert np.array_equal(enc.indptr, ref["indptr"])
-        assert np.array_equal(enc.cols, ref["cols"])
+        (table, links), ref = _encode(WIDE_PAIRS), oracles._oracle_encode(WIDE_PAIRS)
+        assert table.source_vocab == ref["source_vocab"]
+        assert table.target_vocab == ref["target_vocab"]
+        assert np.array_equal(links.src_types, ref["src_flat"])
+        assert np.array_equal(table.indptr, ref["indptr"])
+        assert np.array_equal(table.cols, ref["cols"])
         layout = (ref["src_flat"], ref["src_indptr"], ref["tgt_flat"], ref["tgt_indptr"])
-        links, _, link_tgt = oracles.oracle_links(*layout, ref["indptr"], ref["cols"])
-        assert (enc.links.links.tolist(), enc.links.link_tgt.tolist()) == (links, link_tgt)
+        want, _, link_tgt = oracles.oracle_links(*layout, ref["indptr"], ref["cols"])
+        assert (links.links.tolist(), links.link_tgt.tolist()) == (want, link_tgt)
 
     @pytest.mark.parametrize("model", [1, 2])
     def test_wide_tokens_train_as_former_trainer(self, model):
         assert_same_training(WIDE_PAIRS, 4, model)
 
     def test_link_indices_are_intp(self):
-        links = _encode(THREE_PAIRS, oracles.oracle_align_layout(THREE_PAIRS)[0]).links
+        _, links = _encode(THREE_PAIRS, oracles.oracle_align_layout(THREE_PAIRS)[0])
         for name in ("links", "a_links", "link_tgt"):
             assert getattr(links, name).dtype == np.intp, (
                 f"Links.{name} must be np.intp: numpy converts any other index array on every E-step "
@@ -373,3 +373,61 @@ class TestLinks:
         rnd = np.random.default_rng(1853)
         for _ in range(40):
             self.assert_oracle_links(random_corpus(rnd, int(rnd.integers(1, 40))))
+
+
+class TestFromDictMatchesRowLists:
+    """`TTable.from_dict` against the former row-list builder, `oracles.oracle_ttable_layout`."""
+
+    @staticmethod
+    def assert_oracle_layout(payload):
+        table, ref = TTable.from_dict(payload), oracles.oracle_ttable_layout(payload)
+        assert table.source_vocab == ref["source_vocab"]
+        assert table.target_vocab == ref["target_vocab"]
+        assert table.indptr.dtype == ref["indptr"].dtype == np.int64
+        assert table.cols.dtype == ref["cols"].dtype == np.int32
+        for name in ("indptr", "cols", "probs", "drop_probs"):
+            assert np.array_equal(getattr(table, name), ref[name]), name
+        return table
+
+    @staticmethod
+    def trained_payloads():
+        """Unpruned payloads of trained tables, their entries shuffled."""
+        rnd = np.random.default_rng(1993)
+        for model in (1, 2):
+            for pairs in (THREE_PAIRS, EDGE_PAIRS, WIDE_PAIRS, random_corpus(rnd, 30), copy_corpus()):
+                table = train_ibm1(pairs, 3) if model == 1 else train_ibm2(pairs, 3)[0]
+                payload = table.to_dict(prune=0.0)
+                payload["entries"] = [payload["entries"][k] for k in rnd.permutation(len(payload["entries"]))]
+                yield table, payload
+
+    def test_trained_tables_shuffled(self):
+        for trained, payload in self.trained_payloads():
+            assert any(f == NULL_TOKEN for f, _, _ in payload["entries"])
+            table = self.assert_oracle_layout(payload)
+            assert np.array_equal(table.probs, trained.probs)  # nothing pruned, so every cell comes back
+
+    def test_without_null_entries(self):
+        for _, payload in self.trained_payloads():
+            payload["entries"] = [entry for entry in payload["entries"] if entry[0] != NULL_TOKEN]
+            table = self.assert_oracle_layout(payload)
+            assert table.indptr[1] == 0  # the empty source keeps row 0, with no cells
+
+    def test_source_with_every_entry_pruned(self):
+        for trained, _ in self.trained_payloads():
+            rows = zip(trained.source_vocab, trained.indptr[:-1], trained.indptr[1:])
+            best = {f: trained.probs[lo:hi].max() for f, lo, hi in rows if hi > lo}
+            gone = min(best, key=best.get)  # pruned just above its best cell, so all its cells go
+            payload = trained.to_dict(prune=float(np.nextafter(best[gone], 1.0)))
+            payload["drop_probs"][gone] = 0.5  # a drop mass whose source no entry names is dropped
+            assert all(f != gone for f, _, _ in payload["entries"])
+            self.assert_oracle_layout(payload)
+
+    @pytest.mark.parametrize("drop_probs", [{}, {"x": 0.5, NULL_TOKEN: 0.25}])
+    def test_empty_entries(self, drop_probs):
+        table = self.assert_oracle_layout({"entries": [], "drop_probs": drop_probs})
+        assert table.source_vocab == (NULL_TOKEN,) and table.target_vocab == ()
+        assert table.indptr.tolist() == [0, 0]
+
+    def test_integer_probabilities(self):
+        self.assert_oracle_layout({"entries": [["b", "y", 1], ["a", "y", 0.5], ["a", "x", 0], [NULL_TOKEN, "x", 1]],
+                                   "drop_probs": {"a": 1, "b": 0.0}})
