@@ -132,6 +132,22 @@ def columns(peq: dict, m: int, b) -> tuple[list[int], list[int], list[int]]:
 PAIRWISE_MIN = 8  # numpy sums 1-D runs of this many terms or more pairwise
 
 
+def _length_groups(starts: np.ndarray, lengths: np.ndarray):
+    """(rows, index) per distinct run length n >= 1: the runs of that length and the
+    (rows, n) array of their value positions, built when the group is reached."""
+    for n in np.flatnonzero(np.bincount(lengths)[1:]) + 1:
+        rows = np.flatnonzero(lengths == n)
+        yield rows, starts[rows, None] + np.arange(n)
+
+
+def _sum_groups(values: np.ndarray, size: int, groups) -> np.ndarray:
+    out = np.zeros(size)
+    for rows, index in groups:
+        out[rows] = values[index].sum(axis=1)
+        del index  # a one-shot group's index is gone before the next one is built
+    return out
+
+
 class Segments:
     """Runs ``values[s:s + n]`` of an array, summed as numpy sums each run alone.
 
@@ -139,21 +155,22 @@ class Segments:
     The runs of one length are gathered into a 2-D array and summed along
     axis 1, which gives each row that same rounding, so ``sums`` equals
     ``[values[s:s + n].sum() for s, n in zip(starts, lengths)]`` bit for bit
-    with one reduction per distinct length.
+    with one reduction per distinct length.  The gather indices are built
+    once and kept for runs summed at every E-step.
     """
 
     def __init__(self, starts: np.ndarray, lengths: np.ndarray):
         self.size = len(starts)
-        self.groups = []
-        for n in np.flatnonzero(np.bincount(lengths)[1:]) + 1:
-            rows = np.flatnonzero(lengths == n)
-            self.groups.append((rows, starts[rows, None] + np.arange(n)))
+        self.groups = list(_length_groups(starts, lengths))
 
     def sums(self, values: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.size)
-        for rows, index in self.groups:
-            out[rows] = values[index].sum(axis=1)
-        return out
+        return _sum_groups(values, self.size, self.groups)
+
+
+def segment_sums(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``Segments(starts, lengths).sums(values)`` for runs summed once: each length's gather
+    index exists only while that length is summed, so at most one is held at a time."""
+    return _sum_groups(values, len(starts), _length_groups(starts, lengths))
 
 
 @dataclass
@@ -202,9 +219,7 @@ def build_links(
     width = int(tgt_flat.max(initial=0)) + 1
     keys = np.repeat(src_flat.astype(np.int64) * width, src_n_tgt)
     keys += tgt_flat[link_tgt]
-    ranks, n_keys = dense_rank(keys)
-    distinct = np.empty(n_keys, dtype=np.int64)
-    distinct[ranks] = keys  # the distinct keys, ascending
+    ranks, distinct = dense_rank(keys)
     del keys  # the position-table positions come after the sort, so its temporaries and theirs never coexist
     t_indptr = np.zeros(n_src_types + 1, dtype=np.int64)
     np.cumsum(np.bincount(distinct // width, minlength=n_src_types), out=t_indptr[1:])
@@ -245,7 +260,7 @@ def _estep(links, t_vals, a_vals, counts, a_counts, recv):
     if recv is not None:
         # each source occurrence's links are a run as long as its pair's target count
         lengths = links.src_n_tgt
-        recv += Segments(np.cumsum(lengths) - lengths, lengths).sums(delta)
+        recv += segment_sums(delta, np.cumsum(lengths) - lengths, lengths)
     logs = np.log(denom / links.tgt_n_src) if a_vals is None else np.log(denom)
     loglik = 0.0
     for pair_loglik in links.pair_targets.sums(logs).tolist():
@@ -275,22 +290,27 @@ def ibm2_estep(links, t_vals, a_vals, counts, a_counts, recv=None):
 # Dense ranks
 # ---------------------------------------------------------------------------
 
-def dense_rank(keys: np.ndarray) -> tuple[np.ndarray, int]:
-    """Each key's rank among the distinct keys, and how many distinct keys there are.
+def dense_rank(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each key's rank among the distinct keys, and the distinct keys, ascending.
 
     Used for BLEU / chr-F n-gram ids, for the distinct naive-Bayes scores and
-    for the t-table positions of EM links, so ``keys`` may be integers or
-    floats.  Equal keys get one rank whatever order the sort leaves them in,
-    so numpy's default (unstable, SIMD) sort serves.  On a 2-core Xeon VM
-    with numpy 2.4 it argsorts 2,048 int64 keys in about 40 us, where a
-    stable sort takes 110-130 us.
+    log arguments and for the t-table positions of EM links, so ``keys`` may
+    be integers or floats.  Equal keys get one rank whatever order the sort
+    leaves them in, so numpy's default (unstable, SIMD) sort serves; which of
+    two equal keys (0.0 and -0.0) stands for them in the distinct keys is
+    left open.  On a 2-core Xeon VM with numpy 2.4 it argsorts 2,048 int64
+    keys in about 40 us, where a stable sort takes 110-130 us.
     """
     order = np.argsort(keys)
     ordered = keys[order]
-    step = np.zeros(len(keys), dtype=np.int64)
-    np.not_equal(ordered[1:], ordered[:-1], out=step[1:])  # 1 where a new key starts
+    starts = np.empty(len(keys), dtype=bool)  # True where a new key starts
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
     del ordered  # one key-sized array fewer while the ranks are scattered back
-    np.cumsum(step, out=step)
+    step = np.empty(len(keys), dtype=np.int64)
+    step[:1] = 0
+    np.cumsum(starts[1:], out=step[1:])
     ranks = np.empty_like(step)
     ranks[order] = step
-    return ranks, int(step[-1]) + 1
+    del step
+    return ranks, keys[order[starts]]

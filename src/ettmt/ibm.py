@@ -51,6 +51,7 @@ class TTable:
     cols: np.ndarray = field(repr=False)
     probs: np.ndarray = field(repr=False)
     drop_probs: np.ndarray = field(repr=False)
+    # per E-step, from np.log: may differ in the last bit between CPUs; nothing decodes with it
     loglik_history: list[float] = field(default_factory=list)
 
     @cached_property

@@ -128,17 +128,17 @@ def _ngram_stats(pairs, order: int, encode):
         run = np.repeat(np.arange(len(runs)), lengths)
         pos = np.arange(len(codes))
         left = np.cumsum(lengths)[run] - pos  # items from a position to its run's end
-        ids, kinds = _kernels.dense_rank((run >> 1) * width + codes)  # run >> 1: the segment
+        ids, distinct = _kernels.dense_rank((run >> 1) * width + codes)  # run >> 1: the segment
         for n in range(1, order + 1):
             if n > 1:
                 keep = shared[ids] & (left[pos] >= n)
                 pos = pos[keep]
                 if not len(pos):
                     break
-                ids, kinds = _kernels.dense_rank(ids[keep] * width + codes[pos + n - 1])
+                ids, distinct = _kernels.dense_rank(ids[keep] * width + codes[pos + n - 1])
             from_hyp = run[pos] % 2 == 0
-            clipped = np.minimum(np.bincount(ids[from_hyp], minlength=kinds),
-                                 np.bincount(ids[~from_hyp], minlength=kinds))
+            clipped = np.minimum(np.bincount(ids[from_hyp], minlength=len(distinct)),
+                                 np.bincount(ids[~from_hyp], minlength=len(distinct)))
             matches[n - 1] += int(clipped.sum())
             shared = clipped > 0  # only an n-gram on both sides can start a matching (n+1)-gram
     return matches, hyp_totals.tolist(), ref_totals.tolist()

@@ -34,9 +34,17 @@ decoder first follows each row's lowest-index minimum, read from the model's
 computed without building the row. It returns that greedy sequence when a
 running bound shows no other sequence can reach its cost at any beam width;
 when a float rounding tie leaves that open (or a row is all ``inf``), it runs
-the beam search on that sentence. Each model caches the summary of every
-source context it has decoded. With English context the hypotheses diverge
-and the beam matters.
+the beam search on that sentence. With English context the hypotheses
+diverge and the beam matters.
+
+Most contexts a decoder meets share their row with another. Each model's
+``row_key`` gives the least its row depends on: an n-gram context key only
+when ``counts`` holds it (every uncounted context has one uniform row), and
+per naive-Bayes slot the value only when that slot has counts for it (an
+absent value adds just the slot's default vector). The decoder keeps, on each
+trained model, one memo of summaries and one of read-only rows, both keyed by
+``row_key``; past ``ROW_MEMO_FLOATS`` floats the least recently used rows
+go. A model is trained per run, so no run reuses another's rows.
 
 Every cost value is built with the same ``math.log`` / ``math.exp`` calls
 on the same arguments as the per-target n-gram and naive-Bayes references in
@@ -70,6 +78,9 @@ CONTEXT_ETT = "ett"
 CONTEXT_ETT_ENG = "ett-eng"
 CONTEXT_MODES = (CONTEXT_ETT, CONTEXT_ETT_ENG)
 MAX_N = 64  # source tokens per context; inscriptions are far shorter, and padding is built n slots wide
+# Cost-row floats one model's beam search keeps (8 MB). perfbench's decode-beam models need
+# under 0.1M; a dataset-scale naive-Bayes ett-eng model meets 3,214 distinct rows of 2,333 (60 MB).
+ROW_MEMO_FLOATS = 1 << 20
 
 Pair = tuple[list[str], list[str]]
 
@@ -210,9 +221,22 @@ class NgramModel:
         return {tok: i for i, tok in enumerate(self.vocab)}
 
     @cached_property
-    def _summaries(self) -> dict[tuple, tuple[int, float, float]]:
-        """source slots -> `summary`, filled by the greedy decoder."""
+    def _summaries(self) -> dict[tuple | None, tuple[int, float, float]]:
+        """`row_key` -> `summary`, filled by the greedy decoder."""
         return {}
+
+    @cached_property
+    def _rows(self) -> dict[tuple | None, np.ndarray]:
+        """`row_key` -> read-only `costs` row, filled by the beam search up to ROW_MEMO_FLOATS."""
+        return {}
+
+    def row_key(self, src_slots: tuple, eng_slots: tuple = ()) -> tuple | None:
+        """What the cost row depends on: the context key (source slots sorted when not `ordered`)
+        if `counts` holds it, else None, since every uncounted context has one uniform row.
+        Contexts with equal keys have equal `costs` rows and, source-only, equal `summary`."""
+        _check_arity(self, src_slots)
+        key = _context_key(tuple(src_slots), tuple(eng_slots), self.ordered)
+        return key if key in self.counts else None
 
     def _cells(self, src_slots: tuple, eng_slots: tuple) -> tuple[float, dict[int, float]]:
         """The context's default cost, and {vocab index: cost} of the targets its bucket counts."""
@@ -362,8 +386,22 @@ class NaiveBayesModel:
 
     @cached_property
     def _summaries(self) -> dict[tuple, tuple[int, float, float]]:
-        """source slots -> `summary`, filled by the greedy decoder."""
+        """`row_key` -> `summary`, filled by the greedy decoder."""
         return {}
+
+    @cached_property
+    def _rows(self) -> dict[tuple, np.ndarray]:
+        """`row_key` -> read-only `costs` row, filled by the beam search up to ROW_MEMO_FLOATS."""
+        return {}
+
+    def row_key(self, src_slots: tuple, eng_slots: tuple = ()) -> tuple:
+        """What the cost row depends on: per context slot, the value if that slot's overrides
+        hold it, else None, since an absent value only adds the slot's default vector.
+        Contexts with equal keys have equal `costs` rows and, source-only, equal `summary`."""
+        _check_arity(self, src_slots)
+        overrides = self._cost_tables[2]
+        return tuple(value if value in overrides[slot] else None
+                     for slot, value in enumerate(tuple(src_slots) + tuple(eng_slots)))
 
     def _posterior(self, src_slots: tuple, eng_slots: tuple) -> tuple[np.ndarray, np.ndarray] | None:
         """(ranks, probs): each target's dense rank among the distinct log scores, and the
@@ -382,37 +420,42 @@ class NaiveBayesModel:
         if peak == -math.inf:
             return None
         shifted = score - peak
-        ranks, kinds = dense_rank(shifted)
-        distinct = np.empty(kinds)
-        distinct[ranks] = shifted
+        ranks, distinct = dense_rank(shifted)
         exps = np.array([math.exp(s) for s in distinct.tolist()])
         return ranks, exps / _left_sum(exps[ranks])
 
     @cached_property
     def _cost_tables(self) -> tuple:
         """The log-prior vector, per-slot default log-likelihood vectors and per-slot
-        {value: (target indices, log-likelihoods)} overrides."""
+        {value: (target indices, log-likelihoods)} overrides.
+
+        Each log argument is a count plus alpha over a count total plus alpha times a
+        vocabulary size, formed with numpy's correctly rounded `+` and `/` on the counts as
+        floats: the same IEEE operations, so the same values, as the scalar expressions.
+        `math.log` then runs once per distinct argument."""
         alpha = self.alpha
-        prior_denom = self.total_positions + alpha * len(self.vocab)
-        log_prior = np.array([_log((self.target_counts.get(t, 0) + alpha) / prior_denom) for t in self.vocab])
         index = {t: i for i, t in enumerate(self.vocab)}
-        defaults, overrides = [], []
+        counts = np.array([self.target_counts.get(t, 0) for t in self.vocab], dtype=np.float64)
+        args = [(counts + alpha) / (self.total_positions + alpha * len(self.vocab))]
+        slots = []
         for slot, by_target in enumerate(self.slot_counts):
-            size = len(self.slot_vocabs[slot])
-            defaults.append(np.array(
-                [_log(alpha / (self.target_counts.get(t, 0) + alpha * size)) for t in self.vocab]
-            ))
-            by_value: dict[str, tuple[list[int], list[float]]] = {}
+            denom = counts + alpha * len(self.slot_vocabs[slot])
+            by_value: dict[str, list[tuple[int, int]]] = {}  # (target index, count) cells
             for target, values in by_target.items():
-                denom = self.target_counts.get(target, 0) + alpha * size
+                i = index[target]
                 for value, count in values.items():
-                    idx, logs = by_value.setdefault(value, ([], []))
-                    idx.append(index[target])
-                    logs.append(_log((count + alpha) / denom))
-            overrides.append(
-                {v: (np.array(idx, dtype=np.intp), np.array(logs)) for v, (idx, logs) in by_value.items()}
-            )
-        return log_prior, defaults, overrides
+                    by_value.setdefault(value, []).append((i, count))
+            cells = [cell for value_cells in by_value.values() for cell in value_cells]
+            targets = np.array([i for i, _ in cells], dtype=np.intp)
+            args += [alpha / denom, (np.array([c for _, c in cells], dtype=np.float64) + alpha) / denom[targets]]
+            # each value's cells end where the next value's begin
+            slots.append((list(by_value), np.cumsum([len(v) for v in by_value.values()]).tolist(), targets))
+        ranks, distinct = dense_rank(np.concatenate(args))
+        logs = np.array([_log(p) for p in distinct.tolist()])[ranks]
+        log_prior, *slot_logs = np.split(logs, np.cumsum([len(a) for a in args])[:-1])
+        overrides = [{v: (targets[a:b], cell_logs[a:b]) for v, a, b in zip(values, [0] + ends, ends)}
+                     for (values, ends, targets), cell_logs in zip(slots, slot_logs[1::2])]
+        return log_prior, slot_logs[0::2], overrides
 
     def to_dict(self) -> dict:
         return {
@@ -495,6 +538,23 @@ def _source_slots(source: list[str], n: int):
     return (tuple(padded[i : i + n]) for i in range(len(source)))
 
 
+def _row(model, src_slots: tuple, history: tuple) -> np.ndarray:
+    """The context's `costs` row, read-only, from the model's memo when a context with the same
+    `row_key` was decoded before. The memo drops its least recently used rows while it would
+    hold more than ROW_MEMO_FLOATS floats; a row longer than that is never kept."""
+    key = model.row_key(src_slots, history)
+    rows = model._rows
+    row = rows.pop(key, None)  # put back last, so the first row is the least recently used
+    if row is None:
+        row = model.costs(src_slots, history)
+        row.flags.writeable = False
+        while rows and (len(rows) + 1) * len(row) > ROW_MEMO_FLOATS:
+            del rows[next(iter(rows))]
+    if len(row) <= ROW_MEMO_FLOATS:
+        rows[key] = row
+    return row
+
+
 def _greedy_translate(model, source: list[str]) -> list[str] | None:
     """The source-only decode as greedy search, or None when another sequence might win.
 
@@ -509,9 +569,10 @@ def _greedy_translate(model, source: list[str]) -> list[str] | None:
     g, b = 0.0, math.inf
     tokens = []
     for src_slots in _source_slots(source, model.n):
-        summary = summaries.get(src_slots)
+        key = model.row_key(src_slots, ())
+        summary = summaries.get(key)
         if summary is None:
-            summary = summaries[src_slots] = model.summary(src_slots)
+            summary = summaries[key] = model.summary(src_slots)
         t, m, m_lt = summary
         g, b = g + m, min(g + m_lt, b + m)
         if not g < b:
@@ -532,8 +593,8 @@ def beam_translate(model, source: list[str], beams: int = 8) -> list[str]:
     the output.
 
     At each position the live hypotheses' summed costs plus their contexts'
-    cost vectors (`model.costs`, one per distinct context) form a
-    hypotheses x vocab matrix. The beam keeps its `beams` smallest entries,
+    cost vectors (`model.costs`, read from the model's row memo by `row_key`)
+    form a hypotheses x vocab matrix. The beam keeps its `beams` smallest entries,
     ordered by (cost, token sequence). The live hypotheses are kept in
     token-sequence order and `vocab` is sorted, so an entry's flat index
     is its sequence order. The cost vectors are computed with `math.log` /
@@ -556,7 +617,7 @@ def beam_translate(model, source: list[str], beams: int = 8) -> list[str]:
     length-normalized final score can fall as a hypothesis grows.
 
     Source-only decoding first tries `_greedy_translate`, which needs one
-    `summary` call per distinct source context and model, and no `costs`.
+    `summary` call per distinct `row_key` and model, and no `costs`.
     It returns the greedy sequence when, at every position, the greedy score g' = g + m
     stays below b' = min(g + m_lt, b + m), the bound on every sequence that
     sorts before it (m is the row's least cost, m_lt the least cost at a
@@ -584,13 +645,8 @@ def beam_translate(model, source: list[str], beams: int = 8) -> list[str]:
     for i, src_slots in enumerate(_source_slots(source, n)):
         if done and best_done <= float(scores.min()):
             break  # no live hypothesis can still win
-        shared: dict[tuple, np.ndarray] = {}
-        rows = []
-        for tokens in alive:
-            history = tuple(([PAD] * n + list(tokens))[-n:]) if uses_history else ()
-            if history not in shared:
-                shared[history] = model.costs(src_slots, history)
-            rows.append(shared[history])
+        rows = [_row(model, src_slots, tuple(([PAD] * n + list(tokens))[-n:]) if uses_history else ())
+                for tokens in alive]
         cand = scores[:, None] + np.stack(rows)
         n_open = cand.size
         if uses_history:

@@ -261,10 +261,10 @@ def oracle_ter(hypotheses, references):
 # ---------------------------------------------------------------------------
 
 def oracle_dense_rank(keys):
-    """Each key's index among the sorted distinct keys, and how many distinct keys there are."""
+    """Each key's index among the sorted distinct keys, and those keys."""
     distinct = sorted(set(keys))
     index = {key: i for i, key in enumerate(distinct)}
-    return [index[key] for key in keys], len(distinct)
+    return [index[key] for key in keys], distinct
 
 
 # ---------------------------------------------------------------------------
@@ -987,6 +987,32 @@ def _left_sum(values) -> float:
     return total
 
 
+def former_nb_cost_tables(self) -> tuple:
+    """`NaiveBayesModel._cost_tables` as it was before it formed its log arguments as arrays:
+    one scalar expression and one `math.log` per cell. `self` is the model."""
+    alpha = self.alpha
+    prior_denom = self.total_positions + alpha * len(self.vocab)
+    log_prior = np.array([_log((self.target_counts.get(t, 0) + alpha) / prior_denom) for t in self.vocab])
+    index = {t: i for i, t in enumerate(self.vocab)}
+    defaults, overrides = [], []
+    for slot, by_target in enumerate(self.slot_counts):
+        size = len(self.slot_vocabs[slot])
+        defaults.append(np.array(
+            [_log(alpha / (self.target_counts.get(t, 0) + alpha * size)) for t in self.vocab]
+        ))
+        by_value: dict[str, tuple[list[int], list[float]]] = {}
+        for target, values in by_target.items():
+            denom = self.target_counts.get(target, 0) + alpha * size
+            for value, count in values.items():
+                idx, logs = by_value.setdefault(value, ([], []))
+                idx.append(index[target])
+                logs.append(_log((count + alpha) / denom))
+        overrides.append(
+            {v: (np.array(idx, dtype=np.intp), np.array(logs)) for v, (idx, logs) in by_value.items()}
+        )
+    return log_prior, defaults, overrides
+
+
 def former_nb_costs(self, src_slots: tuple, eng_slots: tuple = ()) -> np.ndarray:
     """`NaiveBayesModel.costs` as it was before it worked per distinct score:
     one `math.exp` and one `math.log` per target. `self` is the model."""
@@ -1122,6 +1148,52 @@ def oracle_beam_translate(model, source: list[str], beams: int = 8) -> list[str]
     done.sort(key=lambda h: (h[0], h[1], h[2]))
     best_tokens = done[0][2]
     return [t for t in best_tokens if t not in (PAD, EOS)]
+
+
+def former_beam_translate(model, source: list[str], beams: int = 8) -> list[str]:
+    """`ettmt.ngram.beam_translate`'s beam search as it was before it memoized rows per model:
+    one `model.costs` call per distinct history at each position, shared only within that
+    position, and no greedy shortcut for source-only contexts (which returns the same)."""
+    if beams < 1:
+        raise ValueError(f"beam count must be >= 1, got {beams}")
+    n = model.n
+    padded = [PAD] * (n - 1) + list(source)
+    uses_history = model.context_mode == CONTEXT_ETT_ENG
+    vocab = model.vocab
+    eos = vocab.index(EOS)
+    alive: list[tuple[str, ...]] = [()]
+    scores = np.zeros(1)
+    done: list[tuple[float, float, tuple[str, ...]]] = []
+    best_done = math.inf
+    for i in range(len(source)):
+        src_slots = tuple(padded[i : i + n])
+        if done and best_done <= float(scores.min()):
+            break
+        shared: dict[tuple, np.ndarray] = {}
+        rows = []
+        for tokens in alive:
+            history = tuple(([PAD] * n + list(tokens))[-n:]) if uses_history else ()
+            if history not in shared:
+                shared[history] = model.costs(src_slots, history)
+            rows.append(shared[history])
+        cand = scores[:, None] + np.stack(rows)
+        n_open = cand.size
+        if uses_history:
+            finished = cand[:, eos].tolist()
+            done.extend((cost, float(i), tokens) for cost, tokens in zip(finished, alive))
+            best_done = min(best_done, *finished)
+            cand[:, eos] = math.inf
+            n_open -= len(alive)
+        flat = cand.ravel()
+        k = min(beams, n_open)
+        picked = np.flatnonzero(flat <= np.partition(flat, k - 1)[k - 1])
+        kept = np.sort(picked[np.argsort(flat[picked], kind="stable")[:k]])
+        parent, tok = np.divmod(kept, len(vocab))
+        scores = flat[kept]
+        alive = [alive[p] + (vocab[t],) for p, t in zip(parent.tolist(), tok.tolist())]
+    done.extend((score, math.inf, tokens) for score, tokens in zip(scores.tolist(), alive))
+    done.sort(key=lambda h: (h[0], h[1], h[2]))
+    return [t for t in done[0][2] if t not in (PAD, EOS)]
 
 
 def oracle_row_summary(row: np.ndarray) -> tuple[int, float, float]:

@@ -248,21 +248,24 @@ class TestSegments:
         starts = rnd.integers(0, len(values) - 300, size=200)
         want = [values[s : s + n].sum() for s, n in zip(starts, lengths)]
         assert _kernels.Segments(starts, lengths).sums(values).tolist() == want
+        assert _kernels.segment_sums(values, starts, lengths).tolist() == want
 
     def test_no_segments(self):
         empty = np.zeros(0, dtype=np.int64)
         assert len(_kernels.Segments(empty, empty).sums(np.ones(3))) == 0
+        assert len(_kernels.segment_sums(np.ones(3), empty, empty)) == 0
 
 
 class TestDenseRank:
     """`dense_rank` against `oracles.oracle_dense_rank`, compared with ==, for the int64
-    n-gram keys of BLEU / chr-F and the float64 scores of a naive-Bayes cost row."""
+    n-gram keys of BLEU / chr-F and the float64 scores of a naive-Bayes cost row: the
+    ranks and the ascending distinct keys."""
 
     @staticmethod
     def _assert_oracle(keys):
-        ranks, kinds = _kernels.dense_rank(keys)
-        assert ranks.dtype == np.int64
-        assert (ranks.tolist(), kinds) == oracles.oracle_dense_rank(keys.tolist())
+        ranks, distinct = _kernels.dense_rank(keys)
+        assert ranks.dtype == np.int64 and distinct.dtype == keys.dtype
+        assert (ranks.tolist(), distinct.tolist()) == oracles.oracle_dense_rank(keys.tolist())
 
     @pytest.mark.parametrize("size", [1, 2, 7, 16, 17, 100, 2048, 2333, 5000])
     @pytest.mark.parametrize("distinct", [1, 3, 83, 10**6])
@@ -281,8 +284,12 @@ class TestDenseRank:
 
     def test_single_key(self):
         for keys in (np.array([5], dtype=np.int64), np.array([-math.inf]), np.array([0.0])):
-            ranks, kinds = _kernels.dense_rank(keys)
-            assert ranks.tolist() == [0] and kinds == 1
+            ranks, distinct = _kernels.dense_rank(keys)
+            assert ranks.tolist() == [0] and distinct.tolist() == keys.tolist()
+
+    def test_no_keys(self):
+        ranks, distinct = _kernels.dense_rank(np.zeros(0, dtype=np.int64))
+        assert len(ranks) == len(distinct) == 0
 
     def test_all_equal_and_all_distinct(self):
         self._assert_oracle(np.full(5000, -math.inf))
@@ -290,8 +297,8 @@ class TestDenseRank:
         self._assert_oracle(np.arange(5000, 0, -1, dtype=np.int64))
 
     def test_signed_zeros_share_a_rank(self):
-        ranks, kinds = _kernels.dense_rank(np.array([0.0, -0.0, -1.0, -0.0, 0.0]))
-        assert ranks.tolist() == [1, 1, 0, 1, 1] and kinds == 2
+        ranks, distinct = _kernels.dense_rank(np.array([0.0, -0.0, -1.0, -0.0, 0.0]))
+        assert ranks.tolist() == [1, 1, 0, 1, 1] and distinct.tolist() == [-1.0, 0.0]
 
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(st.one_of(

@@ -508,7 +508,7 @@ class TestCostVectors:
             assert model._summaries  # the greedy path's cache is filled
             assert model == fresh
             assert model.to_dict() == fresh.to_dict()
-            for name in ("_index", "_cost_tables", "context_totals", "total_positions", "_summaries"):
+            for name in ("_index", "_cost_tables", "context_totals", "total_positions", "_summaries", "_rows"):
                 assert name not in repr(model)
             fresh.__dict__["context_totals" if isinstance(model, NgramModel) else "total_positions"] = -1
             assert model == fresh  # equality reads only the fields
@@ -526,14 +526,22 @@ _EXACT_PROBS = [math.exp(-k) for k in range(4)]
 
 
 class _SummaryFromCosts:
-    """What a stand-in model needs besides `costs` for the greedy path: the row summary, taken
-    from the full source-only row by the oracle, and the summary cache the decoder fills."""
+    """What a stand-in model needs besides `costs` for the decoder: the row summary, taken from
+    the full source-only row by the oracle, a row key that is the whole context, and the summary
+    and row memos the decoder fills."""
 
     def summary(self, src_slots):
         return oracles.oracle_row_summary(self.costs(src_slots, ()))
 
+    def row_key(self, src_slots, eng_slots=()):
+        return tuple(src_slots), tuple(eng_slots)
+
     @cached_property
     def _summaries(self):
+        return {}
+
+    @cached_property
+    def _rows(self):
         return {}
 
 
@@ -663,23 +671,37 @@ def _count_calls(model, method="costs") -> list[int]:
     return calls
 
 
+def _count_positions(monkeypatch) -> list[int]:
+    """Count the source positions the decoder reads, in the returned one-element list. A search
+    that stops early reads one position past the last it ran; one that does not, every position."""
+    positions = [0]
+    source_slots = ettmt.ngram._source_slots
+
+    def counted(source, n):
+        for slots in source_slots(source, n):
+            positions[0] += 1
+            yield slots
+
+    monkeypatch.setattr(ettmt.ngram, "_source_slots", counted)
+    return positions
+
+
 class TestEarlyStop:
     """The ett-eng search returns once the best finished cost is <= every live score."""
 
-    def test_tie_heavy_models_match_oracle(self):
+    def test_tie_heavy_models_match_oracle(self, monkeypatch):
         rng = random.Random(21)
         fired = compared = 0
+        positions = _count_positions(monkeypatch)
         for n, alpha in itertools.product((1, 2), (1.0, 0.1)):
             for model in (_tie_heavy_ngram(rng, n, alpha), _tie_heavy_nb(rng, n, CONTEXT_ETT_ENG, alpha, 60)):
-                calls = _count_calls(model)
                 for _ in range(4):
                     source = rng.choices([PAD, "s0", "s1", "s2", "unseen"], k=rng.randint(1, 8))
                     for beams in range(1, 10):
-                        calls[0] = 0
+                        positions[0] = 0
                         got = beam_translate(model, source, beams=beams)
                         assert got == oracles.oracle_beam_translate(model, source, beams=beams), (model, source, beams)
-                        # every position that runs makes at least one call
-                        fired += calls[0] < len(source)
+                        fired += positions[0] < len(source)
                         compared += 1
         assert compared == 2 * 2 * 2 * 4 * 9
         assert fired > compared // 4
@@ -725,6 +747,7 @@ class TestEarlyStop:
         source = ["p0", "p1", "p2"]
         for beams in range(1, 10):
             calls[0] = 0
+            model._rows.clear()  # each width's search builds its own rows
             assert beam_translate(model, source, beams=beams) == [] == oracles.oracle_beam_translate(
                 model, source, beams=beams)
             assert calls[0] == 1
@@ -734,12 +757,13 @@ class TestEarlyStop:
         # live score and the search ends after one call
         (train_ngram, ["q", "r", "s", "t", "u", "v"], [], 1),
         (train_ngram, ["a", "b", "c", "a", "b", "c"], [], 5),
-        (train_naive_bayes, ["q", "r", "s", "t", "u", "v"], ["y"], 5),
+        # unseen source tokens share a row key, so two positions share a row
+        (train_naive_bayes, ["q", "r", "s", "t", "u", "v"], ["y"], 4),
         (train_naive_bayes, ["a", "b", "c", "a", "b", "c"], ["z", "y"], 8),
     ], ids=["ngram-unseen", "ngram-seen", "naive-bayes-unseen", "naive-bayes-seen"])
     def test_stop_saves_costs_calls(self, train, source, expected, n_calls):
-        # without the stop every one of the six positions makes at least one
-        # call per distinct history, 8 beams wide
+        # one call per distinct row key the search reaches; without the stop
+        # all six positions would run, 8 beams wide
         pairs = [(["a", "b"], ["x", "y"]), (["b", "c"], ["y"]), (["a"], ["z", "x"]), (["c", "a", "b"], ["x", "z", "y"])]
         model = train(pairs, n=1, context_mode=CONTEXT_ETT_ENG)
         calls = _count_calls(model)
@@ -838,12 +862,13 @@ class TestGreedyPath:
     @pytest.mark.parametrize("train", [train_ngram, train_naive_bayes])
     @pytest.mark.parametrize("n", [1, 2])
     def test_one_costs_call_per_distinct_source_context(self, train, n):
-        # one `summary` call per distinct source context, and no `costs` row
-        # while the greedy path returns
+        # one `summary` call per distinct row key of the source contexts, and
+        # no `costs` row while the greedy path returns
         pairs = [(["a", "b"], ["x", "y"]), (["b", "c"], ["y"]), (["a"], ["z", "x"]), (["c", "a", "b"], ["x", "z", "y"])]
         model = train(pairs, n=n)
         sources = [["a", "b", "a"], ["b", "a"], ["a", "b", "a"], ["q", "a", "c"], [], ["c"]]
-        contexts = {tuple(([PAD] * (n - 1) + s)[i : i + n]) for s in sources for i in range(len(s))}
+        padded = [[PAD] * (n - 1) + s for s in sources]
+        contexts = {model.row_key(tuple(p[i : i + n]), ()) for p in padded for i in range(len(p) - n + 1)}
         calls = _count_calls(model, "summary")
         rows = _count_calls(model, "costs")
         decoded = [beam_translate(model, s) for s in sources]
@@ -971,6 +996,135 @@ class TestRowSummary:
             # one exp per distinct score; a log for each rank at cost m, for
             # the next one down when there is one, and for the least cost before t*
             assert counting.calls == {"exp": len(probs), "log": at_m + below + (t > 0)}, src
+
+
+def _tables(tables) -> tuple:
+    """Naive-Bayes cost tables as lists, for == (idx arrays must be intp)."""
+    log_prior, defaults, overrides = tables
+    assert all(idx.dtype == np.intp for table in overrides for idx, _ in table.values())
+    return (log_prior.tolist(), [d.tolist() for d in defaults],
+            [{v: (idx.tolist(), logs.tolist()) for v, (idx, logs) in table.items()} for table in overrides])
+
+
+def _memo_models(rng):
+    """Tie-heavy ett-eng models of both families, whose decodes meet the same rows again and again."""
+    for n in (1, 2):
+        yield _tie_heavy_ngram(rng, n, 1.0)
+        yield _tie_heavy_nb(rng, n, CONTEXT_ETT_ENG, 1.0, 60)
+
+
+class TestRowMemo:
+    """The decoder keeps one memo of rows and one of summaries per model, keyed by `row_key`."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(pairs=_PAIRS, n=st.integers(1, 3), mode=st.sampled_from([CONTEXT_ETT, CONTEXT_ETT_ENG]),
+           ordered=st.booleans(), alpha=_ALPHAS, data=st.data())
+    def test_equal_keys_give_equal_rows_and_summaries(self, pairs, n, mode, ordered, alpha, data):
+        seen = [(src, eng) for ett, tokens in pairs for src, eng, _ in training_positions(ett, tokens, n, mode)]
+        values = st.sampled_from([PAD, EOS, "a", "b", "c", "x", "unseen", "other"])
+        drawn = [(tuple(data.draw(st.lists(values, min_size=n, max_size=n))),
+                  tuple(data.draw(st.lists(values, min_size=n, max_size=n))) if mode == CONTEXT_ETT_ENG else ())
+                 for _ in range(6)]
+        contexts = seen + [(src[::-1], eng) for src, eng in seen] + drawn
+        for model in (train_ngram(pairs, n=n, context_mode=mode, ordered=ordered, alpha=alpha),
+                      train_naive_bayes(pairs, n=n, context_mode=mode, alpha=alpha)):
+            rows, summaries = {}, {}
+            for src, eng in contexts:
+                row = rows.setdefault(model.row_key(src, eng), model.costs(src, eng))
+                assert np.array_equal(model.costs(src, eng), row), (model, src, eng)
+                summary = summaries.setdefault(model.row_key(src, ()), model.summary(src))
+                assert model.summary(src) == summary, (model, src)
+
+    def test_keys_are_the_counted_context_or_the_overridden_values(self):
+        pairs = [(["a", "b"], ["x", "y"]), (["b", "c"], ["y"])]
+        ngram = train_ngram(pairs, n=2, ordered=False)
+        assert ngram.row_key(("b", PAD), ()) == ngram.row_key((PAD, "b"), ()) == (PAD, "b")
+        assert ngram.row_key(("q", "r"), ()) is None is ngram.row_key(("r", "q"), ())
+        nb = train_naive_bayes(pairs, n=1, context_mode=CONTEXT_ETT_ENG)
+        assert nb.row_key(("a",), ("x",)) == ("a", "x")
+        assert nb.row_key(("q",), ("x",)) == (None, "x") == nb.row_key(("r",), ("x",))
+        for model in (ngram, nb):
+            with pytest.raises(ValueError):
+                model.row_key(("a",) * (model.n + 1), ())
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(pairs=_PAIRS, n=st.integers(1, 3), mode=st.sampled_from([CONTEXT_ETT, CONTEXT_ETT_ENG]),
+           ordered=st.booleans(), alpha=st.sampled_from([1.0, 0.01, 1e-200]), beams=st.integers(1, 9),
+           data=st.data())
+    def test_decoding_equals_the_former_loop(self, pairs, n, mode, ordered, alpha, beams, data):
+        values = st.sampled_from([PAD, "a", "b", "c", "unseen"])
+        sources = [data.draw(st.lists(values, max_size=6)) for _ in range(4)]
+        for model in (train_ngram(pairs, n=n, context_mode=mode, ordered=ordered, alpha=alpha),
+                      train_naive_bayes(pairs, n=n, context_mode=mode, alpha=alpha)):
+            # one memo serves every sentence, as in a protocol run
+            got = [beam_translate(model, source, beams=beams) for source in sources]
+            assert got == [oracles.former_beam_translate(model, source, beams=beams) for source in sources]
+
+    def test_tie_heavy_decoding_equals_the_former_loop(self):
+        rng = random.Random(43)
+        for model in _memo_models(rng):
+            for _ in range(6):
+                source = rng.choices([PAD, "s0", "s1", "s2", "unseen"], k=rng.randint(1, 8))
+                for beams in (1, 3, 8):
+                    assert beam_translate(model, source, beams=beams) == oracles.former_beam_translate(
+                        model, source, beams=beams), (model, source, beams)
+            assert model._rows
+
+    @pytest.mark.parametrize("rows, spare", [(0, 0), (1, -1), (1, 0), (3, 2)])
+    def test_cap_bounds_the_memo(self, monkeypatch, rows, spare):
+        # a cap of `rows` rows plus `spare` floats: the memo never holds more floats, fills up
+        # to the cap, and the decoded sentences do not change
+        rng = random.Random(47)
+        for model in _memo_models(rng):
+            cap = rows * len(model.vocab) + spare
+            monkeypatch.setattr(ettmt.ngram, "ROW_MEMO_FLOATS", cap)
+            held = []
+            costs = model.costs
+
+            def checked(*args):
+                held.append(len(model._rows) * len(model.vocab))
+                return costs(*args)
+
+            model.costs = checked
+            for _ in range(6):
+                source = rng.choices([PAD, "s0", "s1", "s2", "unseen"], k=rng.randint(1, 8))
+                for beams in (1, 8):
+                    assert beam_translate(model, source, beams=beams) == oracles.former_beam_translate(
+                        model, source, beams=beams), (model, source, beams)
+                    held.append(len(model._rows) * len(model.vocab))
+            assert max(held) <= cap
+            assert len(model._rows) == cap // len(model.vocab)
+            assert len(held) > 20  # rows were built, and evicted, over and over
+
+    def test_rows_are_read_only(self):
+        rng = random.Random(53)
+        for model in _memo_models(rng):
+            beam_translate(model, ["s0", "s1", "unseen", "s2"])
+            assert model._rows
+            for row in model._rows.values():
+                assert not row.flags.writeable
+                with pytest.raises(ValueError):
+                    row[0] = 0.0
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(pairs=_PAIRS, n=st.integers(1, 3), mode=st.sampled_from([CONTEXT_ETT, CONTEXT_ETT_ENG]),
+           alpha=_ALPHAS, scale=st.sampled_from([1, 3, 2**53 + 1, 10**30]))
+    def test_cost_tables_equal_the_former_per_cell_tables(self, pairs, n, mode, alpha, scale):
+        # `scale` multiplies every count: large counts are rounded to floats as the scalar code did
+        trained = train_naive_bayes(pairs, n=n, context_mode=mode, alpha=alpha)
+        model = NaiveBayesModel(
+            n=n, context_mode=mode, alpha=alpha,
+            target_counts={t: c * scale for t, c in trained.target_counts.items()},
+            slot_counts=[{t: {v: c * scale for v, c in vals.items()} for t, vals in slot.items()}
+                         for slot in trained.slot_counts],
+            slot_vocabs=trained.slot_vocabs, vocab=trained.vocab)
+        assert _tables(model._cost_tables) == _tables(oracles.former_nb_cost_tables(model))
+
+    def test_tie_heavy_cost_tables_equal_the_former_per_cell_tables(self):
+        rng = random.Random(59)
+        for n, mode, alpha in itertools.product((1, 2), (CONTEXT_ETT, CONTEXT_ETT_ENG), (1.0, 1e-200, 5e-324)):
+            model = _tie_heavy_nb(rng, n, mode, alpha)
+            assert _tables(model._cost_tables) == _tables(oracles.former_nb_cost_tables(model))
 
 
 class TestBeamTranslate:
