@@ -15,7 +15,6 @@ import numpy as np
 from .augment import AugmentConfig, augment_pairs
 from .corpus import Inscription, ParallelCorpus, load_corpus, load_lexicon, normalize, read_lines, save_corpus
 from .errors import BenchmarkError, check_seed
-from .fetch import fetch_dataset
 from .harness import BenchmarkConfig, format_table, run_benchmark
 from .metrics import score_corpus
 from .modelio import FAMILIES, lexicon_entries, load_model, save_model, train_model, translate, tsv_model_file
@@ -115,6 +114,9 @@ def cmd_benchmark(args) -> int:
 
 
 def cmd_fetch(args) -> int:
+    # imported here: urllib, http.client, email and tarfile serve this command alone
+    from .fetch import fetch_dataset
+
     root = fetch_dataset(dest=args.dest, url=args.url)
     print(root)
     return 0

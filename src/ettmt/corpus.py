@@ -3,10 +3,11 @@
 Etruscan transcriptions arrive in mixed conventions (Greek letters for
 aspirates and sibilants, several word-separator glyphs, damage hyphens).
 `normalize` maps everything onto a small Latin alphabet {a-z, space, '-'};
-the mapping is deterministic but not reversible. It is one fixed translation
-table plus two regexes, all built at import: one regex turns a marked s into
-"sh", the table maps the transcription glyphs and separators, and the other
-regex deletes (and counts) what is left outside {a-z, whitespace, '-'}.
+the mapping is deterministic but not reversible. Two regexes and a tuple of
+(glyph, replacement) pairs, all built at import, do it: one regex turns a
+marked s into "sh", one `str.replace` pass per pair maps the transcription
+glyphs and separators, and the other regex deletes (and counts) what is left
+outside {a-z, whitespace, '-'}.
 `normalize_english` keeps the runs of [a-z0-9].
 """
 
