@@ -124,28 +124,13 @@ def columns(peq: dict, m: int, b) -> tuple[list[int], list[int], list[int]]:
 # The E-steps round exactly as evaluating each pair as one (n_src, n_tgt)
 # numpy block does: counts are added in link order from 0.0 (``np.bincount``,
 # so ``counts`` must start at zero to be bit-identical), a target's denominator
-# adds its sources in order (numpy sums a block down axis 0 row by row), and
-# every sum numpy forms over one contiguous run goes through ``Segments``: a
+# adds its sources in order (numpy sums a block down axis 0 row by row),
+# every sum numpy forms over one contiguous run goes through ``Segments`` (a
 # source's received mass, a pair's log-likelihood, and the denominator of a
-# pair with a single target, whose column numpy sums as a 1-D array.
+# pair with a single target, whose column numpy sums as a 1-D array), and
+# the training set's log-likelihood adds the pairs' in order (``left_sum``).
 
 PAIRWISE_MIN = 8  # numpy sums 1-D runs of this many terms or more pairwise
-
-
-def _length_groups(starts: np.ndarray, lengths: np.ndarray):
-    """(rows, index) per distinct run length n >= 1: the runs of that length and the
-    (rows, n) array of their value positions, built when the group is reached."""
-    for n in np.flatnonzero(np.bincount(lengths)[1:]) + 1:
-        rows = np.flatnonzero(lengths == n)
-        yield rows, starts[rows, None] + np.arange(n)
-
-
-def _sum_groups(values: np.ndarray, size: int, groups) -> np.ndarray:
-    out = np.zeros(size)
-    for rows, index in groups:
-        out[rows] = values[index].sum(axis=1)
-        del index  # a one-shot group's index is gone before the next one is built
-    return out
 
 
 class Segments:
@@ -156,21 +141,27 @@ class Segments:
     axis 1, which gives each row that same rounding, so ``sums`` equals
     ``[values[s:s + n].sum() for s, n in zip(starts, lengths)]`` bit for bit
     with one reduction per distinct length.  The gather indices are built
-    once and kept for runs summed at every E-step.
+    with the runs and kept, so runs summed at every E-step build them once.
     """
 
     def __init__(self, starts: np.ndarray, lengths: np.ndarray):
         self.size = len(starts)
-        self.groups = list(_length_groups(starts, lengths))
+        self.groups = []  # (rows, index): the runs of one length n and their (rows, n) value positions
+        for n in np.flatnonzero(np.bincount(lengths)[1:]) + 1:
+            rows = np.flatnonzero(lengths == n)
+            self.groups.append((rows, starts[rows, None] + np.arange(n)))
 
     def sums(self, values: np.ndarray) -> np.ndarray:
-        return _sum_groups(values, self.size, self.groups)
+        out = np.zeros(self.size)
+        for rows, index in self.groups:
+            out[rows] = values[index].sum(axis=1)
+        return out
 
 
-def segment_sums(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``Segments(starts, lengths).sums(values)`` for runs summed once: each length's gather
-    index exists only while that length is summed, so at most one is held at a time."""
-    return _sum_groups(values, len(starts), _length_groups(starts, lengths))
+def left_sum(values) -> float:
+    """Sum strictly left to right from the first term, whatever the Python version (3.12's
+    sum() compensates): ``np.cumsum`` makes the additions of a plain loop, in its order."""
+    return float(np.cumsum(values)[-1])
 
 
 @dataclass
@@ -260,12 +251,9 @@ def _estep(links, t_vals, a_vals, counts, a_counts, recv):
     if recv is not None:
         # each source occurrence's links are a run as long as its pair's target count
         lengths = links.src_n_tgt
-        recv += segment_sums(delta, np.cumsum(lengths) - lengths, lengths)
+        recv += Segments(np.cumsum(lengths) - lengths, lengths).sums(delta)
     logs = np.log(denom / links.tgt_n_src) if a_vals is None else np.log(denom)
-    loglik = 0.0
-    for pair_loglik in links.pair_targets.sums(logs).tolist():
-        loglik += pair_loglik
-    return loglik
+    return left_sum(links.pair_targets.sums(logs))
 
 
 def ibm1_estep(links, t_vals, counts, recv=None):

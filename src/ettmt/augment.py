@@ -37,6 +37,8 @@ class AugmentConfig:
             raise ValueError("damage_geom_p must be in (0, 1]")
         if self.damage_iterations < 0:
             raise ValueError("damage_iterations must be >= 0")
+        if self.damage_iterations > 100:  # each one adds a damaged copy of every training pair
+            raise ValueError(f"damage_iterations must be <= 100, got {self.damage_iterations!r}")
         check_seed("seed", self.seed)
 
 

@@ -18,7 +18,7 @@ from .errors import BenchmarkError, check_seed
 from .harness import BenchmarkConfig, format_table, run_benchmark
 from .metrics import score_corpus
 from .modelio import FAMILIES, lexicon_entries, load_model, save_model, train_model, translate, tsv_model_file
-from .ngram import CONTEXT_MODES
+from .ngram import BEAMS, CONTEXT_MODES
 from .tokenize import TOKENIZERS, tokenizer
 
 
@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("translate", help="translate text with a trained model", parents=[text_files, tokens])
     p.add_argument("--model", required=True)
-    p.add_argument("--beams", type=int, default=8)
+    p.add_argument("--beams", type=int, default=BEAMS)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_translate)
 

@@ -23,6 +23,7 @@ from .corpus import _corpus_format, load_corpus, load_lexicon, read_json, split_
 from .errors import BenchmarkError, DataError, check_seed, check_type
 from .metrics import score_corpus
 from .modelio import model_label, needs_lexicon, overlay, settings, train_model, translate
+from .ngram import BEAMS
 from .tokenize import TOKENIZERS, tokenizer
 
 METRICS = ("bleu", "chrf", "ter")
@@ -70,6 +71,8 @@ class BenchmarkConfig:
             AugmentConfig(**overlay("augment", AUGMENT_DEFAULTS, self.augment))
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
+        if self.repeats > 1000:  # each repeat splits, trains and decodes anew
+            raise ValueError(f"repeats must be <= 1000, got {self.repeats!r}")
         if not 0.0 < self.train_size < 1.0:
             raise ValueError("train_size must be in (0, 1)")
         if self.tokenizer not in TOKENIZERS:
@@ -88,9 +91,13 @@ class BenchmarkConfig:
         if unknown:
             raise DataError(f"{path}: unknown config keys {sorted(unknown)}")
         try:
-            return cls(**raw)
+            cfg = cls(**raw)
         except ValueError as exc:  # includes DataError
             raise DataError(f"{path}: {exc}") from exc
+        for k, model_cfg in enumerate(cfg.models):
+            if not cfg.lexicon and needs_lexicon(model_cfg):  # else run 0 would fail, naming no file
+                raise DataError(f"{path}: model {k}: {model_label(model_cfg)} needs a lexicon")
+        return cfg
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -147,7 +154,7 @@ def run_benchmark(cfg: BenchmarkConfig) -> BenchmarkResult:
     if cfg.lexicon and (cfg.augment is not None or any(map(needs_lexicon, cfg.models))):
         lexicon = stage("setup", "load-lexicon", load_lexicon, cfg.lexicon)
     translated = corpus.translated()
-    beams = [settings(model_cfg).get("beams", 8) for model_cfg in cfg.models]  # 8: translate's default
+    beams = [settings(model_cfg).get("beams", BEAMS) for model_cfg in cfg.models]
 
     runs: list[list[dict]] = [[] for _ in cfg.models]
     ter_cache: dict = {}  # a pair that recurs across splits or configs is searched once

@@ -58,8 +58,9 @@ class TTable:
     def _src_index(self) -> dict[str, int]:
         return {t: i for i, t in enumerate(self.source_vocab)}
 
-    def best_target(self, f: str) -> tuple[str, float] | None:
-        """Highest-probability target for f; ties go to the smaller token."""
+    def emission(self, f: str) -> str | None:
+        """The most probable target for f, ties going to the smaller token; None when f is
+        unknown, its row is empty, or its drop mass is greater than that probability."""
         fi = self._src_index.get(f)
         if fi is None:
             return None
@@ -67,11 +68,7 @@ class TTable:
         if hi == lo:
             return None
         k = lo + int(np.argmax(self.probs[lo:hi]))
-        return self.target_vocab[self.cols[k]], float(self.probs[k])
-
-    def drop_prob(self, f: str) -> float:
-        fi = self._src_index.get(f)
-        return 0.0 if fi is None else float(self.drop_probs[fi])
+        return None if self.drop_probs[fi] > self.probs[k] else self.target_vocab[self.cols[k]]
 
     def to_dict(self, prune: float = 1e-6) -> dict:
         entries = []
@@ -277,10 +274,10 @@ def _em(
         counts = np.zeros(len(probs))
         recv = np.zeros(len(links.src_types)) if it == iterations else None
         if a_vals is None:
-            history.append(float(_kernels.ibm1_estep(links, probs, counts, recv)))
+            history.append(_kernels.ibm1_estep(links, probs, counts, recv))
         else:
             a_counts = np.zeros_like(a_vals)
-            history.append(float(_kernels.ibm2_estep(links, probs, a_vals, counts, a_counts, recv)))
+            history.append(_kernels.ibm2_estep(links, probs, a_vals, counts, a_counts, recv))
         if recv is None:
             probs = _normalize(counts, t_rows, t_lengths)
             if a_vals is not None:
@@ -341,20 +338,9 @@ def translate_ibm(
     With a position table, emitted tokens are reordered by their most
     probable target position (stable on ties).
     """
-    emitted: list[tuple[int, str]] = []
-    for i, f in enumerate(source, start=1):
-        best = ttable.best_target(f)
-        if best is None:
-            continue
-        target, p = best
-        if ttable.drop_prob(f) > p:
-            continue
-        emitted.append((i, target))
-    if align_table is None or not emitted:
-        return [t for _, t in emitted]
-    block = align_table.blocks.get((len(emitted), len(source)))
+    emitted = [(i, e) for i, e in enumerate(map(ttable.emission, source), start=1) if e is not None]
+    block = None if align_table is None else align_table.blocks.get((len(emitted), len(source)))
     if block is None:
         return [t for _, t in emitted]
-    keyed = [(int(np.argmax(block[:, i])), k, t) for k, (i, t) in enumerate(emitted)]
-    keyed.sort()
+    keyed = sorted((int(np.argmax(block[:, i])), k, t) for k, (i, t) in enumerate(emitted))
     return [t for _, _, t in keyed]

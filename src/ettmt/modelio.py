@@ -22,7 +22,7 @@ from .baselines import (
 from .corpus import Lexicon, read_json
 from .errors import DataError, check_type
 from .ibm import IbmModel, train_ibm1, train_ibm2, translate_ibm
-from .ngram import NaiveBayesModel, NgramModel, beam_translate, check_settings, train_naive_bayes, train_ngram
+from .ngram import BEAMS, NaiveBayesModel, NgramModel, beam_translate, check_settings, train_naive_bayes, train_ngram
 
 FORMAT = "ettmt-model"
 VERSION = 1
@@ -51,10 +51,10 @@ FAMILIES = {
                      RandomModel.from_dict, _translate_random),
     "dict": Family({}, lambda pairs, lexicon: build_dict_model(lexicon), DictModel.from_dict,
                    lambda model, tokens, rng, beams: translate_dict(model, tokens), lexicon=True),
-    "ngram": Family({"n": 1, "context_mode": "ett", "alpha": 1.0, "beams": 8, "ordered": True},
+    "ngram": Family({"n": 1, "context_mode": "ett", "alpha": 1.0, "beams": BEAMS, "ordered": True},
                     lambda pairs, lexicon, **opts: train_ngram(pairs, **opts), NgramModel.from_dict,
                     lambda model, tokens, rng, beams: beam_translate(model, tokens, beams=beams)),
-    "naive-bayes": Family({"n": 2, "context_mode": "ett", "alpha": 1.0, "beams": 8},
+    "naive-bayes": Family({"n": 2, "context_mode": "ett", "alpha": 1.0, "beams": BEAMS},
                           lambda pairs, lexicon, **opts: train_naive_bayes(pairs, **opts), NaiveBayesModel.from_dict,
                           lambda model, tokens, rng, beams: beam_translate(model, tokens, beams=beams)),
     "ibm1": Family({"iterations": 10, "use_lexicon": False},
@@ -91,6 +91,8 @@ def settings(model_cfg: dict) -> dict:
     for key in ("iterations", "beams"):
         if out.get(key, 1) < 1:
             raise DataError(f"{key} must be >= 1, got {out[key]!r}")
+    if out.get("iterations", 1) > 1000:  # each EM iteration is a pass over every link
+        raise DataError(f"iterations must be <= 1000, got {out['iterations']!r}")
     if "context_mode" in out:
         check_settings(out["n"], out["context_mode"], out["alpha"], out.get("ordered", True))
     return out
@@ -178,7 +180,7 @@ def load_model(path):
         raise DataError(f"{path}: bad {family} model payload: {exc}") from exc
 
 
-def translate(family: str, model, tokens: list[str], rng: np.random.Generator | None = None, beams: int = 8):
+def translate(family: str, model, tokens: list[str], rng: np.random.Generator | None = None, beams: int = BEAMS):
     """Family-agnostic translate call."""
     if beams < 1:
         raise DataError(f"beam count must be >= 1, got {beams}")

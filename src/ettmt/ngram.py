@@ -68,7 +68,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import dense_rank
+from ._kernels import dense_rank, left_sum
 from .errors import DataError, check_type
 
 PAD = "<pad>"
@@ -77,6 +77,7 @@ EOS = "<eos>"
 CONTEXT_ETT = "ett"
 CONTEXT_ETT_ENG = "ett-eng"
 CONTEXT_MODES = (CONTEXT_ETT, CONTEXT_ETT_ENG)
+BEAMS = 8  # default beam width of model configs, `ettmt translate` and the translate calls
 MAX_N = 64  # source tokens per context; inscriptions are far shorter, and padding is built n slots wide
 # Cost-row floats one model's beam search keeps (8 MB). perfbench's decode-beam models need
 # under 0.1M; a dataset-scale naive-Bayes ett-eng model meets 3,214 distinct rows of 2,333 (60 MB).
@@ -112,11 +113,6 @@ def _context_key(src_slots: tuple, eng_slots: tuple, ordered: bool) -> tuple:
     if not ordered:
         src_slots = tuple(sorted(src_slots))
     return src_slots + eng_slots
-
-
-def _left_sum(values: list[float] | np.ndarray) -> float:
-    """Sum strictly left to right, whatever the Python version (3.12's sum() compensates)."""
-    return float(np.cumsum(values)[-1])
 
 
 def _check_arity(model, src_slots: tuple) -> None:
@@ -422,7 +418,7 @@ class NaiveBayesModel:
         shifted = score - peak
         ranks, distinct = dense_rank(shifted)
         exps = np.array([math.exp(s) for s in distinct.tolist()])
-        return ranks, exps / _left_sum(exps[ranks])
+        return ranks, exps / left_sum(exps[ranks])
 
     @cached_property
     def _cost_tables(self) -> tuple:
@@ -558,6 +554,11 @@ def _row(model, src_slots: tuple, history: tuple) -> np.ndarray:
 def _greedy_translate(model, source: list[str]) -> list[str] | None:
     """The source-only decode as greedy search, or None when another sequence might win.
 
+    m is a row's least cost and m_lt its least cost at a lower vocabulary
+    index. g, the greedy score, starts at 0 and b, the bound on every sequence
+    that sorts before the greedy one, at inf; each position steps them to
+    g' = g + m and b' = min(g + m_lt, b + m).
+
     Every hypothesis expands with the same row, so no score is below the
     greedy score g. A sibling before the greedy child scores >= g + m_lt, and
     a child of a sequence before the greedy one >= b + m, because float
@@ -581,7 +582,7 @@ def _greedy_translate(model, source: list[str]) -> list[str] | None:
     return [tok for tok in tokens if tok not in (PAD, EOS)]
 
 
-def beam_translate(model, source: list[str], beams: int = 8) -> list[str]:
+def beam_translate(model, source: list[str], beams: int = BEAMS) -> list[str]:
     """Decode position by position, keeping the `beams` best hypotheses.
 
     Generation runs for at most len(source) positions. With English context
@@ -617,14 +618,9 @@ def beam_translate(model, source: list[str], beams: int = 8) -> list[str]:
     length-normalized final score can fall as a hypothesis grows.
 
     Source-only decoding first tries `_greedy_translate`, which needs one
-    `summary` call per distinct `row_key` and model, and no `costs`.
-    It returns the greedy sequence when, at every position, the greedy score g' = g + m
-    stays below b' = min(g + m_lt, b + m), the bound on every sequence that
-    sorts before it (m is the row's least cost, m_lt the least cost at a
-    lower vocabulary index; g starts at 0 and b at inf). The greedy sequence
-    is then what the beam search would return at any width. Otherwise, after
-    a float rounding tie or an all-inf row, the beam search below decodes
-    the sentence.
+    `summary` call per distinct `row_key` and model, and no `costs`. When its
+    bound leaves the winner open (a float rounding tie or an all-inf row),
+    the beam search below decodes the sentence.
     """
     if beams < 1:
         raise ValueError(f"beam count must be >= 1, got {beams}")
@@ -666,6 +662,4 @@ def beam_translate(model, source: list[str], beams: int = 8) -> list[str]:
         scores = flat[kept]
         alive = [alive[p] + (vocab[t],) for p, t in zip(parent.tolist(), tok.tolist())]
     done.extend((score, math.inf, tokens) for score, tokens in zip(scores.tolist(), alive))
-    done.sort(key=lambda h: (h[0], h[1], h[2]))
-    best_tokens = done[0][2]
-    return [t for t in best_tokens if t not in (PAD, EOS)]
+    return [t for t in min(done)[2] if t not in (PAD, EOS)]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from ettmt.cli import cli_dispatch
 from ettmt.errors import BenchmarkError, DataError
-from ettmt.harness import BenchmarkConfig, format_table, run_benchmark
+from ettmt.harness import AUGMENT_DEFAULTS, BenchmarkConfig, format_table, run_benchmark
 
 from conftest import NAME_ENTRIES, SUFFIXES, WORD_ENTRIES
 
@@ -888,6 +888,15 @@ class TestCli:
             (lambda cfg: json.dumps({**cfg, "models": [{"family": "naive-bayes", "n": 10**32}]}),
              f"model 0: n must be <= 64, got {10**32}"),
             (lambda cfg: json.dumps({**cfg, "seed": -1}), "seed must be >= 0, got -1"),
+            # loop counts are bounded, so a huge one is refused rather than run until killed
+            (lambda cfg: json.dumps({**cfg, "repeats": 1001}), "repeats must be <= 1000, got 1001"),
+            (lambda cfg: json.dumps({**cfg, "models": [{"family": "ibm2", "iterations": 1001}]}),
+             "model 0: iterations must be <= 1000, got 1001"),
+            (lambda cfg: json.dumps({**cfg, "augment": {"damage_iterations": 101}}),
+             "damage_iterations must be <= 100, got 101"),
+            (lambda cfg: json.dumps({k: v for k, v in cfg.items() if k != "lexicon"}), "model 0: dict needs a lexicon"),
+            (lambda cfg: json.dumps({**cfg, "lexicon": None, "models": [{"family": "ibm1", "use_lexicon": True}]}),
+             "model 0: ibm1:with-lexicon needs a lexicon"),
         ],
         ids=["invalid-json", "top-level-list", "models-object", "models-empty", "model-string",
              "no-family", "unknown-family", "no-corpus", "repeats-0", "unknown-model-key",
@@ -895,7 +904,8 @@ class TestCli:
              "seed-float", "augment-string", "corpus-int", "lexicon-list", "iterations-0", "n-0",
              "beams-0", "alpha-0", "context-mode-unknown", "augment-unknown-key", "augment-seed",
              "augment-iterations-float", "augment-prob-2", "suffix-without-file", "corpus-format-xml",
-             "ngram-n-1e32", "naive-bayes-n-1e32", "seed-negative"],
+             "ngram-n-1e32", "naive-bayes-n-1e32", "seed-negative", "repeats-1001", "iterations-1001",
+             "augment-iterations-101", "dict-without-lexicon", "use-lexicon-without-lexicon"],
     )
     def test_malformed_benchmark_config_exits_2(self, tmp_path, corpus_file, lexicon_file, capsys, edit, message):
         cfg = {"corpus": str(corpus_file), "lexicon": str(lexicon_file), "repeats": 1, "full_eval": True}
@@ -1111,6 +1121,31 @@ class TestCli:
         assert cli_dispatch(["evaluate", "--hyp", str(a), "--ref", str(b)]) == 2
 
 
+def _run_cli(argv: list[str]) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_dispatch(argv)
+    return code, err.getvalue()
+
+
+def _exits_0_or_names_file(code: int, message: str, path) -> bool:
+    return code == 0 or (code == 2 and message.startswith("error:") and message.count("\n") == 1
+                         and str(path) in message)
+
+
+def _mutate_value(data, doc, path: tuple, values: list) -> None:
+    """Drop the value at path in doc ("drop"), make it its string ("string") or set it to another value drawn
+    from values."""
+    *keys, last = path
+    for key in keys:
+        doc = doc[key]
+    value = data.draw(st.sampled_from(values), label="value")
+    if value == "drop":
+        del doc[last]
+    else:
+        doc[last] = str(doc[last]) if value == "string" else value
+
+
 def _mutable_paths(payload: dict) -> dict[str, list[tuple]]:
     """Key paths into a model payload: {kind: [path to one value of that kind]}. The kinds are an n-gram
     or naive-Bayes file's settings, vocabulary entries and counts, an IBM file's t-table entry fields,
@@ -1179,20 +1214,96 @@ class TestModelFileFuzz:
         doc = copy.deepcopy(docs[family])
         paths = _mutable_paths(doc["payload"])
         kind = data.draw(st.sampled_from(sorted(paths)), label="kind")
-        *keys, last = data.draw(st.sampled_from(paths[kind]), label="path")
-        parent = doc["payload"]
-        for key in keys:
-            parent = parent[key]
-        value = data.draw(st.sampled_from(["string", 2.5, -5, True, math.nan, 10**400, "drop"]), label="value")
-        if value == "drop":
-            del parent[last]
-        else:
-            parent[last] = str(parent[last]) if value == "string" else value
+        path = data.draw(st.sampled_from(paths[kind]), label="path")
+        _mutate_value(data, doc["payload"], path, ["string", 2.5, -5, True, math.nan, 10**400, "drop"])
         model = root / f"mutated-{family}.json"
         model.write_text(json.dumps(doc), encoding="utf-8")
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli_dispatch(["translate", "--model", str(model), "--in", str(src)])
-        message = err.getvalue()
-        assert code == 0 or (code == 2 and message.startswith("error:") and message.count("\n") == 1
-                             and str(model) in message), (code, message)
+        code, message = _run_cli(["translate", "--model", str(model), "--in", str(src)])
+        assert _exits_0_or_names_file(code, message, model), (code, message)
+
+
+def _mutated_text(data, text: str) -> bytes:
+    """text with one mutation: cut short, a non-UTF-8 byte put in, a tab-separated column added to or
+    removed from a line, or one cell replaced by a huge, negative, nan, inf, fractional or other value."""
+    raw = text.encode("utf-8")
+    kind = data.draw(st.sampled_from(["truncate", "non-utf8", "add column", "remove column", "cell"]), label="kind")
+    if kind == "truncate":
+        return raw[: data.draw(st.integers(0, len(raw) - 1), label="at")]
+    if kind == "non-utf8":
+        at = data.draw(st.integers(0, len(raw)), label="at")
+        return raw[:at] + b"\xff" + raw[at:]
+    lines = text.split("\n")
+    k = data.draw(st.integers(0, len(lines) - 1), label="line")
+    cells = lines[k].split("\t")
+    if kind == "add column":
+        cells.insert(data.draw(st.integers(0, len(cells)), label="column"), "x")
+    else:
+        j = data.draw(st.integers(0, len(cells) - 1), label="column")
+        if kind == "remove column":
+            del cells[j]
+        else:
+            cells[j] = data.draw(st.sampled_from([str(10**400), "-5", "nan", "inf", "2.5", "1e309", "x"]), label="value")
+    lines[k] = "\t".join(cells)
+    return "\n".join(lines).encode("utf-8")
+
+
+def _json_paths(doc, prefix=()) -> list[tuple]:
+    """The key path of every value in a JSON document, containers included."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    paths = []
+    for key, value in items:
+        paths.append(prefix + (key,))
+        paths += _json_paths(value, prefix + (key,))
+    return paths
+
+
+class TestReaderFuzz:
+    """A lexicon TSV, a suffix file or a benchmark config written as the code reads it, with one
+    mutation from ROADMAP item 10: the command that reads it works or exits 2 with one `error:` line
+    naming the file. Any exception fails."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("reader-fuzz")
+        corpus = write_corpus(root / "corpus.tsv")
+        lexicon = write_lexicon(root / "lexicon.tsv", root / "suffixes.txt")
+        text = root / "text.txt"
+        text.write_text("mi aveles\nitun turuce larthes tinas\n", encoding="utf-8")
+        return root, corpus, lexicon, root / "suffixes.txt", text
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(data=st.data())
+    def test_lexicon(self, files, data):
+        root, corpus, lexicon, _, _ = files
+        path = root / "mutated-lexicon.tsv"
+        path.write_bytes(_mutated_text(data, lexicon.read_text(encoding="utf-8")))
+        code, message = _run_cli(["train", "--family", "dict", "--in", str(corpus), "--lexicon", str(path),
+                                  "--out", str(root / "dict.json")])
+        assert _exits_0_or_names_file(code, message, path), (code, message)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(data=st.data())
+    def test_suffix_file(self, files, data):
+        root, _, _, suffixes, text = files
+        path = root / "mutated-suffixes.txt"
+        path.write_bytes(_mutated_text(data, suffixes.read_text(encoding="utf-8")))
+        code, message = _run_cli(["tokenize", "--tokenizer", "suffix", "--suffixes", str(path), "--in", str(text)])
+        assert _exits_0_or_names_file(code, message, path), (code, message)
+
+    @hypothesis.settings(max_examples=150, deadline=None)
+    @hypothesis.given(data=st.data())
+    def test_benchmark_config(self, files, data):
+        root, corpus, lexicon, suffixes, _ = files
+        models = [{"family": "dict"}, {"family": "ngram", "n": 2}, {"family": "ibm1", "iterations": 2, "use_lexicon": True}]
+        doc = BenchmarkConfig(corpus=str(corpus), lexicon=str(lexicon), suffix_file=str(suffixes), tokenizer="suffix",
+                              models=models, repeats=1, augment=dict(AUGMENT_DEFAULTS),
+                              output_dir=str(root / "bench")).to_dict()
+        path = root / "mutated-bench.json"
+        if data.draw(st.booleans(), label="whole file"):
+            path.write_bytes(_mutated_text(data, json.dumps(doc)))
+        else:
+            _mutate_value(data, doc, data.draw(st.sampled_from(_json_paths(doc)), label="path"),
+                          ["string", 2.5, -5, True, None, math.nan, math.inf, 10**400, "drop"])
+            path.write_text(json.dumps(doc), encoding="utf-8")
+        code, message = _run_cli(["benchmark", "--config", str(path)])
+        assert _exits_0_or_names_file(code, message, path), (code, message)

@@ -46,7 +46,7 @@ def copy_corpus(n_pairs=50, vocab=30, seed=4):
 class TestModel1:
     def test_three_pair_argmaxes(self):
         t = train_ibm1(THREE_PAIRS, iterations=10)
-        assert t.best_target("buch")[0] == "book"
+        assert t.emission("buch") == "book"
         table = entries(t)
         assert ("the", "") not in table  # unknown target
         assert table[("das", "the")] > table[("das", "house")]
@@ -195,6 +195,30 @@ class TestTranslate:
         t, a = train_ibm2(pairs, iterations=10)
         out = translate_ibm(t, ["s0", "s1", "s2"], a)
         assert out == ["t2", "t1", "t0"]
+
+    def test_emission_tie_goes_to_smaller_token(self):
+        table = TTable.from_dict({"entries": [["a", "y", 0.5], ["a", "x", 0.5], ["b", "z", 0.25], ["b", "w", 0.75]]})
+        assert table.emission("a") == "x"
+        assert table.emission("b") == "w"
+
+    def test_emission_drop_mass_must_exceed_best(self):
+        entries_ = [["a", "x", 0.5], ["a", "y", 0.25], ["b", "x", 0.5]]
+        table = TTable.from_dict({"entries": entries_, "drop_probs": {"a": 0.5, "b": float(np.nextafter(0.5, 1.0))}})
+        assert table.emission("a") == "x"  # equal to the best probability: still emitted
+        assert table.emission("b") is None
+        assert translate_ibm(table, ["b", "a", "b"]) == ["x"]
+
+    def test_emission_unknown_token(self):
+        table = TTable.from_dict({"entries": [["a", "x", 1.0]]})
+        assert table.emission("q") is None
+        assert table.emission("x") is None  # a target token is no source type
+
+    def test_emission_empty_row(self):
+        # with no entry for it the empty source keeps its row 0, which holds no cells
+        table = TTable.from_dict({"entries": [["a", "x", 1.0]]})
+        assert table.indptr[1] == table.indptr[0]
+        assert table.emission(NULL_TOKEN) is None
+        assert table.emission("a") == "x"
 
     def test_serialization_roundtrip(self):
         t, a = train_ibm2(THREE_PAIRS, iterations=4)

@@ -248,12 +248,10 @@ class TestSegments:
         starts = rnd.integers(0, len(values) - 300, size=200)
         want = [values[s : s + n].sum() for s, n in zip(starts, lengths)]
         assert _kernels.Segments(starts, lengths).sums(values).tolist() == want
-        assert _kernels.segment_sums(values, starts, lengths).tolist() == want
 
     def test_no_segments(self):
         empty = np.zeros(0, dtype=np.int64)
         assert len(_kernels.Segments(empty, empty).sums(np.ones(3))) == 0
-        assert len(_kernels.segment_sums(np.ones(3), empty, empty)) == 0
 
 
 class TestDenseRank:
