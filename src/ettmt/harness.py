@@ -79,6 +79,9 @@ class BenchmarkConfig:
             raise ValueError(f"unknown tokenizer {self.tokenizer!r}")
         if self.tokenizer == "suffix" and self.suffix_file is None:
             raise DataError("the suffix tokenizer needs a suffix_file")
+        for k, model_cfg in enumerate(self.models):
+            if not self.lexicon and needs_lexicon(model_cfg):  # else run 0 would fail in its train stage
+                raise DataError(f"model {k}: {model_label(model_cfg)} needs a lexicon")
 
     @classmethod
     def from_json(cls, path) -> "BenchmarkConfig":
@@ -91,13 +94,9 @@ class BenchmarkConfig:
         if unknown:
             raise DataError(f"{path}: unknown config keys {sorted(unknown)}")
         try:
-            cfg = cls(**raw)
+            return cls(**raw)
         except ValueError as exc:  # includes DataError
             raise DataError(f"{path}: {exc}") from exc
-        for k, model_cfg in enumerate(cfg.models):
-            if not cfg.lexicon and needs_lexicon(model_cfg):  # else run 0 would fail, naming no file
-                raise DataError(f"{path}: model {k}: {model_label(model_cfg)} needs a lexicon")
-        return cfg
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -14,6 +14,7 @@ from collections import Counter, defaultdict
 
 import numpy as np
 
+from ettmt import _kernels, metrics
 from ettmt.ngram import CONTEXT_ETT_ENG, EOS, PAD, NaiveBayesModel, NgramModel
 from ettmt.tokenize import MIN_ROOT_LEN
 
@@ -526,6 +527,53 @@ def former_pair_edits(hyp_words: list[str], ref_words: list[str]) -> int:
                 break
         if best is None or checked >= _MAX_SHIFT_CANDIDATES or best[0] <= 0:
             return shifts + pre
+        hyp = best[4]
+        shifts += 1
+
+
+def former_shift_search(hyp_words: list[str], ref_words: list[str]) -> tuple[int, bool]:
+    """The shift search as it was before it stopped at the bag-of-words floor:
+    every round makes a column pass, traces it and scores every shift.
+
+    It shares the round's helpers with the package (``_trace``, ``_shifts``,
+    ``_shifted`` and the kernels), which are tested on their own against
+    ``former_edit_ops`` and ``former_shift_candidates``; so it pins down
+    the search loop: when it shifts, when it stops, and the cap flag.  It
+    reads ``metrics.MAX_SHIFT_CANDIDATES`` when called, so a test that lowers
+    the cap lowers it here too.
+    """
+    if not ref_words:
+        return len(hyp_words), False
+    if not hyp_words:
+        return len(ref_words), False
+    vocab: dict[str, int] = {}
+    hyp = [vocab.setdefault(w, len(vocab)) for w in hyp_words]
+    ref = [vocab.setdefault(w, len(vocab)) for w in ref_words]
+    peq = _kernels.bitmasks(ref)
+    starts: dict[int, list[int]] = {}
+    for sr, word in enumerate(ref):
+        starts.setdefault(word, []).append(sr)
+
+    shifts = 0
+    checked = 0
+    while True:
+        cols = _kernels.columns(peq, len(ref), hyp)
+        pre, after, hyp_err, ref_err = metrics._trace(hyp, ref, cols)
+        pvs, mvs, _ = cols
+        best = None
+        for sh, length, target in metrics._shifts(hyp, ref, starts, after, hyp_err, ref_err):
+            moved = metrics._shifted(hyp, sh, length, target)
+            # moved[:p] is hyp[:p], whose column is already known
+            p = min(sh, target)
+            gain = pre - _kernels.levenshtein(ref, moved, (p, peq, pvs[p], mvs[p]))
+            checked += 1
+            candidate = (gain, length, -sh, -target, moved)
+            if best is None or candidate > best:
+                best = candidate
+            if checked >= metrics.MAX_SHIFT_CANDIDATES:
+                break
+        if best is None or checked >= metrics.MAX_SHIFT_CANDIDATES or best[0] <= 0:
+            return shifts + pre, checked >= metrics.MAX_SHIFT_CANDIDATES
         hyp = best[4]
         shifts += 1
 

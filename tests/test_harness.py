@@ -175,10 +175,11 @@ class TestRunBenchmark:
     def test_stage_error_names_run_and_stage(self, corpus_file):
         cfg = BenchmarkConfig(
             corpus=str(corpus_file),
-            models=[{"family": "dict"}],  # no lexicon provided
+            models=[{"family": "random"}],
+            train_size=0.1,  # one of the 12 sentences: too few for the random model's length spread
             repeats=1,
         )
-        with pytest.raises(BenchmarkError, match="run 0, stage 'train'"):
+        with pytest.raises(BenchmarkError, match="run 0, stage 'train': need at least 2 sequences"):
             run_benchmark(cfg)
 
     def test_suffix_tokenizer_path(self, corpus_file, lexicon_file):
@@ -392,11 +393,26 @@ class TestConfigChecks:
         with pytest.raises(DataError, match="ibm1 has no key 'iteration'"):
             settings({"family": "ibm1", "iteration": 1})
 
-    def test_every_family_accepted(self, corpus_file):
+    def test_every_family_accepted(self, corpus_file, lexicon_file):
         from ettmt.modelio import FAMILIES
 
-        cfg = BenchmarkConfig(corpus=str(corpus_file), models=[{"family": f} for f in FAMILIES])
+        cfg = BenchmarkConfig(corpus=str(corpus_file), lexicon=str(lexicon_file),
+                              models=[{"family": f} for f in FAMILIES])
         assert [m["family"] for m in cfg.models] == list(FAMILIES)
+
+    @pytest.mark.parametrize(
+        "models, message",
+        [
+            (None, "model 0: dict needs a lexicon"),  # the default models
+            ([{"family": "random"}, {"family": "dict"}], "model 1: dict needs a lexicon"),
+            ([{"family": "ibm2", "use_lexicon": True}], "model 0: ibm2:with-lexicon needs a lexicon"),
+        ],
+    )
+    def test_model_needing_a_lexicon_refused_without_one(self, corpus_file, models, message):
+        # built in code as from a file: refused before any run, not in run 0's train stage
+        kwargs = {} if models is None else {"models": models}
+        with pytest.raises(DataError, match=f"^{message}$"):
+            BenchmarkConfig(corpus=str(corpus_file), **kwargs)
 
 
 class TestModelFiles:
@@ -1080,7 +1096,7 @@ class TestCli:
                        encoding="utf-8")
         assert cli_dispatch(["benchmark", "--config", str(cfg)]) == 0
         assert BenchmarkConfig.from_json(cfg).to_dict()["corpus_format"] == "json"
-        assert BenchmarkConfig(corpus=str(corpus_file)).to_dict()["corpus_format"] == "tsv"
+        assert BenchmarkConfig(corpus=str(corpus_file), models=[{"family": "random"}]).to_dict()["corpus_format"] == "tsv"
 
     def test_train_lexicon_pairs_flag(self, tmp_path, corpus_file, lexicon_file, capsys):
         from ettmt.modelio import load_model

@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 import oracles
-from ettmt import _kernels
+from ettmt import _kernels, ibm
 from ettmt.errors import DataError
 from ettmt.ibm import (
     NULL_TOKEN,
@@ -455,3 +456,46 @@ class TestFromDictMatchesRowLists:
     def test_integer_probabilities(self):
         self.assert_oracle_layout({"entries": [["b", "y", 1], ["a", "y", 0.5], ["a", "x", 0], [NULL_TOKEN, "x", 1]],
                                    "drop_probs": {"a": 1, "b": 0.0}})
+
+
+class TestLinkBudget:
+    # one 5,000 x 5,000-token pair has 25,005,000 links, over MAX_LINKS; the
+    # check runs before any per-link array is built, so these tests stay cheap
+    HUGE = (["f"] * 5000, ["e"] * 5000)
+    MESSAGE = (
+        "training needs 25,005,012 links, more than the budget of 20,000,000 (MAX_LINKS); "
+        "the longest pair, pair 1, has 5,000 source and 5,000 target tokens"
+    )
+
+    @pytest.mark.parametrize("train", [train_ibm1, train_ibm2])
+    def test_over_budget_refused_before_allocation(self, monkeypatch, train):
+        def no_links(*args, **kwargs):
+            raise AssertionError("build_links called over the link budget")
+
+        monkeypatch.setattr(_kernels, "build_links", no_links)
+        with pytest.raises(DataError, match=f"^{re.escape(self.MESSAGE)}$"):
+            train([THREE_PAIRS[0], self.HUGE, THREE_PAIRS[1]])
+
+    def test_budget_counts_the_empty_slot(self, monkeypatch):
+        monkeypatch.setattr(ibm, "MAX_LINKS", 12)
+        train_ibm1([(["a", "b", "c"], ["x", "y", "z"])])  # (3 + 1) * 3 = 12 links
+        with pytest.raises(DataError, match="training needs 15 links, more than the budget of 12"):
+            train_ibm1([(["a", "b", "c", "d"], ["x", "y", "z"])])
+
+    def test_cli_and_benchmark_report_it(self, tmp_path, capsys):
+        from ettmt.cli import cli_dispatch
+        from ettmt.errors import BenchmarkError
+        from ettmt.harness import BenchmarkConfig, run_benchmark
+
+        corpus = tmp_path / "c.tsv"
+        rows = ["id\tsource\tetruscan\tenglish\tdate\tlocation", "e0\tETP\tmi\ti am\t\t",
+                "e1\tETP\t" + " ".join(self.HUGE[0]) + "\t" + " ".join(self.HUGE[1]) + "\t\t"]
+        corpus.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        model = tmp_path / "m.json"
+        assert cli_dispatch(["train", "--family", "ibm1", "--in", str(corpus), "--out", str(model)]) == 2
+        one_line = self.MESSAGE.replace("25,005,012", "25,005,004")  # "mi" / "i am" has 2 * 2 links
+        assert capsys.readouterr().err == f"error: {one_line}\n"
+        assert not model.exists()
+        cfg = BenchmarkConfig(corpus=str(corpus), models=[{"family": "ibm2"}], repeats=1, full_eval=True)
+        with pytest.raises(BenchmarkError, match=f"^run 0, stage 'train': {re.escape(one_line)}$"):
+            run_benchmark(cfg)

@@ -11,6 +11,7 @@ import oracles
 from ettmt import _kernels, metrics
 from ettmt.metrics import (
     MAX_SHIFT_CANDIDATES,
+    SPAN_TARGETS,
     MetricReport,
     _shift_search,
     _shifts,
@@ -507,3 +508,141 @@ class TestMatchesFormerImplementation:
         monkeypatch.setattr(_kernels, "levenshtein", lambda *args: calls.append(1) or distance(*args))
         assert _shift_search(hyp, ref)[0] == oracles.former_pair_edits(hyp, ref)
         assert len(calls) == MAX_SHIFT_CANDIDATES
+
+
+@st.composite
+def _word_pairs(draw, max_len=18):
+    """A (hyp, ref) pair of word lists over a vocabulary of 1-6 words."""
+    words = [f"w{i}" for i in range(draw(st.integers(1, 6)))]
+    side = st.lists(st.sampled_from(words), max_size=max_len)
+    return draw(side), draw(side)
+
+
+def _moved_blocks(rnd, words, k):
+    """words with k random blocks of 1-4 words each moved elsewhere."""
+    words = list(words)
+    for _ in range(k):
+        start = rnd.randrange(len(words))
+        block = words[start : start + rnd.randint(1, 4)]
+        del words[start : start + len(block)]
+        at = rnd.randint(0, len(words))
+        words[at:at] = block
+    return words
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that counts its calls; returns the count list."""
+    calls = []
+    fn = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(1) or fn(*args))
+    return calls
+
+
+class TestShiftSearchFloor:
+    """The shift search ends at the bag-of-words floor max(n, m) - |hyp & ref|
+    only where the full search would stop there too: ``(edits, capped)``
+    equal the former search's, which runs every round."""
+
+    @settings(derandomize=True, deadline=None, max_examples=600)
+    @given(_word_pairs())
+    def test_equals_former_search(self, pair):
+        hyp, ref = pair
+        assert _shift_search(hyp, ref) == oracles.former_shift_search(hyp, ref)
+
+    @pytest.mark.parametrize("cap", [1, 2, 30, 65, 66, 130])
+    def test_equals_former_search_under_lower_caps(self, monkeypatch, cap):
+        # a cap this low is soon within checked + bound, so the search must
+        # run the rounds it would otherwise end by proof, and some reach the cap
+        monkeypatch.setattr(metrics, "MAX_SHIFT_CANDIDATES", cap)
+        rnd = random.Random(cap)
+        capped = 0
+        for _ in range(300):
+            words = [f"w{i}" for i in range(rnd.randint(1, 6))]
+            ref = rnd.choices(words, k=rnd.randint(1, 14))
+            if rnd.random() < 0.6:
+                hyp = _moved_blocks(rnd, ref, rnd.randint(0, 3))
+            else:
+                hyp = rnd.choices(words, k=rnd.randint(1, 14))
+            found = _shift_search(hyp, ref)
+            assert found == oracles.former_shift_search(hyp, ref), (hyp, ref)
+            capped += found[1]
+        assert capped > 0
+
+    def test_long_few_word_pairs_reach_the_cap(self):
+        rnd = random.Random(31)
+        capped = 0
+        for k in range(24):
+            words = ["a", "b", "c"][: 2 + k % 2]
+            ref = rnd.choices(words, k=rnd.randint(30, 60))
+            hyp = _moved_blocks(rnd, ref, 3) if k % 3 == 0 else rnd.choices(words, k=rnd.randint(30, 60))
+            found = _shift_search(hyp, ref)
+            assert found == oracles.former_shift_search(hyp, ref), (hyp, ref)
+            capped += found[1]
+        assert capped >= 10
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_pairs_reaching_the_floor_after_k_shifts(self, k):
+        rnd = random.Random(40 + k)
+        for _ in range(40):
+            ref = [f"w{i}" for i in range(rnd.randint(4, 18))]
+            if rnd.random() < 0.5:  # a repeated word and a word the hyp lacks
+                ref[rnd.randrange(len(ref))] = ref[0]
+            hyp = _moved_blocks(rnd, ref, k)
+            if rnd.random() < 0.5:
+                hyp[rnd.randrange(len(hyp))] = "x"
+            assert _shift_search(hyp, ref) == oracles.former_shift_search(hyp, ref), (hyp, ref)
+
+    def test_candidate_bound(self):
+        # a round scores at most SPAN_TARGETS shifts per (hyp start, ref start)
+        # pair of equal words: the bound the search ends under
+        rnd = random.Random(32)
+        for _ in range(300):
+            words = [f"w{i}" for i in range(rnd.randint(1, 5))]
+            ref = rnd.choices(words, k=rnd.randint(1, 20))
+            hyp = rnd.choices(words + ["x"], k=rnd.randint(1, 20))
+            starts = {}
+            for sr, word in enumerate(ref):
+                starts.setdefault(word, []).append(sr)
+            spans = sum(len(starts.get(word, ())) for word in hyp)
+            _, after, hyp_err, ref_err = _alignment(hyp, ref)
+            assert len(list(_shifts(hyp, ref, starts, after, hyp_err, ref_err))) <= spans * SPAN_TARGETS
+        # and one pair of words reaches it: ten words that both sides hold once,
+        # substituted on both sides (a tie), each length 1-10 with length + 1 targets
+        a = [f"a{i}" for i in range(10)]
+        hyp, ref = [f"y{i}" for i in range(10)] + a, a + [f"z{i}" for i in range(10)]
+        starts = {word: [sr] for sr, word in enumerate(ref)}
+        _, after, hyp_err, ref_err = _alignment(hyp, ref)
+        from_a0 = [sh for sh, _, _ in _shifts(hyp, ref, starts, after, hyp_err, ref_err) if sh == 10]
+        assert len(from_a0) == SPAN_TARGETS
+
+    def test_search_at_the_floor_neither_traces_nor_shifts(self, monkeypatch):
+        traced = _counting(monkeypatch, metrics, "_trace")
+        scanned = _counting(monkeypatch, metrics, "_shifts")
+        passes = _counting(monkeypatch, _kernels, "columns")
+        scored = _counting(monkeypatch, _kernels, "levenshtein")
+        # one substitution: the distance is already max(3, 3) - 2
+        assert _shift_search("a b x".split(), "a b c".split()) == (1, False)
+        assert (len(traced), len(scanned), len(passes)) == (0, 0, 1)
+        # one shift reaches the floor 0, so no column pass follows it; of the
+        # round's 14 shifts, those after the first with gain 4 are scored only
+        # when longer or earlier than it
+        hyp, ref = "c d a b".split(), "a b c d".split()
+        assert _shift_search(hyp, ref) == (1, False)
+        assert (len(traced), len(scanned), len(passes), len(scored)) == (1, 1, 2, 5)
+        _, after, hyp_err, ref_err = _alignment(hyp, ref)
+        assert len(list(_shifts(hyp, ref, {w: [i] for i, w in enumerate(ref)}, after, hyp_err, ref_err))) == 14
+
+    def test_pair_sharing_no_word_makes_no_column_pass(self, monkeypatch):
+        passes = _counting(monkeypatch, _kernels, "columns")
+        assert _shift_search("a b c d".split(), "x y".split()) == (4, False)
+        assert _shift_search("a".split(), "x y z".split()) == (3, False)
+        assert passes == []
+
+    def test_score_corpus_is_the_three_metrics(self):
+        rnd = random.Random(19)
+        for _ in range(20):
+            pairs = [_random_pair(rnd) for _ in range(rnd.randint(1, 6))] + [("a", "a b")]
+            hyps = [h for h, _ in pairs]
+            refs = [r for _, r in pairs]
+            expected = MetricReport(bleu(hyps, refs), chrf(hyps, refs), ter(hyps, refs), len(hyps))
+            assert score_corpus(hyps, refs) == expected
